@@ -1,44 +1,132 @@
-"""Finite-difference kernels, optionally compiled with numba.
+"""Finite-difference stencils for the complex Hessian and the scalar curvature.
 
-The same kernel source serves both backends: make_engine(jit, rel)
-builds the full stencil stack around a relative potential evaluator,
-where jit is either numba.njit or the identity.  The backend is picked
-via the SFKALE_BACKEND environment variable (auto | numba | numpy);
-auto takes numba when importable and falls back to the plain
-interpreter otherwise.  Custom potential callables always run on the
-plain path.
+One table per stencil order lists every second-derivative term the
+engine takes: an integer offset in steps h and a weight on each of the
+four metric components (g11, g22, Re g12, Im g12).  It is built once
+from the one-axis weights (1, -2, 1) and (-1, 16, -30, 16, -1)/12 and
+the Richardson cross (4 cross(h) - cross(2h))/3, where cross(s) is the
+four-corner difference at step s over 4 s^2 (Fornberg, Math. Comp. 51,
+1988).  Every weight is shared by an offset o and its mirror -o, so the
+table lists the pairs once and the center terms apart.  The same table
+serves both stencils:
 
-The inner stencils consume psi(x, d) = Phi(x + d) - Phi(x) rather than
-Phi itself.  Second-derivative weights sum to zero, so the two forms
-agree exactly, but the relative form avoids cancelling the large
-common value of Phi across the stencil: for the built-in families the
-difference is computed stably (du = 2 x.d + |d|^2 is exact for the
-flat potential, and log1p / sqrt-difference forms handle the rest), so
-the flat scalar curvature comes out near machine zero instead of
-h^-4-amplified rounding.
+  inner: g = sum_o w_o (psi(x, h o) + psi(x, -h o)) / h^2,
+         with psi(x, d) = Phi(x + d) - Phi(x) and psi(x, 0) = 0;
+  outer: Hess log det g = sum_o w_o (L(x + h o) + L(x - h o)) / h^2
+         + center terms, with L = log det g.
 
-Derivative stencils (step h, psi(0) = 0 so center terms drop):
-  pure second, order 2:  (psi(+h) + psi(-h)) / h^2
-  pure second, order 4:  (16 (psi(h) + psi(-h)) - (psi(2h) + psi(-2h))) / (12 h^2)
-  mixed second, order 2: four-corner cross / (4 h^2)
-  mixed second, order 4: Richardson (4 cross(h) - cross(2h)) / 3
-The outer stencil, applied to log det g, keeps the plain absolute form
-since that field is O(1).  Degenerate metrics surface as NaN; callers
-turn that into an error.
+Each mirror pair is added before its weight multiplies it: the two psi
+values nearly cancel, so their sum is exact, and only the O(h^2) result
+meets the rounding of the weight.
+
+The inner stencil consumes psi rather than Phi.  The weights sum to
+zero, so both forms agree exactly, but psi avoids cancelling the large
+common value of Phi across the stencil: for the built-in families it is
+computed stably (du = 2 x.d + |d|^2 is exact for the flat potential,
+and log1p / sqrt-difference forms handle the rest), so the flat scalar
+curvature comes out near machine zero instead of h^-4-amplified
+rounding.  Custom callables are called in a plain loop and keep the
+plain difference Phi(x + d) - Phi(x) per term.
+
+Every term is evaluated, duplicates included: one scalar curvature
+takes 53 Hessians of 48 psi each at order 4 (29 of 24 at order 2).
+Degenerate metrics surface as NaN; callers turn that into an error.
 """
 
 from __future__ import annotations
 
 import math
-import os
+from typing import NamedTuple
 
 import numpy as np
-
-BACKEND_ENV = "SFKALE_BACKEND"
 
 FLAT = 0
 EGUCHI_HANSON = 1
 BURNS = 2
+
+# one-axis second derivative: offset -> weight (times 1/h^2); symmetric,
+# so the table takes the offsets k >= 0 and mirrors them
+_AXIS = {
+    2: {-1: 1.0, 0: -2.0, 1: 1.0},
+    4: {-2: -1 / 12, -1: 16 / 12, 0: -30 / 12, 1: 16 / 12, 2: -1 / 12},
+}
+# mixed second derivative: step s -> Richardson weight of cross(s)
+_CROSS = {2: {1: 1.0}, 4: {1: 4 / 3, 2: -1 / 3}}
+# (a, b, component, sign) from d/dz = (d/dx - i d/dy) / 2:
+# g11 = (d00 + d11)/4, g22 = (d22 + d33)/4, Re g12 = (d02 + d13)/4, Im g12 = (d03 - d12)/4
+_PARTIALS = (
+    (0, 0, 0, 1), (1, 1, 0, 1), (2, 2, 1, 1), (3, 3, 1, 1),
+    (0, 2, 2, 1), (1, 3, 2, 1), (0, 3, 3, 1), (1, 2, 3, -1),
+)
+
+
+class Stencil(NamedTuple):
+    """Offsets (in steps h) and component weights of one stencil order.
+
+    steps lists the k offsets o of the mirror pairs, then their mirrors
+    -o; pair_weights (k x 4) weighs each pair.  center_weights holds one
+    row per pure second derivative for its zero-offset term, which only
+    the outer stencil evaluates (psi vanishes there).  bases are the
+    outer sites: the center itself, then steps, then one zero offset
+    per center row.
+    """
+
+    steps: np.ndarray
+    pair_weights: np.ndarray
+    center_weights: np.ndarray
+    bases: np.ndarray
+
+
+def _stencil(order: int) -> Stencil:
+    pairs, pair_weights, center_weights = [], [], []
+    for a, b, component, sign in _PARTIALS:
+        # taps (da, db, w): offset da along axis a plus db along axis b
+        if a == b:
+            taps = [(k, 0, w) for k, w in _AXIS[order].items() if k >= 0]
+        else:
+            taps = [
+                (s, j * s, j * w / (4 * s * s)) for s, w in _CROSS[order].items() for j in (1, -1)
+            ]
+        for da, db, w in taps:
+            offset = [0.0] * 4
+            offset[a] += da
+            offset[b] += db
+            row = [0.0] * 4
+            row[component] = sign * w / 4
+            if da:
+                pairs.append(offset)
+                pair_weights.append(row)
+            else:
+                center_weights.append(row)
+    steps = pairs + [[-c for c in o] for o in pairs]
+    return Stencil(
+        steps=np.array(steps),
+        pair_weights=np.array(pair_weights),
+        center_weights=np.array(center_weights),
+        bases=np.array([[0.0] * 4] + steps + [[0.0] * 4] * len(center_weights)),
+    )
+
+
+STENCILS = {order: _stencil(order) for order in (2, 4)}
+
+
+def step(x, h0: float) -> float:
+    """Radius-scaled stencil step h = h0 * (1 + |x|)."""
+    x0, x1, x2, x3 = x
+    return h0 * (1.0 + math.sqrt(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3))
+
+
+def sites(x, h: float, order: int, curvature: bool):
+    """(bases, steps) of the stencil around x; psi is wanted at each pair.
+
+    The Hessian needs psi at x only; the scalar curvature needs it at x
+    and at every outer site x + h o, which come first and after.
+    """
+    stencil = STENCILS[order]
+    x = np.asarray(x, dtype=float)
+    if not curvature:
+        return x[None, :], h * stencil.steps
+    return x + h * stencil.bases, h * stencil.steps
 
 
 def builtin_potential(family, par, x0, x1, x2, x3):
@@ -54,304 +142,68 @@ def builtin_potential(family, par, x0, x1, x2, x3):
     return u + par * math.log(u)
 
 
-def builtin_potential_rel(family, par, x0, x1, x2, x3, d0, d1, d2, d3):
-    """Phi(x + d) - Phi(x), computed without cancelling large terms."""
-    u = x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3
-    du = 2.0 * (x0 * d0 + x1 * d1 + x2 * d2 + x3 * d3) + (
-        d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3
-    )
+def builtin_psi(family, par, bases, steps):
+    """Phi(b + d) - Phi(b) for every base b and step d, without cancelling large terms."""
+    du = 2.0 * (bases @ steps.T) + (steps * steps).sum(axis=1)
     if family == FLAT:
         return du
-    if u <= 0.0:
-        return np.nan
-    ratio = du / u
-    if ratio <= -1.0:
-        # shifted point at or beyond the log singularity
-        return np.nan
-    if family == EGUCHI_HANSON:
-        a2 = par * par
-        us = u + du
-        w = math.sqrt(a2 * a2 + u * u)
-        ws = math.sqrt(a2 * a2 + us * us)
-        dw = du * (us + u) / (ws + w)
-        return dw + a2 * math.log1p(ratio) - a2 * math.log1p(dw / (a2 + w))
-    return du + par * math.log1p(ratio)
+    u = (bases * bases).sum(axis=1)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = du / u
+        if family == EGUCHI_HANSON:
+            a2 = par * par
+            us = u + du
+            w = np.sqrt(a2 * a2 + u * u)
+            ws = np.sqrt(a2 * a2 + us * us)
+            dw = du * (us + u) / (ws + w)
+            psi = dw + a2 * np.log1p(ratio) - a2 * np.log1p(dw / (a2 + w))
+        else:
+            psi = du + par * np.log1p(ratio)
+    # a base at the origin, or a site at or beyond the log singularity
+    return np.where((u <= 0.0) | (ratio <= -1.0), np.nan, psi)
 
 
-def _identity(func):
-    return func
+def callable_psi(fn, bases, steps):
+    """Phi(b + d) - Phi(b) from a scalar callable fn(x0, x1, x2, x3), one term at a time."""
+    out = np.empty((len(bases), len(steps)))
+    steps = steps.tolist()
+    for i, (x0, x1, x2, x3) in enumerate(bases.tolist()):
+        out[i] = [
+            fn(x0 + d0, x1 + d1, x2 + d2, x3 + d3) - fn(x0, x1, x2, x3)
+            for d0, d1, d2, d3 in steps
+        ]
+    return out
 
 
-def absolute_to_relative(potential):
-    """Wrap an absolute evaluator into the relative signature.
+def _reduce(values, stencil: Stencil, h: float):
+    """Weighted sum / h^2 of values at the stencil's offsets, mirror pairs added first.
 
-    Rounding committed inside the callable cannot be undone, so custom
-    potentials keep the plain-difference accuracy; only the built-in
-    families get the stable forms above.
+    values runs over steps (inner stencil) or over steps and then the
+    center terms (outer stencil); (..., sites) -> (..., 4).
     """
-
-    def rel(family, par, x0, x1, x2, x3, d0, d1, d2, d3):
-        return potential(family, par, x0 + d0, x1 + d1, x2 + d2, x3 + d3) - potential(
-            family, par, x0, x1, x2, x3
-        )
-
-    return rel
+    k = len(stencil.pair_weights)
+    out = (values[..., :k] + values[..., k : 2 * k]) @ stencil.pair_weights
+    if values.shape[-1] > 2 * k:
+        out += values[..., 2 * k :] @ stencil.center_weights
+    return out / (h * h)
 
 
-def make_engine(jit, potential_rel):
-    """Compile the stencil stack around one relative potential evaluator.
+def hessian(psi, h: float, order: int) -> np.ndarray:
+    """(g11, g22, Re g12, Im g12) per base from psi over the steps."""
+    return _reduce(psi, STENCILS[order], h)
 
-    potential_rel(family, par, x0..x3, d0..d3) -> Phi(x+d) - Phi(x)
-    must be jit-able when jit is numba.njit.  Returns an Engine whose
-    evaluators all take the stencil step h and the stencil order (2 or
-    4) explicitly.
+
+def scalar_curvature(psi, h: float, order: int) -> float:
+    """S = -2 tr(g^-1 Hess log det g) at the first base, from psi over all bases.
+
+    The factor 2 fixes the real scalar curvature normalization.
     """
-    psi = jit(potential_rel)
-
-    @jit
-    def psi_shift(family, par, x0, x1, x2, x3, h, a, da, b, db):
-        d0 = 0.0
-        d1 = 0.0
-        d2 = 0.0
-        d3 = 0.0
-        if a == 0:
-            d0 += da * h
-        elif a == 1:
-            d1 += da * h
-        elif a == 2:
-            d2 += da * h
-        else:
-            d3 += da * h
-        if b == 0:
-            d0 += db * h
-        elif b == 1:
-            d1 += db * h
-        elif b == 2:
-            d2 += db * h
-        else:
-            d3 += db * h
-        return psi(family, par, x0, x1, x2, x3, d0, d1, d2, d3)
-
-    @jit
-    def d2_phi(family, par, x0, x1, x2, x3, h, order, a, b):
-        if a == b:
-            s1 = psi_shift(family, par, x0, x1, x2, x3, h, a, 1.0, a, 0.0) + psi_shift(
-                family, par, x0, x1, x2, x3, h, a, -1.0, a, 0.0
-            )
-            if order == 2:
-                return s1 / (h * h)
-            s2 = psi_shift(family, par, x0, x1, x2, x3, h, a, 2.0, a, 0.0) + psi_shift(
-                family, par, x0, x1, x2, x3, h, a, -2.0, a, 0.0
-            )
-            return (16.0 * s1 - s2) / (12.0 * h * h)
-        cross1 = (
-            psi_shift(family, par, x0, x1, x2, x3, h, a, 1.0, b, 1.0)
-            - psi_shift(family, par, x0, x1, x2, x3, h, a, 1.0, b, -1.0)
-            - psi_shift(family, par, x0, x1, x2, x3, h, a, -1.0, b, 1.0)
-            + psi_shift(family, par, x0, x1, x2, x3, h, a, -1.0, b, -1.0)
-        ) / (4.0 * h * h)
-        if order == 2:
-            return cross1
-        cross2 = (
-            psi_shift(family, par, x0, x1, x2, x3, h, a, 2.0, b, 2.0)
-            - psi_shift(family, par, x0, x1, x2, x3, h, a, 2.0, b, -2.0)
-            - psi_shift(family, par, x0, x1, x2, x3, h, a, -2.0, b, 2.0)
-            + psi_shift(family, par, x0, x1, x2, x3, h, a, -2.0, b, -2.0)
-        ) / (16.0 * h * h)
-        return (4.0 * cross1 - cross2) / 3.0
-
-    @jit
-    def hessian(family, par, x0, x1, x2, x3, h, order):
-        # complex Hessian d^2/dz_i dzbar_j from the 10 real second partials,
-        # using d/dz = (d/dx - i d/dy)/2; returns (g11, g22, Re g12, Im g12)
-        d00 = d2_phi(family, par, x0, x1, x2, x3, h, order, 0, 0)
-        d11 = d2_phi(family, par, x0, x1, x2, x3, h, order, 1, 1)
-        d22 = d2_phi(family, par, x0, x1, x2, x3, h, order, 2, 2)
-        d33 = d2_phi(family, par, x0, x1, x2, x3, h, order, 3, 3)
-        d02 = d2_phi(family, par, x0, x1, x2, x3, h, order, 0, 2)
-        d13 = d2_phi(family, par, x0, x1, x2, x3, h, order, 1, 3)
-        d03 = d2_phi(family, par, x0, x1, x2, x3, h, order, 0, 3)
-        d12 = d2_phi(family, par, x0, x1, x2, x3, h, order, 1, 2)
-        g11 = (d00 + d11) / 4.0
-        g22 = (d22 + d33) / 4.0
-        gr = (d02 + d13) / 4.0
-        gi = (d03 - d12) / 4.0
-        return g11, g22, gr, gi
-
-    @jit
-    def logdet(family, par, x0, x1, x2, x3, h, order):
-        g11, g22, gr, gi = hessian(family, par, x0, x1, x2, x3, h, order)
-        det = g11 * g22 - gr * gr - gi * gi
-        if det <= 0.0 or g11 <= 0.0 or g22 <= 0.0:
-            return np.nan
-        return math.log(det)
-
-    @jit
-    def logdet_shift(family, par, x0, x1, x2, x3, h, order, a, da, b, db):
-        if a == 0:
-            x0 += da * h
-        elif a == 1:
-            x1 += da * h
-        elif a == 2:
-            x2 += da * h
-        else:
-            x3 += da * h
-        if b == 0:
-            x0 += db * h
-        elif b == 1:
-            x1 += db * h
-        elif b == 2:
-            x2 += db * h
-        else:
-            x3 += db * h
-        return logdet(family, par, x0, x1, x2, x3, h, order)
-
-    @jit
-    def d2_logdet(family, par, x0, x1, x2, x3, h, order, a, b):
-        if a == b:
-            if order == 2:
-                return (
-                    logdet_shift(family, par, x0, x1, x2, x3, h, order, a, 1.0, a, 0.0)
-                    - 2.0 * logdet(family, par, x0, x1, x2, x3, h, order)
-                    + logdet_shift(family, par, x0, x1, x2, x3, h, order, a, -1.0, a, 0.0)
-                ) / (h * h)
-            return (
-                -logdet_shift(family, par, x0, x1, x2, x3, h, order, a, 2.0, a, 0.0)
-                + 16.0 * logdet_shift(family, par, x0, x1, x2, x3, h, order, a, 1.0, a, 0.0)
-                - 30.0 * logdet(family, par, x0, x1, x2, x3, h, order)
-                + 16.0 * logdet_shift(family, par, x0, x1, x2, x3, h, order, a, -1.0, a, 0.0)
-                - logdet_shift(family, par, x0, x1, x2, x3, h, order, a, -2.0, a, 0.0)
-            ) / (12.0 * h * h)
-        cross1 = (
-            logdet_shift(family, par, x0, x1, x2, x3, h, order, a, 1.0, b, 1.0)
-            - logdet_shift(family, par, x0, x1, x2, x3, h, order, a, 1.0, b, -1.0)
-            - logdet_shift(family, par, x0, x1, x2, x3, h, order, a, -1.0, b, 1.0)
-            + logdet_shift(family, par, x0, x1, x2, x3, h, order, a, -1.0, b, -1.0)
-        ) / (4.0 * h * h)
-        if order == 2:
-            return cross1
-        cross2 = (
-            logdet_shift(family, par, x0, x1, x2, x3, h, order, a, 2.0, b, 2.0)
-            - logdet_shift(family, par, x0, x1, x2, x3, h, order, a, 2.0, b, -2.0)
-            - logdet_shift(family, par, x0, x1, x2, x3, h, order, a, -2.0, b, 2.0)
-            + logdet_shift(family, par, x0, x1, x2, x3, h, order, a, -2.0, b, -2.0)
-        ) / (16.0 * h * h)
-        return (4.0 * cross1 - cross2) / 3.0
-
-    @jit
-    def scalar_curvature(family, par, x0, x1, x2, x3, h, order):
-        # S = -2 tr(g^{-1} H_F) with F = log det g; the factor 2 fixes the
-        # real scalar curvature normalization
-        g11, g22, gr, gi = hessian(family, par, x0, x1, x2, x3, h, order)
-        det = g11 * g22 - gr * gr - gi * gi
-        if det <= 0.0 or g11 <= 0.0 or g22 <= 0.0:
-            return np.nan
-        f11 = (
-            d2_logdet(family, par, x0, x1, x2, x3, h, order, 0, 0)
-            + d2_logdet(family, par, x0, x1, x2, x3, h, order, 1, 1)
-        ) / 4.0
-        f22 = (
-            d2_logdet(family, par, x0, x1, x2, x3, h, order, 2, 2)
-            + d2_logdet(family, par, x0, x1, x2, x3, h, order, 3, 3)
-        ) / 4.0
-        fr = (
-            d2_logdet(family, par, x0, x1, x2, x3, h, order, 0, 2)
-            + d2_logdet(family, par, x0, x1, x2, x3, h, order, 1, 3)
-        ) / 4.0
-        fi = (
-            d2_logdet(family, par, x0, x1, x2, x3, h, order, 0, 3)
-            - d2_logdet(family, par, x0, x1, x2, x3, h, order, 1, 2)
-        ) / 4.0
-        return -2.0 * (g22 * f11 + g11 * f22 - 2.0 * (gr * fr + gi * fi)) / det
-
-    @jit
-    def hessian_batch(family, par, pts, h0, order):
-        out = np.empty((pts.shape[0], 4))
-        for i in range(pts.shape[0]):
-            r = math.sqrt(
-                pts[i, 0] * pts[i, 0]
-                + pts[i, 1] * pts[i, 1]
-                + pts[i, 2] * pts[i, 2]
-                + pts[i, 3] * pts[i, 3]
-            )
-            h = h0 * (1.0 + r)
-            g11, g22, gr, gi = hessian(
-                family, par, pts[i, 0], pts[i, 1], pts[i, 2], pts[i, 3], h, order
-            )
-            out[i, 0] = g11
-            out[i, 1] = g22
-            out[i, 2] = gr
-            out[i, 3] = gi
-        return out
-
-    @jit
-    def scalar_curvature_batch(family, par, pts, h0, order):
-        out = np.empty(pts.shape[0])
-        for i in range(pts.shape[0]):
-            r = math.sqrt(
-                pts[i, 0] * pts[i, 0]
-                + pts[i, 1] * pts[i, 1]
-                + pts[i, 2] * pts[i, 2]
-                + pts[i, 3] * pts[i, 3]
-            )
-            h = h0 * (1.0 + r)
-            out[i] = scalar_curvature(
-                family, par, pts[i, 0], pts[i, 1], pts[i, 2], pts[i, 3], h, order
-            )
-        return out
-
-    return Engine(
-        hessian=hessian,
-        logdet=logdet,
-        scalar_curvature=scalar_curvature,
-        hessian_batch=hessian_batch,
-        scalar_curvature_batch=scalar_curvature_batch,
-    )
-
-
-class Engine:
-    """Bundle of compiled evaluators sharing one potential."""
-
-    def __init__(self, hessian, logdet, scalar_curvature, hessian_batch, scalar_curvature_batch):
-        self.hessian = hessian
-        self.logdet = logdet
-        self.scalar_curvature = scalar_curvature
-        self.hessian_batch = hessian_batch
-        self.scalar_curvature_batch = scalar_curvature_batch
-
-
-def resolve_backend(name=None):
-    """Map a requested backend name (or the env var) to (label, jit)."""
-    mode = (name or os.environ.get(BACKEND_ENV, "auto")).lower()
-    if mode not in ("auto", "numba", "numpy"):
-        raise ValueError(f"unknown backend {mode!r}; use auto, numba or numpy")
-    if mode in ("auto", "numba"):
-        try:
-            from numba import njit
-        except ImportError:
-            if mode == "numba":
-                raise RuntimeError("numba backend requested but numba is not importable")
-        else:
-            return "numba", njit
-    return "numpy", _identity
-
-
-_BUILTIN_ENGINES = {}
-
-
-def builtin_engine(backend=None):
-    """Shared engine for the built-in potential families, cached per backend."""
-    label, jit = resolve_backend(backend)
-    if label not in _BUILTIN_ENGINES:
-        _BUILTIN_ENGINES[label] = make_engine(jit, builtin_potential_rel)
-    return _BUILTIN_ENGINES[label]
-
-
-def custom_engine(potential):
-    """Uncompiled engine around an absolute potential callable."""
-    return make_engine(_identity, absolute_to_relative(potential))
-
-
-def custom_engine_rel(potential_rel):
-    """Uncompiled engine around an already-relative evaluator."""
-    return make_engine(_identity, potential_rel)
+    stencil = STENCILS[order]
+    g11, g22, gr, gi = _reduce(psi, stencil, h).T
+    det = g11 * g22 - gr * gr - gi * gi
+    positive = (det > 0.0) & (g11 > 0.0) & (g22 > 0.0)
+    if not positive[0]:
+        return math.nan
+    logdet = np.log(np.where(positive[1:], det[1:], np.nan))
+    f11, f22, fr, fi = _reduce(logdet, stencil, h)
+    return float(-2.0 * (g22[0] * f11 + g11[0] * f22 - 2.0 * (gr[0] * fr + gi[0] * fi)) / det[0])

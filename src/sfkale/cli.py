@@ -58,14 +58,7 @@ def _cmd_resolve(args) -> int:
     monomials = hj.invariant_monomials(chain)
     atlas = hj.chart_atlas(chain)
 
-    e = hj.embedding_dimension(exp.coeffs)
-    k = len(exp.coeffs)
-    total = sum(c - 1 for c in exp.coeffs)
-    riemenschneider_ok = (
-        total == sum(c - 1 for c in exp.dual_coeffs)
-        and len(exp.dual_coeffs) == e - 2
-        and total == e + k - 3
-    )
+    riemenschneider_ok = moduli.riemenschneider_identities_hold(exp)
     determinant_ok = hj.determinant_identity_holds(chain)
     cocycle_ok = hj.transition_cocycle_holds(atlas) and hj.monomial_relation_holds(chain)
 

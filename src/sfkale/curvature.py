@@ -26,10 +26,12 @@ NO_SIGNAL_THRESHOLD = 1e-12
 class Potential:
     """A real-valued Kahler potential on C^2 minus the origin.
 
-    Built-in families are evaluated by the compiled engine; custom
-    callables always run on the plain python path.  Use the module
-    constructors (flat, eguchi_hanson, burns, custom_radial,
-    custom_general) rather than instantiating directly.
+    Built-in families (family set, fn None) get numpy-evaluated
+    potential differences in a stable closed form; custom potentials
+    carry fn(x0, x1, x2, x3) -> Phi in real coordinates, which the
+    engine calls once per stencil term.  Use the module constructors
+    (flat, eguchi_hanson, burns, custom_radial, custom_general) rather
+    than instantiating directly.
     """
 
     name: str
@@ -39,8 +41,10 @@ class Potential:
 
     def __call__(self, z1, z2):
         z1, z2 = complex(z1), complex(z2)
-        ev = _evaluator(self)
-        return ev(z1.real, z1.imag, z2.real, z2.imag)
+        x = (z1.real, z1.imag, z2.real, z2.imag)
+        if self.fn is None:
+            return _engine.builtin_potential(self.family, self.parameter, *x)
+        return self.fn(*x)
 
 
 def flat() -> Potential:
@@ -65,7 +69,7 @@ def burns(m: float = 1.0) -> Potential:
 def custom_radial(fn: Callable[[float], float]) -> Potential:
     """Potential given as a function of u = |z|^2."""
 
-    def adapter(family, par, x0, x1, x2, x3):
+    def adapter(x0, x1, x2, x3):
         return float(fn(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3))
 
     return Potential(name="custom-radial", family=None, parameter=0.0, fn=adapter)
@@ -74,51 +78,31 @@ def custom_radial(fn: Callable[[float], float]) -> Potential:
 def custom_general(fn: Callable[[complex, complex], float]) -> Potential:
     """Potential given as a function of (z1, z2)."""
 
-    def adapter(family, par, x0, x1, x2, x3):
+    def adapter(x0, x1, x2, x3):
         return float(fn(complex(x0, x1), complex(x2, x3)))
 
     return Potential(name="custom-general", family=None, parameter=0.0, fn=adapter)
 
 
-def _evaluator(potential: Potential) -> Callable[[float, float, float, float], float]:
-    """Plain python (x0, x1, x2, x3) -> Phi, whatever the family."""
+def _psi(potential: Potential, bases, steps) -> np.ndarray:
+    """Phi(b + d) - Phi(b) for every stencil base b and step d."""
     if potential.fn is None:
-        family, par = potential.family, potential.parameter
-
-        def ev(x0, x1, x2, x3):
-            return _engine.builtin_potential(family, par, x0, x1, x2, x3)
-
-        return ev
-    fn = potential.fn
-
-    def ev(x0, x1, x2, x3):
-        return fn(0, 0.0, x0, x1, x2, x3)
-
-    return ev
+        return _engine.builtin_psi(potential.family, potential.parameter, bases, steps)
+    return _engine.callable_psi(potential.fn, bases, steps)
 
 
-def _relative_evaluator(potential: Potential):
-    """(x, d) -> Phi(x+d) - Phi(x), stable for the built-in families."""
-    if potential.fn is None:
-        family, par = potential.family, potential.parameter
-
-        def rel(x0, x1, x2, x3, d0, d1, d2, d3):
-            return _engine.builtin_potential_rel(family, par, x0, x1, x2, x3, d0, d1, d2, d3)
-
-        return rel
-    ev = _evaluator(potential)
-
-    def rel(x0, x1, x2, x3, d0, d1, d2, d3):
-        return ev(x0 + d0, x1 + d1, x2 + d2, x3 + d3) - ev(x0, x1, x2, x3)
-
-    return rel
+def _metric(potential: Potential, x, h0: float, order: int) -> np.ndarray:
+    """(g11, g22, Re g12, Im g12) at one point."""
+    h = _engine.step(x, h0)
+    bases, steps = _engine.sites(x, h, order, curvature=False)
+    return _engine.hessian(_psi(potential, bases, steps), h, order)[0]
 
 
-def _engine_args(potential: Potential, backend=None):
-    """(engine, family code, parameter) for dispatching a potential."""
-    if potential.fn is None:
-        return _engine.builtin_engine(backend), potential.family, potential.parameter
-    return _engine.custom_engine(potential.fn), 0, 0.0
+def _scalar(potential: Potential, x, h0: float, order: int) -> float:
+    """S at one point; NaN where the metric degenerates on the stencil."""
+    h = _engine.step(x, h0)
+    bases, steps = _engine.sites(x, h, order, curvature=True)
+    return _engine.scalar_curvature(_psi(potential, bases, steps), h, order)
 
 
 def _coords(z) -> tuple[float, float, float, float]:
@@ -240,10 +224,7 @@ def hermitian_hessian(potential: Potential, z, h0: float = 1e-2, order: int = 4)
     Raises DegenerateMetricError when the sampled matrix is not
     positive definite.
     """
-    x0, x1, x2, x3 = _coords(z)
-    eng, family, par = _engine_args(potential)
-    h = h0 * (1.0 + math.sqrt(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3))
-    g11, g22, gr, gi = eng.hessian(family, par, x0, x1, x2, x3, h, order)
+    g11, g22, gr, gi = _metric(potential, _coords(z), h0, order).tolist()
     det = g11 * g22 - gr * gr - gi * gi
     if not (math.isfinite(det) and det > 0.0 and g11 > 0.0 and g22 > 0.0):
         raise DegenerateMetricError(
@@ -254,10 +235,7 @@ def hermitian_hessian(potential: Potential, z, h0: float = 1e-2, order: int = 4)
 
 def scalar_curvature(potential: Potential, z, h0: float = 1e-2, order: int = 4) -> float:
     """Scalar curvature S = -2 tr(g^-1 Hess log det g) at z."""
-    x0, x1, x2, x3 = _coords(z)
-    eng, family, par = _engine_args(potential)
-    h = h0 * (1.0 + math.sqrt(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3))
-    s = eng.scalar_curvature(family, par, x0, x1, x2, x3, h, order)
+    s = _scalar(potential, _coords(z), h0, order)
     if math.isnan(s):
         raise DegenerateMetricError(
             f"metric of {potential.name} degenerates on the stencil at {z!r}"
@@ -267,9 +245,7 @@ def scalar_curvature(potential: Potential, z, h0: float = 1e-2, order: int = 4) 
 
 def metric_deviations(potential: Potential, points, h0: float = 1e-2, order: int = 4) -> np.ndarray:
     """Max entrywise |g - I| at each point."""
-    pts = _coords_array(points)
-    eng, family, par = _engine_args(potential)
-    g = eng.hessian_batch(family, par, pts, h0, order)
+    g = np.array([_metric(potential, x, h0, order) for x in _coords_array(points).tolist()])
     return np.max(
         np.abs(g - np.array([1.0, 1.0, 0.0, 0.0])), axis=1
     )
@@ -289,8 +265,7 @@ def verify_scalar_flat(
     extras: a decay-order fit over decay_radii, and weighted sup norms
     of the metric deviation for each delta in weight_deltas.
     """
-    eng, family, par = _engine_args(potential)
-    s = eng.scalar_curvature_batch(family, par, plan.points, plan.h0, plan.order)
+    s = np.array([_scalar(potential, x, plan.h0, plan.order) for x in plan.points.tolist()])
     positive = bool(np.isfinite(s).all())
     if positive:
         max_abs = float(np.max(np.abs(s)))
@@ -336,34 +311,22 @@ def scalar_curvature_derivative(
     """
     if t <= 0:
         raise ValueError(f"perturbation scale t must be positive, got {t}")
-    base_rel = _relative_evaluator(background)
-    if isinstance(perturbation, Potential):
-        pert = _evaluator(perturbation)
-    else:
-        fn = perturbation
-
-        def pert(x0, x1, x2, x3):
-            return float(fn(complex(x0, x1), complex(x2, x3)))
-
-    def shifted(sgn):
-        # relative form keeps the background's stable evaluation; the
-        # perturbation difference enters pre-scaled by t, so its own
-        # rounding is harmless
-        def combined_rel(family, par, x0, x1, x2, x3, d0, d1, d2, d3):
-            dp = pert(x0 + d0, x1 + d1, x2 + d2, x3 + d3) - pert(x0, x1, x2, x3)
-            return base_rel(x0, x1, x2, x3, d0, d1, d2, d3) + sgn * dp
-
-        return _engine.custom_engine_rel(combined_rel)
-
-    x0, x1, x2, x3 = _coords(z)
-    h = h0 * (1.0 + math.sqrt(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3))
-    s_plus = shifted(t).scalar_curvature(0, 0.0, x0, x1, x2, x3, h, order)
-    s_minus = shifted(-t).scalar_curvature(0, 0.0, x0, x1, x2, x3, h, order)
+    if not isinstance(perturbation, Potential):
+        perturbation = custom_general(perturbation)
+    x = _coords(z)
+    h = _engine.step(x, h0)
+    bases, steps = _engine.sites(x, h, order, curvature=True)
+    # the background keeps its stable differences; the perturbation's
+    # enter scaled by t, so their own rounding is harmless
+    base = _psi(background, bases, steps)
+    shift = t * _psi(perturbation, bases, steps)
+    s_plus = _engine.scalar_curvature(base + shift, h, order)
+    s_minus = _engine.scalar_curvature(base - shift, h, order)
     if math.isnan(s_plus) or math.isnan(s_minus):
         raise DegenerateMetricError(
             f"perturbed metric degenerates at {z!r} for scale t={t}"
         )
-    return float((s_plus - s_minus) / (2.0 * t))
+    return (s_plus - s_minus) / (2.0 * t)
 
 
 def decay_order(potential: Potential, radii, h0: float = 1e-2, order: int = 4) -> DecayEstimate:

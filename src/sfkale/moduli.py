@@ -15,7 +15,7 @@ from math import gcd
 
 from .errors import UnsupportedParameterError
 from .groups import GroupKind, GroupSpec, cyclic_group, validate_group
-from .hj import embedding_dimension, hj_expand
+from .hj import HJExpansion, embedding_dimension, hj_expand
 
 __all__ = [
     "ResolutionString",
@@ -28,6 +28,7 @@ __all__ = [
     "moduli_report",
     "table1_rows",
     "table3_rows",
+    "riemenschneider_identities_hold",
     "riemenschneider_sweep",
 ]
 
@@ -75,8 +76,11 @@ class ModuliDimensions:
 
 def resolution_string(p: int, q: int) -> ResolutionString:
     """Self-intersection string of the minimal resolution of (p, q)."""
-    coeffs = hj_expand(p, q).coeffs
-    return ResolutionString(k=len(coeffs), self_intersections=tuple(-e for e in coeffs))
+    return _string_of(hj_expand(p, q))
+
+
+def _string_of(exp: HJExpansion) -> ResolutionString:
+    return ResolutionString(k=len(exp.coeffs), self_intersections=tuple(-e for e in exp.coeffs))
 
 
 def deformation_dimension(string: ResolutionString) -> int:
@@ -99,9 +103,7 @@ def cyclic_moduli(p: int, q: int) -> ModuliDimensions:
     """
     spec = cyclic_group(p, q)
     exp = hj_expand(p, q)
-    string = ResolutionString(
-        k=len(exp.coeffs), self_intersections=tuple(-e for e in exp.coeffs)
-    )
+    string = _string_of(exp)
     j = deformation_dimension(string)
     k = string.k
     d = j + k
@@ -281,13 +283,29 @@ def table3_rows(lmax: int):
     return rows
 
 
-def riemenschneider_sweep(pmax: int):
-    """Check the dual-fraction identities on every eligible pair up to pmax.
+def riemenschneider_identities_hold(exp: HJExpansion) -> bool:
+    """The dual-fraction identities of one expansion and its dual.
 
-    Eligible pairs are coprime (p, q) with q not in {1, p - 1}.  For
-    each, four exact identities are checked: equal coefficient sums of
-    the two dual expansions, dual length k' = e - 2, sum(e_i - 1) =
-    e + k - 3, and the moduli concordance j + k - 2 = 2e + 3k - 8.
+    Four exact identities: equal coefficient sums of the two dual
+    expansions, dual length k' = e - 2, sum(e_i - 1) = e + k - 3, and
+    the moduli concordance j + k - 2 = 2e + 3k - 8 with j = 2 sum(e_i - 1).
+    """
+    k = len(exp.coeffs)
+    e = embedding_dimension(exp.coeffs)
+    total = sum(c - 1 for c in exp.coeffs)
+    j = 2 * total
+    return (
+        total == sum(c - 1 for c in exp.dual_coeffs)
+        and len(exp.dual_coeffs) == e - 2
+        and total == e + k - 3
+        and j + k - 2 == 2 * e + 3 * k - 8
+    )
+
+
+def riemenschneider_sweep(pmax: int):
+    """Check riemenschneider_identities_hold on every eligible pair up to pmax.
+
+    Eligible pairs are coprime (p, q) with q not in {1, p - 1}.
     Returns the pair count and the first counterexample, if any (a
     counterexample would mean an implementation bug).
     """
@@ -297,21 +315,8 @@ def riemenschneider_sweep(pmax: int):
         for q in range(2, p - 1):
             if gcd(p, q) != 1:
                 continue
-            exp = hj_expand(p, q)
-            k = len(exp.coeffs)
-            k_dual = len(exp.dual_coeffs)
-            e = embedding_dimension(exp.coeffs)
-            total = sum(c - 1 for c in exp.coeffs)
-            dual_total = sum(c - 1 for c in exp.dual_coeffs)
-            j = 2 * total
-            ok = (
-                total == dual_total
-                and k_dual == e - 2
-                and total == e + k - 3
-                and j + k - 2 == 2 * e + 3 * k - 8
-            )
             checked += 1
-            if not ok and first_failure is None:
+            if not riemenschneider_identities_hold(hj_expand(p, q)) and first_failure is None:
                 first_failure = {"p": p, "q": q}
     return {
         "pmax": pmax,

@@ -4,16 +4,20 @@ The reference values are classical: the flat metric has hessian I and
 vanishing curvature, the Eguchi-Hanson metric has unit determinant and
 |g - I| ~ r^-4, the Burns metric has det g = 1 + m/u and r^-2 decay.
 The radial-hessian oracle recomputes g from one-dimensional derivative
-stencils of the profile, fully outside the code under test.
+stencils of the profile, fully outside the code under test.  The radial
+scalar-curvature oracle is exact: for Phi = F(|z|^2) and f(t) = F(e^t),
+S = -2 (G'/f' + G''/f'') with G = log(f' f'') - 2t.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sfkale import _engine
 from sfkale import curvature as cv
-from sfkale._engine import BURNS, EGUCHI_HANSON, FLAT, builtin_engine, resolve_backend
 from sfkale.errors import DegenerateMetricError, InsufficientDecadeError
 
 EH = cv.eguchi_hanson(1.0)
@@ -238,32 +242,65 @@ def test_verify_scalar_flat_with_extras():
     assert report.weighted_norms[-4.0] > 0
 
 
-# ----------------------------------------------------------------- backends
+# ------------------------------------------------------------ exact oracles
 
 
-def test_backend_selection(monkeypatch):
-    assert resolve_backend("numpy")[0] == "numpy"
-    assert resolve_backend("auto")[0] in ("numba", "numpy")
-    with pytest.raises(ValueError):
-        resolve_backend("fortran")
-    monkeypatch.setenv("SFKALE_BACKEND", "numpy")
-    assert resolve_backend()[0] == "numpy"
-    monkeypatch.setenv("SFKALE_BACKEND", "hypercube")
-    with pytest.raises(ValueError):
-        resolve_backend()
+def _radial_scalar_oracle(u):
+    # F(u) = u + 0.1 u^2 + 0.3 log u, so f(t) = F(e^t) has these derivatives
+    f1 = u + 0.2 * u * u + 0.3
+    f2 = u + 0.4 * u * u
+    f3 = u + 0.8 * u * u
+    f4 = u + 1.6 * u * u
+    g1 = f2 / f1 + f3 / f2 - 2.0
+    g2 = f3 / f1 - (f2 / f1) ** 2 + f4 / f2 - (f3 / f2) ** 2
+    return -2.0 * (g1 / f1 + g2 / f2)
 
 
-def test_backends_agree_bitwise():
-    try:
-        jitted = builtin_engine("numba")
-    except RuntimeError:
-        pytest.skip("numba not importable")
-    plain = builtin_engine("numpy")
-    pts = cv.sample_points(1, 8, 16)
-    for family, par in ((FLAT, 0.0), (EGUCHI_HANSON, 1.0), (BURNS, 1.0)):
-        a = jitted.scalar_curvature_batch(family, par, pts, 1e-2, 4)
-        b = plain.scalar_curvature_batch(family, par, pts, 1e-2, 4)
-        assert np.array_equal(a, b)
-        ha = jitted.hessian_batch(family, par, pts, 1e-2, 4)
-        hb = plain.hessian_batch(family, par, pts, 1e-2, 4)
-        assert np.array_equal(ha, hb)
+@pytest.mark.parametrize("order, rel_tol", [(4, 1e-5), (2, 5e-3)])
+def test_radial_scalar_curvature_oracle(order, rel_tol):
+    pot = cv.custom_radial(lambda u: u + 0.1 * u * u + 0.3 * math.log(u))
+    rng = np.random.default_rng(20160517)
+    for u in (0.41, 1.0, 2.2, 5.0, 12.0):
+        direction = rng.normal(size=4)
+        x = math.sqrt(u) * direction / np.linalg.norm(direction)
+        want = _radial_scalar_oracle(u)
+        got = cv.scalar_curvature(pot, x, order=order)
+        assert abs(got - want) <= rel_tol * abs(want), (u, got, want)
+
+
+@pytest.mark.parametrize(
+    "pot", [FL, EH, BU, cv.eguchi_hanson(2.5)], ids=["flat", "eh", "burns", "eh2.5"]
+)
+@pytest.mark.parametrize("order", [2, 4])
+def test_builtin_psi_matches_scalar_loop(pot, order):
+    # the numpy closed forms against plain differences of the potential itself,
+    # whose own rounding is a few ulps of Phi at the site
+    for z in POINTS:
+        x = np.array(cv._coords(z))
+        bases, steps = _engine.sites(x, _engine.step(x, 0.05), order, curvature=True)
+        fast = _engine.builtin_psi(pot.family, pot.parameter, bases, steps)
+        loop = _engine.callable_psi(
+            lambda *y: _engine.builtin_potential(pot.family, pot.parameter, *y), bases, steps
+        )
+        scale = abs(pot(*z)) + 1.0
+        assert np.abs(fast - loop).max() < 64 * np.finfo(float).eps * scale
+
+
+_unit = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    b=st.lists(_unit, min_size=8, max_size=8),
+    x=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+    h0=st.floats(5e-3, 0.1),
+    order=st.sampled_from((2, 4)),
+)
+def test_quadratic_form_hessian(b, x, h0, order):
+    # Phi = conj(z)^T A z has d^2 Phi / dz_i dzbar_j = A_ji exactly, so every
+    # weight and sign of the stencil table shows in the Hessian
+    bm = np.array(b[:4]).reshape(2, 2) + 1j * np.array(b[4:]).reshape(2, 2)
+    a = bm @ bm.conj().T + 0.5 * np.eye(2)
+    pot = cv.custom_general(lambda z1, z2: (np.conj([z1, z2]) @ a @ [z1, z2]).real)
+    g = cv.hermitian_hessian(pot, x, h0=h0, order=order)
+    assert np.abs(g - a.T).max() < 1e-8

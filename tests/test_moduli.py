@@ -11,6 +11,7 @@ from math import gcd
 import pytest
 
 from sfkale.errors import UnsupportedParameterError
+from sfkale.hj import HJExpansion, hj_expand
 from sfkale.groups import GroupKind, GroupSpec, parse_group_spec
 from sfkale.moduli import (
     CASE_CYCLIC_GENERIC,
@@ -28,6 +29,7 @@ from sfkale.moduli import (
     moduli_report,
     noncyclic_moduli,
     resolution_string,
+    riemenschneider_identities_hold,
     riemenschneider_sweep,
     table1_rows,
     table3_rows,
@@ -245,3 +247,16 @@ def test_riemenschneider_sweep():
     assert full["failures"] == 0
     assert full["first_failure"] is None
     assert full["pairs_checked"] > small["pairs_checked"]
+
+
+def test_riemenschneider_identities_every_pair():
+    # the resolve verb applies the predicate to q = 1 and q = p - 1 as well
+    for p in range(2, 40):
+        for q in range(1, p):
+            if gcd(p, q) == 1:
+                assert riemenschneider_identities_hold(hj_expand(p, q)), (p, q)
+    # 7/3 = [3, 2, 2] with dual [2, 4]: unequal sums on either side, and
+    # equal sums with the wrong dual length k' != e - 2, all break them
+    assert not riemenschneider_identities_hold(HJExpansion(7, 3, (3, 2, 2), (2, 5)))
+    assert not riemenschneider_identities_hold(HJExpansion(7, 3, (3, 3, 2), (2, 4)))
+    assert not riemenschneider_identities_hold(HJExpansion(7, 3, (3, 2, 2), (5,)))
