@@ -56,25 +56,36 @@ from .moduli import (
     table1_rows,
     table3_rows,
 )
-from .curvature import (
-    CurvatureReport,
-    DecayEstimate,
-    Potential,
-    SamplePlan,
-    burns,
-    custom_general,
-    custom_radial,
-    decay_order,
-    eguchi_hanson,
-    flat,
-    hermitian_hessian,
-    metric_deviations,
-    sample_points,
-    scalar_curvature,
-    scalar_curvature_derivative,
-    verify_scalar_flat,
-    weighted_sup_norm,
-)
+# curvature needs numpy; it loads on first use of one of its names, so
+# the exact layers and their CLI verbs start without numpy
+_CURVATURE_NAMES = frozenset({
+    "CurvatureReport",
+    "DecayEstimate",
+    "Potential",
+    "SamplePlan",
+    "burns",
+    "custom_general",
+    "custom_radial",
+    "decay_order",
+    "eguchi_hanson",
+    "flat",
+    "hermitian_hessian",
+    "metric_deviations",
+    "sample_points",
+    "scalar_curvature",
+    "scalar_curvature_derivative",
+    "verify_scalar_flat",
+    "weighted_sup_norm",
+})
+
+
+def __getattr__(name):
+    if name not in _CURVATURE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import curvature
+
+    return getattr(curvature, name)
+
 
 __version__ = "0.1.0"
 

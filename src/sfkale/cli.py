@@ -15,9 +15,7 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import __version__, curvature, hj, moduli
+from . import __version__, hj, moduli
 from .errors import SfkaleError
 from .groups import format_group_spec, group_order, parse_group_spec
 
@@ -146,10 +144,12 @@ def _cmd_table(args) -> int:
     return 0
 
 
+# the numeric verbs import curvature (and with it numpy) themselves, so
+# the exact verbs start without numpy
 _POTENTIALS = {
-    "flat": lambda args: curvature.flat(),
-    "eguchi-hanson": lambda args: curvature.eguchi_hanson(args.a),
-    "burns": lambda args: curvature.burns(args.m),
+    "flat": lambda cv, args: cv.flat(),
+    "eguchi-hanson": lambda cv, args: cv.eguchi_hanson(args.a),
+    "burns": lambda cv, args: cv.burns(args.m),
 }
 
 
@@ -162,7 +162,9 @@ def _add_potential_flags(sub) -> None:
 
 
 def _cmd_verify_metric(args) -> int:
-    potential = _POTENTIALS[args.potential](args)
+    from . import curvature
+
+    potential = _POTENTIALS[args.potential](curvature, args)
     points = curvature.sample_points(args.rmin, args.rmax, args.samples)
     plan = curvature.SamplePlan(points, h0=args.h0, order=args.order)
     report = curvature.verify_scalar_flat(potential, plan, tol=args.tol)
@@ -194,7 +196,9 @@ def _cmd_verify_metric(args) -> int:
     return 0 if report.passed else 2
 
 
-def _parse_radii(text: str) -> np.ndarray:
+def _parse_radii(text: str):
+    import numpy as np
+
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError("radii must be given as R0:R1:steps")
@@ -205,7 +209,9 @@ def _parse_radii(text: str) -> np.ndarray:
 
 
 def _cmd_decay(args) -> int:
-    potential = _POTENTIALS[args.potential](args)
+    from . import curvature
+
+    potential = _POTENTIALS[args.potential](curvature, args)
     radii = _parse_radii(args.radii)
     est = curvature.decay_order(potential, radii, h0=args.h0, order=args.order)
     payload = {

@@ -98,8 +98,9 @@ def cyclic_moduli(p: int, q: int) -> ModuliDimensions:
 
     Routing: q = p - 1 is the hyperkahler chain (m = 1 for p = 2, else
     3k - 3); q = 1 is the line-bundle family (m = 2 at p = 3, else
-    2p - 5); everything else uses m = j + k - 2, which is checked
-    against the equivalent form 2e + 3k - 8.
+    2p - 5); everything else uses m = j + k - 2, which
+    riemenschneider_identities_hold checks against the equivalent form
+    2e + 3k - 8.
     """
     spec = cyclic_group(p, q)
     exp = hj_expand(p, q)
@@ -121,8 +122,7 @@ def cyclic_moduli(p: int, q: int) -> ModuliDimensions:
         tag = CASE_CYCLIC_Q1
     else:
         m = j + k - 2
-        e = embedding_dimension(exp.coeffs)
-        if m != 2 * e + 3 * k - 8:  # algebraic identity; trips only on a bug
+        if not riemenschneider_identities_hold(exp):  # algebraic identities; trip only on a bug
             raise RuntimeError(f"formula concordance failed at ({p}, {q})")
         note = "generic cyclic: m = j + k - 2 = 2e + 3k - 8"
         tag = CASE_CYCLIC_GENERIC

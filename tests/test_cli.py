@@ -5,9 +5,14 @@ via capsys, so the tests cover exactly what a shell user sees.
 """
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import sfkale
 from sfkale.cli import main
 
 
@@ -259,3 +264,29 @@ def test_version(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
     assert out.strip() == "sfkale 0.1.0"
+
+
+# ------------------------------------------------------------------ imports
+
+
+def test_exact_verbs_run_without_numpy():
+    # curvature, and numpy with it, loads on first use of a curvature name
+    script = textwrap.dedent(
+        """
+        import sys
+        import sfkale
+        import sfkale.cli
+        from sfkale import cli
+        assert cli.main(["resolve", "--p", "7", "--q", "3", "--json"]) == 0
+        assert "numpy" not in sys.modules, "numpy was imported"
+        unresolved = [name for name in sfkale.__all__ if not hasattr(sfkale, name)]
+        assert not unresolved, unresolved
+        """
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sfkale.__file__)))
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr

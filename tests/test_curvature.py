@@ -304,3 +304,68 @@ def test_quadratic_form_hessian(b, x, h0, order):
     pot = cv.custom_general(lambda z1, z2: (np.conj([z1, z2]) @ a @ [z1, z2]).real)
     g = cv.hermitian_hessian(pot, x, h0=h0, order=order)
     assert np.abs(g - a.T).max() < 1e-8
+
+
+# ------------------------------------------------------------- site lattice
+
+
+@pytest.mark.parametrize(
+    "order, radial_s, radial_g, general_s, general_g",
+    [(4, 673, 49, 5088, 96), (2, 169, 25, 1392, 48)],
+)
+def test_profile_calls_per_point(order, radial_s, radial_g, general_s, general_g):
+    # a radial profile is called once per distinct stencil site, a general
+    # callable at both ends of every stencil term
+    calls = []
+
+    def profile(u):
+        calls.append(u)
+        return u + math.log(u)
+
+    radial = cv.custom_radial(profile)
+    general = cv.custom_general(lambda z1, z2: profile(abs(z1) ** 2 + abs(z2) ** 2))
+    for pot, s_calls, g_calls in ((radial, radial_s, radial_g), (general, general_s, general_g)):
+        calls.clear()
+        cv.scalar_curvature(pot, POINTS[0], order=order)
+        assert len(calls) == s_calls, pot.name
+        calls.clear()
+        cv.hermitian_hessian(pot, POINTS[0], order=order)
+        assert len(calls) == g_calls, pot.name
+        calls.clear()
+        cv.scalar_curvature_derivative(pot, pot, POINTS[0], order=order)
+        assert len(calls) == 2 * s_calls, pot.name
+
+
+@pytest.mark.parametrize("curvature", [False, True], ids=["hessian", "scalar"])
+@pytest.mark.parametrize("order", [2, 4])
+def test_site_lattice_maps_terms_to_their_sites(order, curvature):
+    stencil = _engine.STENCILS[order]
+    lattice = _engine.site_lattice(order, curvature)
+    bases = stencil.bases if curvature else stencil.bases[:1]
+    assert len(np.unique(lattice.offsets, axis=0)) == len(lattice.offsets)
+    assert np.array_equal(lattice.offsets[lattice.terms], bases[:, None] + stencil.steps)
+    assert np.array_equal(lattice.offsets[lattice.bases], bases)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    a=st.floats(0.0, 0.2),
+    b=st.floats(0.0, 1.0),
+    r=st.floats(0.7, 8.0),
+    d=st.lists(_unit, min_size=4, max_size=4).filter(lambda d: np.linalg.norm(d) > 0.1),
+    order=st.sampled_from((2, 4)),
+)
+def test_custom_radial_matches_custom_general(a, b, r, d, order):
+    # the lattice path and the per-term loop difference the same potential
+    def profile(u):
+        return u + a * u * u + b * math.log(u)
+
+    radial = cv.custom_radial(profile)
+    general = cv.custom_general(lambda z1, z2: profile(abs(z1) ** 2 + abs(z2) ** 2))
+    x = r * np.array(d) / np.linalg.norm(d)
+    g_radial = cv.hermitian_hessian(radial, x, order=order)
+    g_general = cv.hermitian_hessian(general, x, order=order)
+    assert np.abs(g_radial - g_general).max() < 1e-9
+    s_radial = cv.scalar_curvature(radial, x, order=order)
+    s_general = cv.scalar_curvature(general, x, order=order)
+    assert abs(s_radial - s_general) <= 1e-7 * max(1.0, abs(s_general))
