@@ -110,15 +110,27 @@ def _scalar(potential: Potential, x, h0: float, order: int) -> float:
     return _engine.scalar_curvature(_psi(potential, x, h, order, curvature=True), h, order)
 
 
+def _check_stencil(h0: float, order: int) -> None:
+    """Reject a base step outside (0, 0.1] or an order other than 2 or 4."""
+    if not 0.0 < h0 <= 0.1:
+        raise ValueError(f"h0 must lie in (0, 0.1], got {h0}")
+    if order not in (2, 4):
+        raise ValueError(f"stencil order must be 2 or 4, got {order}")
+
+
 def _coords(z) -> tuple[float, float, float, float]:
     """Accept (z1, z2) complex pairs or 4 real coordinates."""
     arr = np.asarray(z)
     if arr.shape == (2,):
         z1, z2 = complex(arr[0]), complex(arr[1])
-        return z1.real, z1.imag, z2.real, z2.imag
-    if arr.shape == (4,) and not np.iscomplexobj(arr):
-        return float(arr[0]), float(arr[1]), float(arr[2]), float(arr[3])
-    raise ValueError("expected a point of C^2 as (z1, z2) or as 4 real coordinates")
+        x = z1.real, z1.imag, z2.real, z2.imag
+    elif arr.shape == (4,) and not np.iscomplexobj(arr):
+        x = float(arr[0]), float(arr[1]), float(arr[2]), float(arr[3])
+    else:
+        raise ValueError("expected a point of C^2 as (z1, z2) or as 4 real coordinates")
+    if not all(map(math.isfinite, x)):
+        raise ValueError(f"point {z!r} has a non-finite coordinate")
+    return x
 
 
 def _coords_array(points) -> np.ndarray:
@@ -131,10 +143,14 @@ def _coords_array(points) -> np.ndarray:
         out[:, 1] = arr[:, 0].imag
         out[:, 2] = arr[:, 1].real
         out[:, 3] = arr[:, 1].imag
-        return out
-    if arr.shape[1] == 4 and not np.iscomplexobj(arr):
-        return np.array(arr, dtype=float)
-    raise ValueError("points must have shape (n, 2) complex or (n, 4) real")
+    elif arr.shape[1] == 4 and not np.iscomplexobj(arr):
+        out = np.array(arr, dtype=float)
+    else:
+        raise ValueError("points must have shape (n, 2) complex or (n, 4) real")
+    finite = np.isfinite(out).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"sample point {int(np.argmin(finite))} has a non-finite coordinate")
+    return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -153,10 +169,7 @@ class SamplePlan:
     def __post_init__(self):
         pts = _coords_array(self.points)
         object.__setattr__(self, "points", pts)
-        if not 0.0 < self.h0 <= 0.1:
-            raise ValueError(f"h0 must lie in (0, 0.1], got {self.h0}")
-        if self.order not in (2, 4):
-            raise ValueError(f"stencil order must be 2 or 4, got {self.order}")
+        _check_stencil(self.h0, self.order)
         r = np.sqrt((pts * pts).sum(axis=1))
         # the double stencil reaches 10h from the center; keep it off the origin
         too_close = r < 10.0 * self.h0 * (1.0 + r)
@@ -229,6 +242,7 @@ def hermitian_hessian(potential: Potential, z, h0: float = 1e-2, order: int = 4)
     Raises DegenerateMetricError when the sampled matrix is not
     positive definite.
     """
+    _check_stencil(h0, order)
     g11, g22, gr, gi = _metric(potential, _coords(z), h0, order).tolist()
     det = g11 * g22 - gr * gr - gi * gi
     if not (math.isfinite(det) and det > 0.0 and g11 > 0.0 and g22 > 0.0):
@@ -240,6 +254,7 @@ def hermitian_hessian(potential: Potential, z, h0: float = 1e-2, order: int = 4)
 
 def scalar_curvature(potential: Potential, z, h0: float = 1e-2, order: int = 4) -> float:
     """Scalar curvature S = -2 tr(g^-1 Hess log det g) at z."""
+    _check_stencil(h0, order)
     s = _scalar(potential, _coords(z), h0, order)
     if math.isnan(s):
         raise DegenerateMetricError(
@@ -250,6 +265,7 @@ def scalar_curvature(potential: Potential, z, h0: float = 1e-2, order: int = 4) 
 
 def metric_deviations(potential: Potential, points, h0: float = 1e-2, order: int = 4) -> np.ndarray:
     """Max entrywise |g - I| at each point."""
+    _check_stencil(h0, order)
     g = np.array([_metric(potential, x, h0, order) for x in _coords_array(points).tolist()])
     return np.max(
         np.abs(g - np.array([1.0, 1.0, 0.0, 0.0])), axis=1
@@ -314,6 +330,7 @@ def scalar_curvature_derivative(
     scalar curvature operator applied to f.  The perturbation may be a
     Potential or a callable f(z1, z2) -> real.
     """
+    _check_stencil(h0, order)
     if t <= 0:
         raise ValueError(f"perturbation scale t must be positive, got {t}")
     if not isinstance(perturbation, Potential):
@@ -341,6 +358,7 @@ def decay_order(potential: Potential, radii, h0: float = 1e-2, order: int = 4) -
     the fixed direction z = (r, 0); for the radial potentials this
     module cares about, the direction is immaterial up to stencil error.
     """
+    _check_stencil(h0, order)
     rr = np.asarray(radii, dtype=float)
     if rr.ndim != 1 or len(rr) < 6:
         raise ValueError("need at least 6 radii for a decay fit")
@@ -369,17 +387,20 @@ def decay_order(potential: Potential, radii, h0: float = 1e-2, order: int = 4) -
 
 
 def weighted_sup_norm(samples, delta: float) -> float:
-    """Discrete weighted sup norm: max over samples of |value| (1+r)^-delta."""
-    best = None
+    """Discrete weighted sup norm: max over samples of |value| (1+r)^-delta.
+
+    A NaN value (a degenerate sample) makes the norm NaN wherever it sits.
+    """
+    weights = []
     for point, value in samples:
         if np.ndim(point) == 0:
             r = float(abs(point))
         else:
             x0, x1, x2, x3 = _coords(point)
             r = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3)
-        w = abs(float(value)) * (1.0 + r) ** (-delta)
-        if best is None or w > best:
-            best = w
-    if best is None:
+        weights.append(abs(float(value)) * (1.0 + r) ** (-delta))
+    if not weights:
         raise ValueError("weighted_sup_norm needs at least one sample")
-    return float(best)
+    if any(map(math.isnan, weights)):
+        return math.nan
+    return float(max(weights))

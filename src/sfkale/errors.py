@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "SfkaleError",
+    "InvalidPairError",
+    "ConditionViolationError",
+    "UnsupportedParameterError",
+    "DegenerateMetricError",
+    "InsufficientDecadeError",
+]
+
 
 class SfkaleError(Exception):
     """Base class for every error raised by this package."""

@@ -32,6 +32,7 @@ __all__ = [
     "pairing",
     "determinant_identity_holds",
     "monomial_relation_holds",
+    "transition_matrices",
     "transition_cocycle_holds",
     "format_monomial",
 ]

@@ -144,30 +144,31 @@ _DYNKIN_CURVES = {
     GroupKind.ICOSAHEDRAL_PRODUCT: lambda spec: 8,
 }
 
-# (kind, modulus, residue) -> (divisor, offset): m = (l - residue)/divisor + offset
-_POLYHEDRAL_ROWS = {
-    (GroupKind.TETRAHEDRAL_PRODUCT, 6, 1): (3, 17),
-    (GroupKind.TETRAHEDRAL_PRODUCT, 6, 5): (3, 15),
-    (GroupKind.TETRAHEDRAL_INDEX3, 6, 3): (3, 16),
-    (GroupKind.OCTAHEDRAL_PRODUCT, 12, 1): (6, 20),
-    (GroupKind.OCTAHEDRAL_PRODUCT, 12, 5): (6, 19),
-    (GroupKind.OCTAHEDRAL_PRODUCT, 12, 7): (6, 18),
-    (GroupKind.OCTAHEDRAL_PRODUCT, 12, 11): (6, 17),
-    (GroupKind.ICOSAHEDRAL_PRODUCT, 30, 1): (15, 23),
-    (GroupKind.ICOSAHEDRAL_PRODUCT, 30, 7): (15, 19),
-    (GroupKind.ICOSAHEDRAL_PRODUCT, 30, 11): (15, 22),
-    (GroupKind.ICOSAHEDRAL_PRODUCT, 30, 13): (15, 19),
-    (GroupKind.ICOSAHEDRAL_PRODUCT, 30, 17): (15, 18),
-    (GroupKind.ICOSAHEDRAL_PRODUCT, 30, 19): (15, 20),
-    (GroupKind.ICOSAHEDRAL_PRODUCT, 30, 23): (15, 18),
-    (GroupKind.ICOSAHEDRAL_PRODUCT, 30, 29): (15, 19),
-}
-
 _KIND_MODULUS = {
     GroupKind.TETRAHEDRAL_PRODUCT: 6,
     GroupKind.TETRAHEDRAL_INDEX3: 6,
     GroupKind.OCTAHEDRAL_PRODUCT: 12,
     GroupKind.ICOSAHEDRAL_PRODUCT: 30,
+}
+
+# (kind, residue of l mod the kind's modulus) -> (divisor, offset):
+# m = (l - residue)/divisor + offset
+_POLYHEDRAL_ROWS = {
+    (GroupKind.TETRAHEDRAL_PRODUCT, 1): (3, 17),
+    (GroupKind.TETRAHEDRAL_PRODUCT, 5): (3, 15),
+    (GroupKind.TETRAHEDRAL_INDEX3, 3): (3, 16),
+    (GroupKind.OCTAHEDRAL_PRODUCT, 1): (6, 20),
+    (GroupKind.OCTAHEDRAL_PRODUCT, 5): (6, 19),
+    (GroupKind.OCTAHEDRAL_PRODUCT, 7): (6, 18),
+    (GroupKind.OCTAHEDRAL_PRODUCT, 11): (6, 17),
+    (GroupKind.ICOSAHEDRAL_PRODUCT, 1): (15, 23),
+    (GroupKind.ICOSAHEDRAL_PRODUCT, 7): (15, 19),
+    (GroupKind.ICOSAHEDRAL_PRODUCT, 11): (15, 22),
+    (GroupKind.ICOSAHEDRAL_PRODUCT, 13): (15, 19),
+    (GroupKind.ICOSAHEDRAL_PRODUCT, 17): (15, 18),
+    (GroupKind.ICOSAHEDRAL_PRODUCT, 19): (15, 20),
+    (GroupKind.ICOSAHEDRAL_PRODUCT, 23): (15, 18),
+    (GroupKind.ICOSAHEDRAL_PRODUCT, 29): (15, 19),
 }
 
 
@@ -222,7 +223,7 @@ def noncyclic_moduli(spec: GroupSpec) -> ModuliDimensions:
         )
     modulus = _KIND_MODULUS[kind]
     residue = spec.l % modulus
-    divisor, offset = _POLYHEDRAL_ROWS[(kind, modulus, residue)]
+    divisor, offset = _POLYHEDRAL_ROWS[(kind, residue)]
     m = (spec.l - residue) // divisor + offset
     return ModuliDimensions(
         group=spec,
@@ -267,7 +268,8 @@ def table3_rows(lmax: int):
     is the hyperkahler case, reported elsewhere).
     """
     rows = []
-    for (kind, modulus, residue), _ in _POLYHEDRAL_ROWS.items():
+    for kind, residue in _POLYHEDRAL_ROWS:
+        modulus = _KIND_MODULUS[kind]
         start = residue if residue != 1 else modulus + 1
         for l in range(start, lmax + 1, modulus):
             report = noncyclic_moduli(GroupSpec(kind=kind, l=l))

@@ -246,6 +246,7 @@ def test_riemenschneider_text(capsys):
         ["decay", "--potential", "flat", "--radii", "2-64-10"],
         ["table", "--which", "2"],
         ["verify-metric", "--potential", "unknown", "--rmin", "1", "--rmax", "4", "--samples", "4"],
+        ["decay", "--potential", "eguchi-hanson", "--radii", "2:64:10", "--h0", "0.5"],
     ],
 )
 def test_usage_and_validation_errors_exit_1(capsys, argv):

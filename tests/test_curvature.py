@@ -9,13 +9,16 @@ scalar-curvature oracle is exact: for Phi = F(|z|^2) and f(t) = F(e^t),
 S = -2 (G'/f' + G''/f'') with G = log(f' f'') - 2t.
 """
 
+import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sfkale
 from sfkale import _engine
 from sfkale import curvature as cv
 from sfkale.errors import DegenerateMetricError, InsufficientDecadeError
@@ -203,6 +206,55 @@ def test_decay_order_input_validation():
         cv.decay_order(FL, np.geomspace(2, 18, 6))
 
 
+# every public entry point that takes a step and an order, called at a
+# valid point with the step arguments under test
+_STENCIL_ENTRIES = {
+    "hermitian_hessian": lambda kw: cv.hermitian_hessian(EH, POINTS[1], **kw),
+    "scalar_curvature": lambda kw: cv.scalar_curvature(EH, POINTS[1], **kw),
+    "scalar_curvature_derivative": lambda kw: cv.scalar_curvature_derivative(
+        FL, BU, POINTS[1], **kw
+    ),
+    "metric_deviations": lambda kw: cv.metric_deviations(EH, [[2.0, 0, 0, 0]], **kw),
+    "decay_order": lambda kw: cv.decay_order(EH, np.geomspace(2, 64, 6), **kw),
+    "SamplePlan": lambda kw: cv.SamplePlan([[2.0, 0, 0, 0]], **kw),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_STENCIL_ENTRIES))
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (dict(order=3), "stencil order must be 2 or 4, got 3"),
+        (dict(h0=0.0), "h0 must lie in"),
+        (dict(h0=-0.01), "h0 must lie in"),
+        (dict(h0=0.5), "h0 must lie in"),
+        (dict(h0=math.nan), "h0 must lie in"),
+    ],
+)
+def test_stencil_arguments_checked_at_every_entry(entry, bad, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            _STENCIL_ENTRIES[entry](bad)
+    _STENCIL_ENTRIES[entry](dict(h0=0.05, order=2))
+
+
+def test_nonfinite_points_rejected_with_their_index():
+    with pytest.raises(ValueError, match="sample point 0 has a non-finite"):
+        cv.SamplePlan([[math.nan, 0, 0, 0]])
+    pts = cv.sample_points(1, 4, 4)
+    pts[2, 3] = math.inf
+    with pytest.raises(ValueError, match="sample point 2 has a non-finite"):
+        cv.SamplePlan(pts)
+    with pytest.raises(ValueError, match="sample point 1 has a non-finite"):
+        cv.metric_deviations(EH, [(1.0, 2.0), (complex(1.0, math.nan), 2.0)])
+    for z in ((math.nan, 1.0), (1.0, 0.0, -math.inf, 0.0)):
+        with pytest.raises(ValueError, match="non-finite coordinate"):
+            cv.scalar_curvature(EH, z)
+        with pytest.raises(ValueError, match="non-finite coordinate"):
+            cv.hermitian_hessian(EH, z)
+
+
 # ----------------------------------------------------------- weighted norms
 
 
@@ -213,6 +265,13 @@ def test_weighted_sup_norm_basics():
     assert cv.weighted_sup_norm(samples, -3.0) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         cv.weighted_sup_norm([], -1.0)
+
+
+def test_weighted_sup_norm_nan_wins_in_any_order():
+    # a degenerate sample makes the norm NaN wherever it sits in the list
+    samples = [((1.0, 0, 0, 0), math.nan), ((2.0, 0, 0, 0), 1.0), (3.0, 0.5)]
+    for order in ([0, 1, 2], [1, 0, 2], [1, 2, 0], [2, 1, 0]):
+        assert math.isnan(cv.weighted_sup_norm([samples[i] for i in order], 0.0))
 
 
 def _eh_ray_norm(delta, rmax):
@@ -369,3 +428,20 @@ def test_custom_radial_matches_custom_general(a, b, r, d, order):
     s_radial = cv.scalar_curvature(radial, x, order=order)
     s_general = cv.scalar_curvature(general, x, order=order)
     assert abs(s_radial - s_general) <= 1e-7 * max(1.0, abs(s_general))
+
+
+# ------------------------------------------------------------ package names
+
+
+def test_package_lists_every_curvature_name():
+    # curvature loads lazily, so the package keeps its names in one
+    # hand-written list; it must match what the module defines
+    defined = {
+        name
+        for name, obj in vars(cv).items()
+        if not name.startswith("_")
+        and (inspect.isclass(obj) or inspect.isfunction(obj))
+        and obj.__module__ == cv.__name__
+    }
+    assert defined == set(sfkale._CURVATURE_NAMES)
+    assert len(set(sfkale.__all__)) == len(sfkale.__all__)
