@@ -36,7 +36,17 @@ Phi(x), evaluated in one of two ways:
     term, duplicates included: one scalar curvature takes 53 Hessians
     of 48 psi each at order 4 (29 of 24 at order 2).
 
-Degenerate metrics surface as NaN; callers turn that into an error.
+Every function works on a stack of n points at once.  sites() lays the
+stencils out as bases (n, B, 4) and steps (n, K, 4): at order 4, B = 53
+bases (the point, its 48 outer sites and 4 zero offsets for the center
+terms) and K = 48 steps; at order 2, 29 and 24; the Hessian alone has
+B = 1.  psi is (n, B, K), and the reduction divides each point by its
+own h^2.  How many points share a stack is the caller's choice
+(curvature chunks them); each point's values are the same whatever its
+neighbours.
+
+Degenerate metrics surface as NaN at the points they touch; callers
+turn that into an error or a failed report.
 """
 
 from __future__ import annotations
@@ -152,23 +162,32 @@ def site_lattice(order: int, curvature: bool) -> SiteLattice:
     return SiteLattice(offsets[first], inverse[:n].reshape(len(bases), -1), inverse[n:])
 
 
-def step(x, h0: float) -> float:
-    """Radius-scaled stencil step h = h0 * (1 + |x|)."""
-    x0, x1, x2, x3 = x
-    return h0 * (1.0 + math.sqrt(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3))
+def step(x, h0: float) -> np.ndarray:
+    """Radius-scaled stencil step h = h0 * (1 + |x|) of every point (row) of x.
+
+    Shaped (n, 1, 1), so that it broadcasts over (points, bases, steps).
+    """
+    # scalar arithmetic per point: a single-point call then pays for one
+    # numpy call instead of six
+    return np.array([
+        h0 * (1.0 + math.sqrt(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3))
+        for x0, x1, x2, x3 in x.tolist()
+    ])[:, None, None]
 
 
-def sites(x, h: float, order: int, curvature: bool):
-    """(bases, steps) of the stencil around x; psi is wanted at each pair.
+def sites(x, h, order: int, curvature: bool):
+    """(bases, steps) of the stencils around the points x; psi is wanted at each pair.
 
-    The Hessian needs psi at x only; the scalar curvature needs it at x
-    and at every outer site x + h o, which come first and after.
+    x is (n, 4) and h holds each point's step, shaped as step() returns
+    it.  The Hessian needs psi at the point only; the scalar curvature
+    needs it at the point and at every outer site x + h o, which come
+    first and after.  Returns bases (n, B, 4) and steps (n, K, 4).
     """
     stencil = STENCILS[order]
-    x = np.asarray(x, dtype=float)
+    steps = h * stencil.steps
     if not curvature:
-        return x[None, :], h * stencil.steps
-    return x + h * stencil.bases, h * stencil.steps
+        return x[:, None, :], steps
+    return x[:, None, :] + h * stencil.bases, steps
 
 
 def builtin_potential(family, par, x0, x1, x2, x3):
@@ -185,78 +204,116 @@ def builtin_potential(family, par, x0, x1, x2, x3):
 
 
 def builtin_psi(family, par, bases, steps):
-    """Phi(b + d) - Phi(b) for every base b and step d, without cancelling large terms."""
-    du = 2.0 * (bases @ steps.T) + (steps * steps).sum(axis=1)
+    """Phi(b + d) - Phi(b) for every base b and step d, without cancelling large terms.
+
+    bases (n, B, 4) and steps (n, K, 4) give psi (n, B, K).  The (n, B, K)
+    temporaries are updated in place, so a pass holds at most four.
+    """
+    # du = 2 b.d + |d|^2, the exact change of u = |z|^2
+    du = bases @ steps.transpose(0, 2, 1)
+    du *= 2.0
+    du += (steps * steps).sum(axis=2)[:, None, :]
     if family == FLAT:
         return du
-    u = (bases * bases).sum(axis=1)[:, None]
+    u = (bases * bases).sum(axis=2)[:, :, None]
+    a2 = par * par
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = du / u
+        log_term = du / u
+        # a base at the origin, or a site at or beyond the log singularity
+        bad = (u <= 0.0) | (log_term <= -1.0)
+        np.log1p(log_term, out=log_term)
+        log_term *= a2 if family == EGUCHI_HANSON else par
         if family == EGUCHI_HANSON:
-            a2 = par * par
-            us = u + du
+            # dw = du (us + u) / (ws + w), the change of w = sqrt(a^4 + u^2)
             w = np.sqrt(a2 * a2 + u * u)
-            ws = np.sqrt(a2 * a2 + us * us)
-            dw = du * (us + u) / (ws + w)
-            psi = dw + a2 * np.log1p(ratio) - a2 * np.log1p(dw / (a2 + w))
+            us = u + du
+            ws = us * us
+            ws += a2 * a2
+            np.sqrt(ws, out=ws)
+            ws += w
+            us += u
+            dw = np.multiply(du, us, out=us)
+            dw /= ws
+            psi = np.add(dw, log_term, out=ws)
+            dw /= a2 + w
+            np.log1p(dw, out=dw)
+            dw *= a2
+            psi -= dw
         else:
-            psi = du + par * np.log1p(ratio)
-    # a base at the origin, or a site at or beyond the log singularity
-    return np.where((u <= 0.0) | (ratio <= -1.0), np.nan, psi)
+            psi = np.add(du, log_term, out=log_term)
+        psi[bad] = np.nan
+    return psi
 
 
-def radial_psi(profile, x, h: float, order: int, curvature: bool) -> np.ndarray:
-    """psi of Phi = profile(|z|^2) over the stencil around x, as sites() lays it out.
+def radial_psi(profile, x, h, order: int, curvature: bool) -> np.ndarray:
+    """psi of Phi = profile(|z|^2) over the stencils around the points x, as sites() lays it out.
 
-    The profile is called once per distinct site of the lattice.
+    The profile is called once per distinct site of each point's lattice.
     """
     lattice = site_lattice(order, curvature)
-    y = np.asarray(x, dtype=float) + h * lattice.offsets
-    phi = np.array([float(profile(u)) for u in (y * y).sum(axis=1).tolist()])
-    return phi[lattice.terms] - phi[lattice.bases, None]
+    # coordinates first and column adds, since numpy sums a short last axis
+    # slowly; the order of the adds is the one .sum() would take
+    y = x[:, :, None] + h * lattice.offsets.T
+    y *= y
+    u = y[:, 0] + y[:, 1] + y[:, 2] + y[:, 3]
+    phi = np.fromiter(map(profile, u.ravel().tolist()), float, count=u.size).reshape(u.shape)
+    psi = np.take(phi, lattice.terms, axis=1)
+    psi -= np.take(phi, lattice.bases, axis=1)[:, :, None]
+    return psi
 
 
 def callable_psi(fn, bases, steps):
     """Phi(b + d) - Phi(b) from a scalar callable fn(x0, x1, x2, x3), one term at a time."""
-    out = np.empty((len(bases), len(steps)))
-    steps = steps.tolist()
-    for i, (x0, x1, x2, x3) in enumerate(bases.tolist()):
-        out[i] = [
-            fn(x0 + d0, x1 + d1, x2 + d2, x3 + d3) - fn(x0, x1, x2, x3)
-            for d0, d1, d2, d3 in steps
-        ]
-    return out
+    psi = [
+        fn(x0 + d0, x1 + d1, x2 + d2, x3 + d3) - fn(x0, x1, x2, x3)
+        for point_bases, point_steps in zip(bases.tolist(), steps.tolist())
+        for x0, x1, x2, x3 in point_bases
+        for d0, d1, d2, d3 in point_steps
+    ]
+    return np.array(psi).reshape(bases.shape[:2] + steps.shape[1:2])
 
 
-def _reduce(values, stencil: Stencil, h: float):
+def _reduce(values, stencil: Stencil, h):
     """Weighted sum / h^2 of values at the stencil's offsets, mirror pairs added first.
 
-    values runs over steps (inner stencil) or over steps and then the
-    center terms (outer stencil); (..., sites) -> (..., 4).
+    values runs over the points, then the bases, then the steps (inner
+    stencil) or the steps and the center terms (outer stencil); each
+    point is divided by its own h^2.  (n, B, sites) -> (n, B, 4).
     """
     k = len(stencil.pair_weights)
     out = (values[..., :k] + values[..., k : 2 * k]) @ stencil.pair_weights
     if values.shape[-1] > 2 * k:
         out += values[..., 2 * k :] @ stencil.center_weights
-    return out / (h * h)
+    out /= h * h
+    return out
 
 
-def hessian(psi, h: float, order: int) -> np.ndarray:
-    """(g11, g22, Re g12, Im g12) per base from psi over the steps."""
+def hessian(psi, h, order: int) -> np.ndarray:
+    """(g11, g22, Re g12, Im g12) per point and base from psi over the steps."""
     return _reduce(psi, STENCILS[order], h)
 
 
-def scalar_curvature(psi, h: float, order: int) -> float:
-    """S = -2 tr(g^-1 Hess log det g) at the first base, from psi over all bases.
+def scalar_curvature(psi, h, order: int) -> np.ndarray:
+    """S = -2 tr(g^-1 Hess log det g) at each point's first base, from psi over all its bases.
 
-    The factor 2 fixes the real scalar curvature normalization.
+    NaN at the points whose metric is not positive definite somewhere on
+    their stencil; the other points keep their values.  The factor 2
+    fixes the real scalar curvature normalization.
     """
     stencil = STENCILS[order]
-    g11, g22, gr, gi = _reduce(psi, stencil, h).T
+    g = _reduce(psi, stencil, h)
+    g11, g22, gr, gi = g[..., 0], g[..., 1], g[..., 2], g[..., 3]
     det = g11 * g22 - gr * gr - gi * gi
-    positive = (det > 0.0) & (g11 > 0.0) & (g22 > 0.0)
-    if not positive[0]:
-        return math.nan
-    logdet = np.log(np.where(positive[1:], det[1:], np.nan))
-    f11, f22, fr, fi = _reduce(logdet, stencil, h)
-    return float(-2.0 * (g22[0] * f11 + g11[0] * f22 - 2.0 * (gr[0] * fr + gi[0] * fi)) / det[0])
+    # det > 0 and g11 > 0 force g22 > 0
+    positive = (det > 0.0) & (g11 > 0.0)
+    # the outer stencil runs over the sites around the first base
+    logdet = np.log(np.where(positive[:, None, 1:], det[:, None, 1:], np.nan))
+    f = _reduce(logdet, stencil, h)[:, 0]
+    # a few flops per point: Python floats take them faster than a dozen
+    # numpy calls on a chunk would
+    return np.array([
+        -2.0 * (g22 * f11 + g11 * f22 - 2.0 * (gr * fr + gi * fi)) / d if ok else math.nan
+        for (g11, g22, gr, gi), (f11, f22, fr, fi), d, ok in zip(
+            g[:, 0].tolist(), f.tolist(), det[:, 0].tolist(), positive[:, 0].tolist()
+        )
+    ])

@@ -181,6 +181,8 @@ def _cmd_verify_metric(args) -> int:
         "metric_positive": report.metric_positive,
         "passed": report.passed,
         "scalar_values": [_json_value(s) for s in report.scalar_values],
+        "worst_index": report.worst_index,
+        "degenerate_indices": list(report.degenerate_indices),
     }
     if args.json:
         _emit_json(payload)
@@ -191,7 +193,13 @@ def _cmd_verify_metric(args) -> int:
             f" order {args.order}, h0 {args.h0:g}"
         )
         print(f"max |S|     {report.max_abs_scalar:.6e} (tolerance {args.tol:g})")
+        radii = plan.radii
+        if report.worst_index is not None:
+            i = report.worst_index
+            print(f"worst       point {i}, radius {radii[i]:g}")
         print(f"metric      {'positive definite' if report.metric_positive else 'DEGENERATE'}")
+        for i in report.degenerate_indices:
+            print(f"degenerate  point {i}, radius {radii[i]:g}")
         print("PASS" if report.passed else "FAIL")
     return 0 if report.passed else 2
 

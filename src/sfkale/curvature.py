@@ -1,10 +1,18 @@
 """Kahler potentials on C^2 and finite-difference curvature checks.
 
-A potential is sampled pointwise; the Hermitian metric g_ij = d2 Phi /
-dz_i dzbar_j comes from central differences in the four real
+A potential is sampled at scattered points; the Hermitian metric g_ij =
+d2 Phi / dz_i dzbar_j comes from central differences in the four real
 coordinates, and the scalar curvature from a second, nested stencil
-applied to log det g.  Everything is evaluated at isolated sample
-points with a radius-scaled step h = h0 * (1 + |z|); there is no grid.
+applied to log det g.  Each point has its own radius-scaled step h =
+h0 * (1 + |z|); there is no grid.
+
+The engine takes a stack of points in one pass, laid out as (points,
+bases, steps).  Multi-point calls (verify_scalar_flat, and
+metric_deviations, which the decay fits and weighted norms use) walk
+their points in chunks of about _CHUNK_TERMS stencil terms: 4 scalar
+curvature points at order 4, 14 at order 2, 213 or 426 Hessians.  A
+single-point call passes one row through the same code, and no value
+depends on which chunk its point fell in.
 """
 
 from __future__ import annotations
@@ -88,8 +96,22 @@ def custom_general(fn: Callable[[complex, complex], float]) -> Potential:
     return Potential(name="custom-general", family=None, parameter=0.0, fn=adapter)
 
 
-def _psi(potential: Potential, x, h: float, order: int, curvature: bool) -> np.ndarray:
-    """Phi(b + d) - Phi(b) for every base b and step d of the stencil around x."""
+# stencil terms (base, step pairs) one engine pass takes: 4 scalar curvature
+# points at order 4, 14 at order 2 and a few hundred Hessians.  Enough to
+# spread numpy's per-call cost, small enough that each (points, bases,
+# steps) temporary stays near 80 kB
+_CHUNK_TERMS = 10240
+
+
+def _chunk_points(order: int, curvature: bool) -> int:
+    """Points per engine pass for the scalar curvature or the Hessian stencil."""
+    stencil = _engine.STENCILS[order]
+    terms = len(stencil.steps) * (len(stencil.bases) if curvature else 1)
+    return max(1, _CHUNK_TERMS // terms)
+
+
+def _psi(potential: Potential, x, h, order: int, curvature: bool) -> np.ndarray:
+    """Phi(b + d) - Phi(b) for every base b and step d of the stencils around the points x."""
     if potential.family == _engine.RADIAL:
         return _engine.radial_psi(potential.fn, x, h, order, curvature)
     bases, steps = _engine.sites(x, h, order, curvature)
@@ -98,16 +120,24 @@ def _psi(potential: Potential, x, h: float, order: int, curvature: bool) -> np.n
     return _engine.callable_psi(potential.fn, bases, steps)
 
 
-def _metric(potential: Potential, x, h0: float, order: int) -> np.ndarray:
-    """(g11, g22, Re g12, Im g12) at one point."""
-    h = _engine.step(x, h0)
-    return _engine.hessian(_psi(potential, x, h, order, curvature=False), h, order)[0]
+def _metric(potential: Potential, x, h, order: int) -> np.ndarray:
+    """(g11, g22, Re g12, Im g12) at each point (row) of x, with steps h."""
+    return _engine.hessian(_psi(potential, x, h, order, curvature=False), h, order)[:, 0]
 
 
-def _scalar(potential: Potential, x, h0: float, order: int) -> float:
-    """S at one point; NaN where the metric degenerates on the stencil."""
-    h = _engine.step(x, h0)
+def _scalar(potential: Potential, x, h, order: int) -> np.ndarray:
+    """S at each point (row) of x, with steps h; NaN where the metric degenerates on its stencil."""
     return _engine.scalar_curvature(_psi(potential, x, h, order, curvature=True), h, order)
+
+
+def _chunked(evaluate, potential: Potential, points, h0: float, order: int, curvature: bool):
+    """evaluate(potential, x, h, order) over the points a chunk at a time, joined."""
+    h = _engine.step(points, h0)
+    size = _chunk_points(order, curvature)
+    return np.concatenate([
+        evaluate(potential, points[i : i + size], h[i : i + size], order)
+        for i in range(0, len(points), size)
+    ])
 
 
 def _check_stencil(h0: float, order: int) -> None:
@@ -221,7 +251,12 @@ class DecayEstimate:
 
 @dataclasses.dataclass(frozen=True)
 class CurvatureReport:
-    """Outcome of sampling the scalar curvature of one potential."""
+    """Outcome of sampling the scalar curvature of one potential.
+
+    worst_index is the sample with the largest finite |S| (None when no
+    value is finite); degenerate_indices lists the samples whose metric
+    degenerates on the stencil, in plan order.
+    """
 
     potential: str
     points: np.ndarray
@@ -232,6 +267,8 @@ class CurvatureReport:
     passed: bool
     h0: float
     order: int
+    worst_index: Optional[int]
+    degenerate_indices: tuple[int, ...]
     decay: Optional[DecayEstimate] = None
     weighted_norms: Optional[dict] = None
 
@@ -243,7 +280,8 @@ def hermitian_hessian(potential: Potential, z, h0: float = 1e-2, order: int = 4)
     positive definite.
     """
     _check_stencil(h0, order)
-    g11, g22, gr, gi = _metric(potential, _coords(z), h0, order).tolist()
+    x = np.array([_coords(z)])
+    g11, g22, gr, gi = _metric(potential, x, _engine.step(x, h0), order)[0].tolist()
     det = g11 * g22 - gr * gr - gi * gi
     if not (math.isfinite(det) and det > 0.0 and g11 > 0.0 and g22 > 0.0):
         raise DegenerateMetricError(
@@ -255,21 +293,20 @@ def hermitian_hessian(potential: Potential, z, h0: float = 1e-2, order: int = 4)
 def scalar_curvature(potential: Potential, z, h0: float = 1e-2, order: int = 4) -> float:
     """Scalar curvature S = -2 tr(g^-1 Hess log det g) at z."""
     _check_stencil(h0, order)
-    s = _scalar(potential, _coords(z), h0, order)
+    x = np.array([_coords(z)])
+    s = float(_scalar(potential, x, _engine.step(x, h0), order)[0])
     if math.isnan(s):
         raise DegenerateMetricError(
             f"metric of {potential.name} degenerates on the stencil at {z!r}"
         )
-    return float(s)
+    return s
 
 
 def metric_deviations(potential: Potential, points, h0: float = 1e-2, order: int = 4) -> np.ndarray:
     """Max entrywise |g - I| at each point."""
     _check_stencil(h0, order)
-    g = np.array([_metric(potential, x, h0, order) for x in _coords_array(points).tolist()])
-    return np.max(
-        np.abs(g - np.array([1.0, 1.0, 0.0, 0.0])), axis=1
-    )
+    g = _chunked(_metric, potential, _coords_array(points), h0, order, curvature=False)
+    return np.max(np.abs(g - np.array([1.0, 1.0, 0.0, 0.0])), axis=1)
 
 
 def verify_scalar_flat(
@@ -286,12 +323,16 @@ def verify_scalar_flat(
     extras: a decay-order fit over decay_radii, and weighted sup norms
     of the metric deviation for each delta in weight_deltas.
     """
-    s = np.array([_scalar(potential, x, plan.h0, plan.order) for x in plan.points.tolist()])
-    positive = bool(np.isfinite(s).all())
+    s = _chunked(_scalar, potential, plan.points, plan.h0, plan.order, curvature=True)
+    finite = np.isfinite(s)
+    positive = bool(finite.all())
     if positive:
         max_abs = float(np.max(np.abs(s)))
     else:
         max_abs = float("inf")
+    worst = None
+    if finite.any():
+        worst = int(np.argmax(np.where(finite, np.abs(s), -1.0)))
     decay = None
     if decay_radii is not None:
         decay = decay_order(potential, decay_radii, h0=plan.h0, order=plan.order)
@@ -310,6 +351,8 @@ def verify_scalar_flat(
         passed=positive and max_abs <= tol,
         h0=plan.h0,
         order=plan.order,
+        worst_index=worst,
+        degenerate_indices=tuple(np.flatnonzero(~finite).tolist()),
         decay=decay,
         weighted_norms=norms,
     )
@@ -335,14 +378,14 @@ def scalar_curvature_derivative(
         raise ValueError(f"perturbation scale t must be positive, got {t}")
     if not isinstance(perturbation, Potential):
         perturbation = custom_general(perturbation)
-    x = _coords(z)
+    x = np.array([_coords(z)])
     h = _engine.step(x, h0)
     # the background keeps its stable differences; the perturbation's
     # enter scaled by t, so their own rounding is harmless
     base = _psi(background, x, h, order, curvature=True)
     shift = t * _psi(perturbation, x, h, order, curvature=True)
-    s_plus = _engine.scalar_curvature(base + shift, h, order)
-    s_minus = _engine.scalar_curvature(base - shift, h, order)
+    s_plus = float(_engine.scalar_curvature(base + shift, h, order)[0])
+    s_minus = float(_engine.scalar_curvature(base - shift, h, order)[0])
     if math.isnan(s_plus) or math.isnan(s_minus):
         raise DegenerateMetricError(
             f"perturbed metric degenerates at {z!r} for scale t={t}"
@@ -355,10 +398,16 @@ def decay_order(potential: Potential, radii, h0: float = 1e-2, order: int = 4) -
 
     Needs at least 6 strictly increasing radii spanning a factor of 10
     (InsufficientDecadeError otherwise).  Deviations are measured along
-    the fixed direction z = (r, 0); for the radial potentials this
-    module cares about, the direction is immaterial up to stencil error.
+    the ray z = (r, 0) only, which stands for every direction when the
+    potential is radial: the built-ins and custom_radial are accepted,
+    a custom_general potential raises ValueError.
     """
     _check_stencil(h0, order)
+    if potential.family is None:
+        raise ValueError(
+            f"decay_order fits along the ray z = (r, 0) only, so it needs a radial"
+            f" potential; {potential.name} may depend on the direction"
+        )
     rr = np.asarray(radii, dtype=float)
     if rr.ndim != 1 or len(rr) < 6:
         raise ValueError("need at least 6 radii for a decay fit")

@@ -189,6 +189,22 @@ def test_verify_metric_impossible_tolerance_fails(capsys):
     assert "FAIL" in out
 
 
+def test_verify_metric_locates_the_worst_point(capsys):
+    # Burns is exactly scalar-flat, so max |S| here is stencil error, and
+    # it sits at the innermost radius
+    argv = ["verify-metric", "--potential", "burns", "--m", "1.5", "--rmin", "0.3",
+            "--rmax", "8", "--samples", "16"]
+    code, payload, _ = run_json(capsys, *argv, "--json")
+    assert code == 2
+    values = payload["scalar_values"]
+    assert payload["worst_index"] == max(range(16), key=lambda i: abs(values[i])) == 0
+    assert payload["degenerate_indices"] == []
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert "worst       point 0, radius 0.3\n" in out
+    assert "degenerate" not in out
+
+
 # -------------------------------------------------------------------- decay
 
 

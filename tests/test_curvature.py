@@ -136,6 +136,100 @@ def test_verify_reports_degenerate_without_raising():
     assert not report.passed
     assert not report.metric_positive
     assert report.max_abs_scalar == float("inf")
+    assert report.worst_index is None
+    assert report.degenerate_indices == tuple(range(8))
+
+
+# one potential of each kind, for the chunking tests
+_KINDS = {
+    "flat": FL,
+    "eguchi-hanson": cv.eguchi_hanson(1.7),
+    "burns": cv.burns(0.6),
+    "custom-radial": cv.custom_radial(lambda u: u + 0.2 * u * u + 0.4 * math.log(u)),
+    # not radial: z2 weighs twice as much as z1
+    "custom-general": cv.custom_general(
+        lambda z1, z2: abs(z1) ** 2 + 2.0 * abs(z2) ** 2
+        + 0.3 * math.log(abs(z1) ** 2 + abs(z2) ** 2)
+    ),
+}
+# Chunked and single-point values were bitwise equal on every draw tried
+# (OpenBLAS, numpy 2.4, both orders, every kind); a BLAS may sum a stacked
+# product in another order, so the tests allow this much
+CHUNK_REL_TOL = 1e-12
+
+
+def _plan_sizes(chunk):
+    return (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3)
+
+
+def _directions(rng, n):
+    d = rng.normal(size=(n, 4))
+    return d / np.linalg.norm(d, axis=1, keepdims=True)
+
+
+def _random_points(seed, n):
+    rng = np.random.default_rng(seed)
+    return np.exp(rng.uniform(math.log(0.7), math.log(8.0), n))[:, None] * _directions(rng, n)
+
+
+@settings(max_examples=2, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_chunked_sweep_matches_single_points(kind, order, seed):
+    pot = _KINDS[kind]
+    sizes = _plan_sizes(cv._chunk_points(order, curvature=True))
+    pts = _random_points(seed, max(sizes))
+    single = np.array([cv.scalar_curvature(pot, x, order=order) for x in pts])
+    for n in sizes:
+        s = cv.verify_scalar_flat(pot, cv.SamplePlan(pts[:n], order=order)).scalar_values
+        assert s.shape == (n,)
+        assert np.all(np.abs(s - single[:n]) <= CHUNK_REL_TOL * np.maximum(1.0, np.abs(single[:n])))
+
+
+@settings(max_examples=2, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_chunked_deviations_match_single_hessians(kind, order, seed):
+    pot = _KINDS[kind]
+    sizes = _plan_sizes(cv._chunk_points(order, curvature=False))
+    pts = _random_points(seed, max(sizes))
+    single = []
+    for x in pts:
+        g = cv.hermitian_hessian(pot, x, order=order)
+        single.append(max(abs(g[0, 0] - 1), abs(g[1, 1] - 1), abs(g[0, 1].real), abs(g[0, 1].imag)))
+    single = np.array(single)
+    for n in sizes:
+        dev = cv.metric_deviations(pot, pts[:n], order=order)
+        assert dev.shape == (n,)
+        assert np.all(np.abs(dev - single[:n]) <= CHUNK_REL_TOL * np.maximum(1.0, single[:n]))
+
+
+def test_degenerate_points_stay_local():
+    # F = u - u^2/20 has g = F' I + F'' conj(z) z^T with eigenvalues F' and
+    # F' + u F'' = 1 - u/5: indefinite (det < 0) for 5 < u < 10 and negative
+    # definite beyond, so the points at radius 3-4 degenerate both ways and
+    # share their chunks with good points
+    pot = cv.custom_radial(lambda u: u - u * u / 20.0)
+    radii = np.array([1.0, 3.2, 1.2, 1.4, 1.1, 3.6, 1.5, 3.9, 1.3, 1.25, 3.0])
+    pts = radii[:, None] * _directions(np.random.default_rng(7), len(radii))
+    bad = np.flatnonzero(radii > 2.5)
+    good = np.flatnonzero(radii < 2.5)
+    assert cv._chunk_points(4, curvature=True) < len(radii)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = cv.verify_scalar_flat(pot, cv.SamplePlan(pts))
+    s = report.scalar_values
+    assert np.isnan(s[bad]).all()
+    assert np.isfinite(s[good]).all()
+    for i in good:
+        want = cv.scalar_curvature(pot, pts[i])
+        assert abs(s[i] - want) <= CHUNK_REL_TOL * max(1.0, abs(want))
+    assert not report.metric_positive and not report.passed
+    assert report.max_abs_scalar == float("inf")
+    assert report.degenerate_indices == tuple(bad.tolist())
+    assert report.worst_index == int(good[np.argmax(np.abs(s[good]))])
 
 
 def test_metric_deviations_flat():
@@ -195,6 +289,16 @@ def test_decay_order_flat_no_signal():
     est = cv.decay_order(FL, np.geomspace(2, 64, 10))
     assert est.no_signal
     assert est.mu is None and est.residual is None
+
+
+def test_decay_order_needs_a_radial_potential():
+    # the fit samples the ray z = (r, 0) only, which stands for every
+    # direction just when the potential is radial
+    general = cv.custom_general(lambda z1, z2: abs(z1) ** 2 + 2.0 * abs(z2) ** 2)
+    with pytest.raises(ValueError, match=r"ray z = \(r, 0\)"):
+        cv.decay_order(general, np.geomspace(2, 64, 10))
+    radial = cv.custom_radial(lambda u: u + math.log(u))
+    assert abs(cv.decay_order(radial, np.geomspace(2, 64, 10)).mu - 2.0) < 0.1
 
 
 def test_decay_order_input_validation():
@@ -333,16 +437,15 @@ def test_radial_scalar_curvature_oracle(order, rel_tol):
 @pytest.mark.parametrize("order", [2, 4])
 def test_builtin_psi_matches_scalar_loop(pot, order):
     # the numpy closed forms against plain differences of the potential itself,
-    # whose own rounding is a few ulps of Phi at the site
-    for z in POINTS:
-        x = np.array(cv._coords(z))
-        bases, steps = _engine.sites(x, _engine.step(x, 0.05), order, curvature=True)
-        fast = _engine.builtin_psi(pot.family, pot.parameter, bases, steps)
-        loop = _engine.callable_psi(
-            lambda *y: _engine.builtin_potential(pot.family, pot.parameter, *y), bases, steps
-        )
-        scale = abs(pot(*z)) + 1.0
-        assert np.abs(fast - loop).max() < 64 * np.finfo(float).eps * scale
+    # whose own rounding is a few ulps of Phi at the site; all points in one pass
+    x = np.array([cv._coords(z) for z in POINTS])
+    bases, steps = _engine.sites(x, _engine.step(x, 0.05), order, curvature=True)
+    fast = _engine.builtin_psi(pot.family, pot.parameter, bases, steps)
+    loop = _engine.callable_psi(
+        lambda *y: _engine.builtin_potential(pot.family, pot.parameter, *y), bases, steps
+    )
+    scale = np.array([abs(pot(*z)) + 1.0 for z in POINTS])[:, None, None]
+    assert np.all(np.abs(fast - loop) < 64 * np.finfo(float).eps * scale)
 
 
 _unit = st.floats(-1.0, 1.0)
@@ -374,7 +477,9 @@ def test_quadratic_form_hessian(b, x, h0, order):
 )
 def test_profile_calls_per_point(order, radial_s, radial_g, general_s, general_g):
     # a radial profile is called once per distinct stencil site, a general
-    # callable at both ends of every stencil term
+    # callable at both ends of every stencil term; chunking several points
+    # into one pass calls it as often as one call per point would, across
+    # chunk boundaries too
     calls = []
 
     def profile(u):
@@ -383,6 +488,9 @@ def test_profile_calls_per_point(order, radial_s, radial_g, general_s, general_g
 
     radial = cv.custom_radial(profile)
     general = cv.custom_general(lambda z1, z2: profile(abs(z1) ** 2 + abs(z2) ** 2))
+    n_s = cv._chunk_points(order, curvature=True) + 1
+    n_g = cv._chunk_points(order, curvature=False) + 1
+    plan = cv.SamplePlan(cv.sample_points(1, 4, n_s), order=order)
     for pot, s_calls, g_calls in ((radial, radial_s, radial_g), (general, general_s, general_g)):
         calls.clear()
         cv.scalar_curvature(pot, POINTS[0], order=order)
@@ -393,6 +501,12 @@ def test_profile_calls_per_point(order, radial_s, radial_g, general_s, general_g
         calls.clear()
         cv.scalar_curvature_derivative(pot, pot, POINTS[0], order=order)
         assert len(calls) == 2 * s_calls, pot.name
+        calls.clear()
+        cv.verify_scalar_flat(pot, plan)
+        assert len(calls) == s_calls * n_s, pot.name
+        calls.clear()
+        cv.metric_deviations(pot, cv.sample_points(1, 4, n_g), order=order)
+        assert len(calls) == g_calls * n_g, pot.name
 
 
 @pytest.mark.parametrize("curvature", [False, True], ids=["hessian", "scalar"])
