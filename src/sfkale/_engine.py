@@ -83,14 +83,16 @@ class Stencil(NamedTuple):
     """Offsets (in steps h) and component weights of one stencil order.
 
     steps lists the k offsets o of the mirror pairs, then their mirrors
-    -o; pair_weights (k x 4) weighs each pair.  center_weights holds one
-    row per pure second derivative for its zero-offset term, which only
-    the outer stencil evaluates (psi vanishes there).  bases are the
-    outer sites: the center itself, then steps, then one zero offset
-    per center row.
+    -o; step_norms holds |o|^2 of each (1, 2, 4 or 8), so |h o|^2 is
+    exactly h^2 |o|^2.  pair_weights (k x 4) weighs each pair.
+    center_weights holds one row per pure second derivative for its
+    zero-offset term, which only the outer stencil evaluates (psi
+    vanishes there).  bases are the outer sites: the center itself,
+    then steps, then one zero offset per center row.
     """
 
     steps: np.ndarray
+    step_norms: np.ndarray
     pair_weights: np.ndarray
     center_weights: np.ndarray
     bases: np.ndarray
@@ -120,6 +122,7 @@ def _stencil(order: int) -> Stencil:
     steps = pairs + [[-c for c in o] for o in pairs]
     return Stencil(
         steps=np.array(steps),
+        step_norms=np.array([sum(c * c for c in o) for o in steps]),
         pair_weights=np.array(pair_weights),
         center_weights=np.array(center_weights),
         bases=np.array([[0.0] * 4] + steps + [[0.0] * 4] * len(center_weights)),
@@ -203,16 +206,18 @@ def builtin_potential(family, par, x0, x1, x2, x3):
     return u + par * math.log(u)
 
 
-def builtin_psi(family, par, bases, steps):
-    """Phi(b + d) - Phi(b) for every base b and step d, without cancelling large terms.
+def builtin_psi(family, par, x, h, order: int, curvature: bool):
+    """Phi(b + d) - Phi(b) over the stencils around the points x, without cancelling large terms.
 
-    bases (n, B, 4) and steps (n, K, 4) give psi (n, B, K).  The (n, B, K)
-    temporaries are updated in place, so a pass holds at most four.
+    psi is (n, B, K), laid out as sites() lays out the bases b and the
+    steps d.  The (n, B, K) temporaries are updated in place, so a pass
+    holds at most four.
     """
+    bases, steps = sites(x, h, order, curvature)
     # du = 2 b.d + |d|^2, the exact change of u = |z|^2
     du = bases @ steps.transpose(0, 2, 1)
     du *= 2.0
-    du += (steps * steps).sum(axis=2)[:, None, :]
+    du += h * h * STENCILS[order].step_norms
     if family == FLAT:
         return du
     u = (bases * bases).sum(axis=2)[:, :, None]

@@ -114,10 +114,9 @@ def _psi(potential: Potential, x, h, order: int, curvature: bool) -> np.ndarray:
     """Phi(b + d) - Phi(b) for every base b and step d of the stencils around the points x."""
     if potential.family == _engine.RADIAL:
         return _engine.radial_psi(potential.fn, x, h, order, curvature)
-    bases, steps = _engine.sites(x, h, order, curvature)
     if potential.fn is None:
-        return _engine.builtin_psi(potential.family, potential.parameter, bases, steps)
-    return _engine.callable_psi(potential.fn, bases, steps)
+        return _engine.builtin_psi(potential.family, potential.parameter, x, h, order, curvature)
+    return _engine.callable_psi(potential.fn, *_engine.sites(x, h, order, curvature))
 
 
 def _metric(potential: Potential, x, h, order: int) -> np.ndarray:
@@ -269,8 +268,6 @@ class CurvatureReport:
     order: int
     worst_index: Optional[int]
     degenerate_indices: tuple[int, ...]
-    decay: Optional[DecayEstimate] = None
-    weighted_norms: Optional[dict] = None
 
 
 def hermitian_hessian(potential: Potential, z, h0: float = 1e-2, order: int = 4) -> np.ndarray:
@@ -310,18 +307,12 @@ def metric_deviations(potential: Potential, points, h0: float = 1e-2, order: int
 
 
 def verify_scalar_flat(
-    potential: Potential,
-    plan: SamplePlan,
-    tol: float = 1e-4,
-    decay_radii=None,
-    weight_deltas=None,
+    potential: Potential, plan: SamplePlan, tol: float = 1e-4
 ) -> CurvatureReport:
     """Sample S over the plan and compare max |S| against tol.
 
     Degenerate points make the report fail rather than raise, so a
-    single bad sample cannot hide the rest of the sweep.  Optional
-    extras: a decay-order fit over decay_radii, and weighted sup norms
-    of the metric deviation for each delta in weight_deltas.
+    single bad sample cannot hide the rest of the sweep.
     """
     s = _chunked(_scalar, potential, plan.points, plan.h0, plan.order, curvature=True)
     finite = np.isfinite(s)
@@ -333,14 +324,6 @@ def verify_scalar_flat(
     worst = None
     if finite.any():
         worst = int(np.argmax(np.where(finite, np.abs(s), -1.0)))
-    decay = None
-    if decay_radii is not None:
-        decay = decay_order(potential, decay_radii, h0=plan.h0, order=plan.order)
-    norms = None
-    if weight_deltas is not None:
-        dev = metric_deviations(potential, plan.points, plan.h0, plan.order)
-        samples = list(zip(plan.points, dev))
-        norms = {float(d): weighted_sup_norm(samples, d) for d in weight_deltas}
     return CurvatureReport(
         potential=potential.name,
         points=plan.points,
@@ -353,8 +336,6 @@ def verify_scalar_flat(
         order=plan.order,
         worst_index=worst,
         degenerate_indices=tuple(np.flatnonzero(~finite).tolist()),
-        decay=decay,
-        weighted_norms=norms,
     )
 
 

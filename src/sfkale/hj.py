@@ -5,8 +5,12 @@ with w a primitive p-th root of unity, gcd(p, q) = 1.  The module
 computes the all->=2 continued fraction of p/q and its dual, the chain
 of lattice points spanning the invariant monomial cone, the minimal
 generators of the invariant ring, and the monomial chart atlas with its
-transition identities.  Only Python ints and Fractions are used; no
-floating point enters any computation.
+transition identities.  No floating point enters any computation.
+The currency is Python ints: Fractions appear only as the chain points
+c_i, whose denominators divide p, and as evaluate_fraction's value.
+invariant_monomials is the one conversion of the points into the
+integer vectors p*c_i; the chart atlas and every identity are built
+and checked from those vectors.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ __all__ = [
     "lattice_chain",
     "invariant_monomials",
     "chart_atlas",
-    "pairing",
     "determinant_identity_holds",
     "monomial_relation_holds",
     "transition_matrices",
@@ -111,11 +114,11 @@ class LatticeChain:
     """Ascending chain of rational lattice points c_0, ..., c_{m+1}.
 
     The points run from (0, 1) to (1, 0) with denominators dividing p;
-    p*c_i are the exponent vectors of the minimal invariant monomials,
-    ordered by increasing x-exponent.  Interior points obey
+    the integer vectors (a_i, b_i) = p*c_i (invariant_monomials) are
+    the exponent vectors of the minimal invariant monomials, ordered by
+    increasing x-exponent.  Interior points obey
     c_{i+1} = chain_coeffs[i]*c_i - c_{i-1}, and every consecutive pair
-    satisfies the exact determinant identity t_i*s_{i+1} - t_{i+1}*s_i
-    = 1/p, where c_i = (s_i, t_i).
+    satisfies the determinant identity b_i*a_{i+1} - b_{i+1}*a_i = p.
     """
 
     p: int
@@ -173,9 +176,20 @@ class MonomialChain:
 
 
 def invariant_monomials(chain: LatticeChain) -> MonomialChain:
-    """Scale the chain by p into the integer exponent vectors p*c_i."""
-    exps = tuple((int(s * chain.p), int(t * chain.p)) for s, t in chain.points)
-    return MonomialChain(p=chain.p, q=chain.q, exponents=exps)
+    """Scale the chain by p into the integer exponent vectors p*c_i.
+
+    This is where chain points become integers for every exact check.
+    Raises ValueError naming the point when p*c_i is not an integer
+    vector, i.e. when the point is off the lattice (1/p) Z^2.
+    """
+    p = chain.p
+    exps = []
+    for i, (s, t) in enumerate(chain.points):
+        a, b = s * p, t * p
+        if a.denominator != 1 or b.denominator != 1:
+            raise ValueError(f"chain point {i} ({s}, {t}) is not on the lattice (1/{p}) Z^2")
+        exps.append((a.numerator, b.numerator))
+    return MonomialChain(p=p, q=chain.q, exponents=tuple(exps))
 
 
 @dataclass(frozen=True)
@@ -183,8 +197,8 @@ class Chart:
     """One affine chart of the resolution cover.
 
     u and v are (x, y) exponent vectors of the two coordinate
-    monomials.  u pairs to 1 against the upper chain point c_{i+1} and
-    to 0 against c_i; v does the opposite.
+    monomials.  Against the integer vectors w = p*c of the chart's chain
+    points, u.w_i = 0 and u.w_{i+1} = p; v does the opposite.
     """
 
     index: int
@@ -205,37 +219,29 @@ class ChartAtlas:
 def chart_atlas(chain: LatticeChain) -> ChartAtlas:
     """Coordinate monomials dual to each consecutive chain pair.
 
-    Chart i carries u_i = x^(p t_i) / y^(p s_i) and
-    v_i = y^(p s_{i+1}) / x^(p t_{i+1}).  Adjacent charts satisfy
-    v_i = u_{i+1}^(-1) and v_{i+1} = v_i^(kappa_{i+1}) * u_i as exact
-    exponent-vector identities.
+    With (a_i, b_i) = p*c_i from invariant_monomials, chart i carries
+    u_i = (b_i, -a_i) = x^(b_i) / y^(a_i) and
+    v_i = (-b_{i+1}, a_{i+1}) = y^(a_{i+1}) / x^(b_{i+1}).  Adjacent
+    charts satisfy v_i = u_{i+1}^(-1) and v_{i+1} = v_i^(kappa_{i+1}) * u_i
+    as integer exponent-vector identities.  Raises ValueError for a
+    chain point off the lattice (1/p) Z^2.
     """
-    p = chain.p
-    charts = []
-    for i in range(len(chain.points) - 1):
-        s_i, t_i = chain.points[i]
-        s_next, t_next = chain.points[i + 1]
-        u = (int(p * t_i), -int(p * s_i))
-        v = (-int(p * t_next), int(p * s_next))
-        charts.append(Chart(index=i, u=u, v=v))
-    return ChartAtlas(p=p, q=chain.q, charts=tuple(charts), chain_coeffs=chain.chain_coeffs)
-
-
-def pairing(point, exponent) -> Fraction:
-    """Evaluate a chain point on a monomial exponent vector: s*a + t*b."""
-    s, t = point
-    a, b = exponent
-    return s * a + t * b
+    w = invariant_monomials(chain).exponents
+    charts = tuple(
+        Chart(index=i, u=(b0, -a0), v=(-b1, a1))
+        for i, ((a0, b0), (a1, b1)) in enumerate(zip(w, w[1:]))
+    )
+    return ChartAtlas(p=chain.p, q=chain.q, charts=charts, chain_coeffs=chain.chain_coeffs)
 
 
 def determinant_identity_holds(chain: LatticeChain) -> bool:
-    """t_i*s_{i+1} - t_{i+1}*s_i = 1/p at every link, exactly."""
-    target = Fraction(1, chain.p)
-    pts = chain.points
-    return all(
-        pts[i][1] * pts[i + 1][0] - pts[i + 1][1] * pts[i][0] == target
-        for i in range(len(pts) - 1)
-    )
+    """b_i*a_{i+1} - b_{i+1}*a_i = p at every link, with (a_i, b_i) = p*c_i.
+
+    This is t_i*s_{i+1} - t_{i+1}*s_i = 1/p for c_i = (s_i, t_i), scaled
+    by p^2.  Raises ValueError for a chain point off the lattice (1/p) Z^2.
+    """
+    w = invariant_monomials(chain).exponents
+    return all(b0 * a1 - b1 * a0 == chain.p for (a0, b0), (a1, b1) in zip(w, w[1:]))
 
 
 def monomial_relation_holds(chain: LatticeChain) -> bool:

@@ -307,3 +307,35 @@ def test_exact_verbs_run_without_numpy():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
+
+
+# ------------------------------------------------------------------- README
+
+
+def _readme_examples():
+    """(argv, output) of every `$ sfkale ...` example in the README's text blocks."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    examples = []
+    for block in text.split("```text\n")[1:]:
+        for chunk in block.split("```")[0].split("$ sfkale ")[1:]:
+            command, _, output = chunk.partition("\n")
+            examples.append((command.split(), output.rstrip("\n") + "\n"))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_lists_examples():
+    assert [argv[0] for argv, _ in README_EXAMPLES] == ["resolve", "moduli", "decay", "verify-metric"]
+
+
+@pytest.mark.parametrize(
+    "argv, output", README_EXAMPLES, ids=[" ".join(argv) for argv, _ in README_EXAMPLES]
+)
+def test_readme_example_output(capsys, argv, output):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == output

@@ -395,16 +395,6 @@ def test_weighted_norm_separates_decay_rates():
     assert growing > 1.5
 
 
-def test_verify_scalar_flat_with_extras():
-    plan = cv.SamplePlan(cv.sample_points(1, 8, 8))
-    report = cv.verify_scalar_flat(
-        EH, plan, decay_radii=np.geomspace(2, 64, 10), weight_deltas=(-4.0,)
-    )
-    assert report.passed
-    assert abs(report.decay.mu - 4.0) < 0.1
-    assert report.weighted_norms[-4.0] > 0
-
-
 # ------------------------------------------------------------ exact oracles
 
 
@@ -439,10 +429,11 @@ def test_builtin_psi_matches_scalar_loop(pot, order):
     # the numpy closed forms against plain differences of the potential itself,
     # whose own rounding is a few ulps of Phi at the site; all points in one pass
     x = np.array([cv._coords(z) for z in POINTS])
-    bases, steps = _engine.sites(x, _engine.step(x, 0.05), order, curvature=True)
-    fast = _engine.builtin_psi(pot.family, pot.parameter, bases, steps)
+    h = _engine.step(x, 0.05)
+    fast = _engine.builtin_psi(pot.family, pot.parameter, x, h, order, curvature=True)
     loop = _engine.callable_psi(
-        lambda *y: _engine.builtin_potential(pot.family, pot.parameter, *y), bases, steps
+        lambda *y: _engine.builtin_potential(pot.family, pot.parameter, *y),
+        *_engine.sites(x, h, order, curvature=True),
     )
     scale = np.array([abs(pot(*z)) + 1.0 for z in POINTS])[:, None, None]
     assert np.all(np.abs(fast - loop) < 64 * np.finfo(float).eps * scale)

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sfkale.errors import ConditionViolationError
 from sfkale.groups import (
@@ -252,6 +254,87 @@ def test_parse_accepts_keyed_cyclic_form():
 def test_parse_rejects_malformed(text):
     with pytest.raises(ValueError):
         parse_group_spec(text)
+
+
+_KINDS = [k.value for k in GroupKind]
+_FIELDS = {"dprod": ("l", "n"), "d2": ("l", "n")}  # every other named kind takes l only
+
+
+@st.composite
+def valid_specs(draw):
+    """An admissible spec of any kind, built to satisfy its condition."""
+    kind = GroupKind(draw(st.sampled_from(_KINDS)))
+    big = st.integers(1, 10**6)
+    k = draw(st.integers(0, 10**5))
+    coprime_to_6 = 6 * k + draw(st.sampled_from((1, 5)))
+    if kind == GroupKind.CYCLIC:
+        p = draw(st.integers(2, 10**6))
+        spec = GroupSpec(kind, p=p, q=draw(big) % (p - 1) + 1)
+        assume(math.gcd(spec.p, spec.q) == 1)
+    elif kind in (GroupKind.DIHEDRAL_PRODUCT, GroupKind.DIHEDRAL_INDEX2):
+        # l odd for the product, even for the index-2 subgroup; coprime to n
+        spec = GroupSpec(kind, l=2 * k + 1 + (kind == GroupKind.DIHEDRAL_INDEX2), n=draw(big))
+        assume(math.gcd(spec.l, spec.n) == 1)
+    elif kind == GroupKind.TETRAHEDRAL_INDEX3:
+        spec = GroupSpec(kind, l=3 * (2 * k + 1))
+    elif kind == GroupKind.ICOSAHEDRAL_PRODUCT:
+        spec = GroupSpec(kind, l=coprime_to_6 if coprime_to_6 % 5 else 1)
+    else:
+        spec = GroupSpec(kind, l=coprime_to_6)
+    return spec
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=valid_specs())
+def test_format_parse_round_trip_every_kind(spec):
+    assert validate_group(spec) is spec
+    assert parse_group_spec(format_group_spec(spec)) == spec
+
+
+_word = st.text(alphabet="abcxyz_.#", max_size=6)  # never an int, a kind or a separator
+_int = st.integers(0, 10**4).map(str)
+
+
+@st.composite
+def malformed(draw):
+    """(text, message) for text that breaks one rule of the grammar."""
+    rule = draw(st.sampled_from(("no rest", "kind", "count", "cyclic int", "field")))
+    kind = draw(st.sampled_from(_KINDS))
+    wanted = ("p", "q") if kind == "cyclic" else _FIELDS.get(kind, ("l",))
+    if rule == "no rest":
+        text = draw(_word) + draw(st.sampled_from(("", ":")))
+        return text, f"malformed group spec {text!r}"
+    if rule == "kind":
+        head = draw(_word.filter(lambda h: h not in _KINDS))
+        return f"{head}:{draw(_word.filter(bool))}", f"unknown group kind {head!r}"
+    if rule == "count":
+        parts = st.lists(_int, min_size=1, max_size=4).filter(lambda x: len(x) != len(wanted))
+        rest = ",".join(draw(parts))
+        need = "p,q" if kind == "cyclic" else ",".join(wanted)
+        return f"{kind}:{rest}", f"{kind} spec needs {need}, got {rest!r}"
+    if rule == "cyclic int":
+        rest = f"{draw(st.one_of(_word, _int))},{draw(_word)}"
+        return f"cyclic:{rest}", f"cyclic spec needs integer p,q, got {rest!r}"
+    # the right number of fields, one without its name, its = or an integer
+    assume(kind != "cyclic")
+    i = draw(st.integers(0, len(wanted) - 1))
+    key, eq = draw(st.sampled_from(("l", "n", "", "m"))), draw(st.sampled_from(("=", "")))
+    value = draw(st.one_of(_word, _int))
+    parts = [f"{name}=7" for name in wanted]
+    parts[i] = f"{key}{eq}{value}"
+    assume(not (key == wanted[i] and eq and value.isdigit()) and parts != [""])
+    text = f"{kind}:{','.join(parts)}"
+    return text, f"expected {wanted[i]}=<int> in {text!r}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=malformed())
+def test_parse_rejects_malformed_with_its_message(case):
+    text, message = case
+    with pytest.raises(ValueError) as info:
+        parse_group_spec(text)
+    assert not isinstance(info.value, ConditionViolationError)
+    assert str(info.value) == message
 
 
 def test_parse_validates_parameters():

@@ -6,11 +6,14 @@ that rediscovers each lattice chain from nothing but the three-term
 recursion, the unit box and the endpoint conditions.
 """
 
+import dataclasses
 import itertools
 from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sfkale.errors import InvalidPairError
 from sfkale.hj import (
@@ -23,7 +26,6 @@ from sfkale.hj import (
     invariant_monomials,
     lattice_chain,
     monomial_relation_holds,
-    pairing,
     transition_cocycle_holds,
     transition_matrices,
 )
@@ -226,18 +228,21 @@ def test_atlas_examples():
     ]
 
 
+def _dot(u, w):
+    return u[0] * w[0] + u[1] * w[1]
+
+
 def test_pairing_duality_sweep():
+    # against w_i = p c_i: u_i.w_i = 0, u_i.w_{i+1} = p, v_i.w_i = p, v_i.w_{i+1} = 0
     for p, q in coprime_pairs(50):
         chain = lattice_chain(p, q)
         atlas = chart_atlas(chain)
+        w = invariant_monomials(chain).exponents
         assert len(atlas.charts) == chain.m + 1
         for chart in atlas.charts:
-            lo = chain.points[chart.index]
-            hi = chain.points[chart.index + 1]
-            assert pairing(lo, chart.u) == 0
-            assert pairing(hi, chart.u) == 1
-            assert pairing(lo, chart.v) == 1
-            assert pairing(hi, chart.v) == 0
+            lo, hi = w[chart.index], w[chart.index + 1]
+            assert (_dot(chart.u, lo), _dot(chart.u, hi)) == (0, p)
+            assert (_dot(chart.v, lo), _dot(chart.v, hi)) == (p, 0)
 
 
 def test_transition_cocycle_sweep():
@@ -245,6 +250,89 @@ def test_transition_cocycle_sweep():
         atlas = chart_atlas(lattice_chain(p, q))
         assert transition_cocycle_holds(atlas)
         assert len(transition_matrices(atlas)) == len(atlas.chain_coeffs)
+
+
+# ------------------------------------------------------------ broken chains
+
+BROKEN = [(7, 3), (11, 4), (13, 1), (17, 16)]
+
+
+def _shift(chain, index, dt):
+    """The chain with point index moved by dt along t."""
+    s, t = chain.points[index]
+    points = (*chain.points[:index], (s, t + dt), *chain.points[index + 1 :])
+    return dataclasses.replace(chain, points=points)
+
+
+@pytest.mark.parametrize("p, q", BROKEN)
+def test_determinant_rejects_a_point_moved_by_a_lattice_step(p, q):
+    chain = lattice_chain(p, q)
+    for i in range(len(chain.points)):
+        assert not determinant_identity_holds(_shift(chain, i, Fraction(1, p))), i
+
+
+@pytest.mark.parametrize("p, q", BROKEN)
+def test_monomial_relation_rejects_a_changed_coefficient(p, q):
+    chain = lattice_chain(p, q)
+    kappa = chain.chain_coeffs
+    for i in range(len(kappa)):
+        changed = (*kappa[:i], kappa[i] + 1, *kappa[i + 1 :])
+        assert not monomial_relation_holds(dataclasses.replace(chain, chain_coeffs=changed)), i
+
+
+@pytest.mark.parametrize("p, q", BROKEN)
+def test_cocycle_rejects_a_changed_chart(p, q):
+    # the cocycle compares the composite of the steps with the first and last charts
+    atlas = chart_atlas(lattice_chain(p, q))
+    for index in (0, len(atlas.charts) - 1):
+        for dv in ((1, 0), (0, 1)):
+            charts = list(atlas.charts)
+            chart = charts[index]
+            v = (chart.v[0] + dv[0], chart.v[1] + dv[1])
+            charts[index] = dataclasses.replace(chart, v=v)
+            broken = dataclasses.replace(atlas, charts=tuple(charts))
+            assert not transition_cocycle_holds(broken), (index, dv)
+
+
+@pytest.mark.parametrize("p, q", BROKEN)
+@pytest.mark.parametrize(
+    "check", [invariant_monomials, chart_atlas, determinant_identity_holds, monomial_relation_holds]
+)
+def test_point_off_the_lattice_is_named(p, q, check):
+    chain = lattice_chain(p, q)
+    for i in range(len(chain.points)):
+        with pytest.raises(ValueError, match=rf"chain point {i} \(.*\) is not on the lattice"):
+            check(_shift(chain, i, Fraction(1, 2 * p)))
+
+
+# -------------------------------------------------- large p, by hypothesis
+
+
+def _partial_quotient_sum(p, q):
+    total = 0
+    while q:
+        total += p // q
+        p, q = q, p % q
+    return total
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.integers(10**6 - 1000, 10**6 + 1000), q=st.integers(1, 10**6 - 1001))
+def test_identities_hold_near_a_million(p, q):
+    assume(gcd(p, q) == 1)
+    # the chain has about as many points as p/q has partial quotients in sum
+    assume(_partial_quotient_sum(p, q) <= 5000)
+    chain = lattice_chain(p, q)
+    assert determinant_identity_holds(chain)
+    assert monomial_relation_holds(chain)
+    assert transition_cocycle_holds(chart_atlas(chain))
+    # the conversion against the ascending recursion run in integers from
+    # y^p and x y^t, t = -1/q mod p, with the chain's own coefficients
+    w = [(0, p), (1, pow(-q, -1, p))]
+    for kappa in chain.chain_coeffs:
+        w.append((kappa * w[-1][0] - w[-2][0], kappa * w[-1][1] - w[-2][1]))
+    assert w[-1] == (p, 0)
+    assert invariant_monomials(chain).exponents == tuple(w)
 
 
 def test_package_root_reexports():
