@@ -32,9 +32,13 @@ Phi(x), evaluated in one of two ways:
     x + h o of the stencil (673 per scalar curvature and 49 per Hessian
     at order 4, 169 and 25 at order 2), and psi is differenced from
     those values through the site lattice's index arrays;
-  general: the callable is called in a plain loop at both ends of every
-    term, duplicates included: one scalar curvature takes 53 Hessians
-    of 48 psi each at order 4 (29 of 24 at order 2).
+  general: the user's fn(z1, z2) is called at both ends of every term,
+    duplicates included: one scalar curvature takes 53 Hessians of 48
+    psi each at order 4 (29 of 24 at order 2).
+
+Both kinds hand their sites to callable_values as Python lists (u for
+radial, the complex coordinates z1 and z2 for general) and get the
+values back from one map per pass.
 
 Every function works on a stack of n points at once.  sites() lays the
 stencils out as bases (n, B, 4) and steps (n, K, 4): at order 4, B = 53
@@ -53,6 +57,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -250,7 +255,41 @@ def builtin_psi(family, par, x, h, order: int, curvature: bool):
     return psi
 
 
-def radial_psi(profile, x, h, order: int, curvature: bool) -> np.ndarray:
+def callable_values(fn, columns, name: str) -> np.ndarray:
+    """fn(*row) for each row of columns (equal-length lists of Python values), as floats.
+
+    The calls go through one map, in row order.  A result that is not a
+    real number raises TypeError naming the potential and the site.
+    np.fromiter raises for a complex result but reads None as NaN, so
+    the values are checked for NaN once: fn is called again through
+    float() at the first NaN site, which raises for a non-real result
+    and lets a real NaN through.
+    """
+    count = len(columns[0])
+    rows = [iter(column) for column in columns]
+    try:
+        values = np.fromiter(map(fn, *rows), float, count=count)
+    except TypeError as exc:
+        # map has taken the failing row from each column, and no row after it
+        raise _not_real(name, columns, count - operator.length_hint(rows[0]) - 1, exc) from exc
+    nan = np.isnan(values)
+    if nan.any():
+        i = int(nan.argmax())
+        try:
+            float(fn(*(column[i] for column in columns)))
+        except TypeError as exc:
+            raise _not_real(name, columns, i, exc) from exc
+    return values
+
+
+def _not_real(name: str, columns, i: int, exc: TypeError) -> TypeError:
+    args = ", ".join(repr(column[i]) for column in columns)
+    return TypeError(f"{name}: fn({args}) is not a real number ({exc})")
+
+
+def radial_psi(
+    profile, x, h, order: int, curvature: bool, name: str = "custom-radial"
+) -> np.ndarray:
     """psi of Phi = profile(|z|^2) over the stencils around the points x, as sites() lays it out.
 
     The profile is called once per distinct site of each point's lattice.
@@ -261,21 +300,33 @@ def radial_psi(profile, x, h, order: int, curvature: bool) -> np.ndarray:
     y = x[:, :, None] + h * lattice.offsets.T
     y *= y
     u = y[:, 0] + y[:, 1] + y[:, 2] + y[:, 3]
-    phi = np.fromiter(map(profile, u.ravel().tolist()), float, count=u.size).reshape(u.shape)
+    phi = callable_values(profile, [u.ravel().tolist()], name).reshape(u.shape)
     psi = np.take(phi, lattice.terms, axis=1)
     psi -= np.take(phi, lattice.bases, axis=1)[:, :, None]
     return psi
 
 
-def callable_psi(fn, bases, steps):
-    """Phi(b + d) - Phi(b) from a scalar callable fn(x0, x1, x2, x3), one term at a time."""
-    psi = [
-        fn(x0 + d0, x1 + d1, x2 + d2, x3 + d3) - fn(x0, x1, x2, x3)
-        for point_bases, point_steps in zip(bases.tolist(), steps.tolist())
-        for x0, x1, x2, x3 in point_bases
-        for d0, d1, d2, d3 in point_steps
-    ]
-    return np.array(psi).reshape(bases.shape[:2] + steps.shape[1:2])
+def callable_psi(fn, bases, steps, name: str = "custom-general") -> np.ndarray:
+    """Phi(b + d) - Phi(b) from a callable fn(z1, z2), over the bases and steps of sites().
+
+    fn is called at both ends of every term, as often as a loop over
+    the terms would call it: first at every term end b + d, then at
+    every base, once per step.  Each pass builds one pair of lists of
+    complex coordinates, (n, B, K) in sites() order.
+    """
+    shape = bases.shape[:2] + steps.shape[1:2]
+    z = np.empty((2,) + shape, complex)
+    # real and imaginary parts are written directly: complex arithmetic
+    # such as a + 1j*b would turn a -0.0 into 0.0
+    parts = (z[0].real, z[0].imag, z[1].real, z[1].imag)
+    b, d = bases[:, :, None, :], steps[:, None, :, :]
+    for j, part in enumerate(parts):
+        np.add(b[..., j], d[..., j], out=part)
+    psi = callable_values(fn, z.reshape(2, -1).tolist(), name)
+    for j, part in enumerate(parts):
+        part[...] = b[..., j]
+    psi -= callable_values(fn, z.reshape(2, -1).tolist(), name)
+    return psi.reshape(shape)
 
 
 def _reduce(values, stencil: Stencil, h):

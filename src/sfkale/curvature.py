@@ -40,9 +40,11 @@ class Potential:
     u = |z|^2, which the engine calls once per distinct stencil site:
     673 calls per scalar curvature and 49 per Hessian at order 4, 169
     and 25 at order 2.  custom_general potentials (family None) carry
-    fn(x0, x1, x2, x3) -> Phi in real coordinates, which the engine
-    calls at both ends of every stencil term: 5088 calls per scalar
-    curvature and 96 per Hessian at order 4, 1392 and 48 at order 2.
+    the user's fn(z1, z2) -> Phi itself, which the engine calls at both
+    ends of every stencil term: 5088 calls per scalar curvature and 96
+    per Hessian at order 4, 1392 and 48 at order 2.  Either kind's
+    values go through one map per engine pass, and a value that is not
+    a real number raises TypeError naming the potential and the site.
     Use the module constructors (flat, eguchi_hanson, burns,
     custom_radial, custom_general) rather than instantiating directly.
     """
@@ -60,7 +62,7 @@ class Potential:
         if self.family == _engine.RADIAL:
             x0, x1, x2, x3 = x
             return float(self.fn(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3))
-        return self.fn(*x)
+        return float(self.fn(z1, z2))
 
 
 def flat() -> Potential:
@@ -88,12 +90,11 @@ def custom_radial(fn: Callable[[float], float]) -> Potential:
 
 
 def custom_general(fn: Callable[[complex, complex], float]) -> Potential:
-    """Potential given as a function of (z1, z2)."""
+    """Potential given as a real-valued function of (z1, z2).
 
-    def adapter(x0, x1, x2, x3):
-        return float(fn(complex(x0, x1), complex(x2, x3)))
-
-    return Potential(name="custom-general", family=None, parameter=0.0, fn=adapter)
+    fn is stored as it is and called with two Python complex numbers.
+    """
+    return Potential(name="custom-general", family=None, parameter=0.0, fn=fn)
 
 
 # stencil terms (base, step pairs) one engine pass takes: 4 scalar curvature
@@ -113,10 +114,11 @@ def _chunk_points(order: int, curvature: bool) -> int:
 def _psi(potential: Potential, x, h, order: int, curvature: bool) -> np.ndarray:
     """Phi(b + d) - Phi(b) for every base b and step d of the stencils around the points x."""
     if potential.family == _engine.RADIAL:
-        return _engine.radial_psi(potential.fn, x, h, order, curvature)
+        return _engine.radial_psi(potential.fn, x, h, order, curvature, potential.name)
     if potential.fn is None:
         return _engine.builtin_psi(potential.family, potential.parameter, x, h, order, curvature)
-    return _engine.callable_psi(potential.fn, *_engine.sites(x, h, order, curvature))
+    bases, steps = _engine.sites(x, h, order, curvature)
+    return _engine.callable_psi(potential.fn, bases, steps, potential.name)
 
 
 def _metric(potential: Potential, x, h, order: int) -> np.ndarray:

@@ -270,25 +270,22 @@ def transition_matrices(atlas: ChartAtlas):
 
 
 def transition_cocycle_holds(atlas: ChartAtlas) -> bool:
-    """Composite of all transition steps equals the direct basis change.
+    """Every transition step carries its chart to the next, starting from det A_0 = p.
 
-    Chart exponents stack into rows A_i = [u_i; v_i] with det A_i = p.
-    The claim checked is T_m ... T_1 * A_0 = A_m in exact integers,
-    i.e. the product of the step matrices equals A_m * adj(A_0) / p.
+    Chart exponents stack into rows A_i = [u_i; v_i].  Step i is
+    A_{i+1} = T_i A_i with T_i = [[0, -1], [1, kappa_i]], that is
+    u_{i+1} = -v_i and v_{i+1} = u_i + kappa_i v_i, checked in exact
+    integers at every step.  Since det T_i = 1, this gives det A_i = p
+    for every chart and the composite T_m ... T_1 A_0 = A_m.
     """
-    first, last = atlas.charts[0], atlas.charts[-1]
-    a0 = (first.u, first.v)
-    am = (last.u, last.v)
-    composite = ((1, 0), (0, 1))
-    for step in transition_matrices(atlas):
-        composite = _mat_mul(step, composite)
-    det0 = a0[0][0] * a0[1][1] - a0[0][1] * a0[1][0]
-    adj0 = ((a0[1][1], -a0[0][1]), (-a0[1][0], a0[0][0]))
-    direct_scaled = _mat_mul(am, adj0)  # = direct basis change times det(A_0)
-    if det0 != atlas.p:
+    charts = atlas.charts
+    steps = transition_matrices(atlas)
+    (ux, uy), (vx, vy) = charts[0].u, charts[0].v
+    if len(steps) != len(charts) - 1 or ux * vy - uy * vx != atlas.p:
         return False
     return all(
-        direct_scaled[r][c] == det0 * composite[r][c] for r in range(2) for c in range(2)
+        _mat_mul(step, (a.u, a.v)) == (b.u, b.v)
+        for step, a, b in zip(steps, charts, charts[1:])
     )
 
 

@@ -9,6 +9,7 @@ scalar-curvature oracle is exact: for Phi = F(|z|^2) and f(t) = F(e^t),
 S = -2 (G'/f' + G''/f'') with G = log(f' f'') - 2t.
 """
 
+import collections
 import inspect
 import math
 import warnings
@@ -432,11 +433,115 @@ def test_builtin_psi_matches_scalar_loop(pot, order):
     h = _engine.step(x, 0.05)
     fast = _engine.builtin_psi(pot.family, pot.parameter, x, h, order, curvature=True)
     loop = _engine.callable_psi(
-        lambda *y: _engine.builtin_potential(pot.family, pot.parameter, *y),
+        lambda z1, z2: _engine.builtin_potential(
+            pot.family, pot.parameter, z1.real, z1.imag, z2.real, z2.imag
+        ),
         *_engine.sites(x, h, order, curvature=True),
     )
     scale = np.array([abs(pot(*z)) + 1.0 for z in POINTS])[:, None, None]
     assert np.all(np.abs(fast - loop) < 64 * np.finfo(float).eps * scale)
+
+
+def _loop_psi(fn, bases, steps):
+    """callable_psi as a loop over the terms, calling fn at both ends of each."""
+    psi = [
+        fn(complex(x0 + d0, x1 + d1), complex(x2 + d2, x3 + d3))
+        - fn(complex(x0, x1), complex(x2, x3))
+        for point_bases, point_steps in zip(bases.tolist(), steps.tolist())
+        for x0, x1, x2, x3 in point_bases
+        for d0, d1, d2, d3 in point_steps
+    ]
+    return np.array(psi).reshape(bases.shape[:2] + steps.shape[1:2])
+
+
+def _not_radial(z1, z2):
+    # the arguments see the sign of a zero part: atan2(-0.0, -1) = -pi
+    return (
+        abs(z1) ** 2 + 2.0 * abs(z2) ** 2 + (z1 * z2).real
+        + math.atan2(z1.imag, z1.real) + math.atan2(z2.imag, z2.real)
+    )
+
+
+_coordinate = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    points=st.lists(st.lists(_coordinate, min_size=4, max_size=4), min_size=1, max_size=5),
+    h0=st.floats(1e-3, 0.1),
+    order=st.sampled_from((2, 4)),
+    curvature=st.booleans(),
+)
+def test_callable_psi_matches_the_term_loop(points, h0, order, curvature):
+    # bitwise, signed zeros included, with the same calls at the same sites
+    x = np.array(points)
+    sites = _engine.sites(x, _engine.step(x, h0), order, curvature)
+    seen = {"map": collections.Counter(), "loop": collections.Counter()}
+
+    def counting(key):
+        def fn(z1, z2):
+            seen[key][repr(z1), repr(z2)] += 1
+            return _not_radial(z1, z2)
+
+        return fn
+
+    got = _engine.callable_psi(counting("map"), *sites)
+    want = _loop_psi(counting("loop"), *sites)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert seen["map"] == seen["loop"]
+
+
+_ENTRIES = {
+    "scalar": lambda pot, fn: cv.scalar_curvature(pot, POINTS[0]),
+    "hessian": lambda pot, fn: cv.hermitian_hessian(pot, POINTS[0]),
+    "verify": lambda pot, fn: cv.verify_scalar_flat(pot, cv.SamplePlan(cv.sample_points(1, 4, 3))),
+    # a plain callable perturbation is wrapped as a custom_general potential
+    "derivative": lambda pot, fn: cv.scalar_curvature_derivative(
+        FL, pot if pot.family == _engine.RADIAL else fn, POINTS[0]
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRIES))
+@pytest.mark.parametrize("kind", [cv.custom_radial, cv.custom_general], ids=["radial", "general"])
+@pytest.mark.parametrize("result", [None, 1j], ids=["none", "complex"])
+def test_non_real_value_raises_naming_the_site(entry, kind, result):
+    calls = []
+
+    def fn(*args):
+        calls.append(args)
+        return result
+
+    pot = kind(fn)
+    with pytest.raises(TypeError) as info:
+        _ENTRIES[entry](pot, fn)
+    site = ", ".join(map(repr, calls[0]))
+    assert str(info.value).startswith(f"{pot.name}: fn({site}) is not a real number")
+    with pytest.raises(TypeError):
+        pot(*POINTS[0])
+
+
+def test_first_non_real_site_is_named():
+    calls = []
+
+    def fn(z1, z2):
+        calls.append((z1, z2))
+        return None if z1.real > 1.1 else abs(z1) ** 2 + abs(z2) ** 2
+
+    with pytest.raises(TypeError) as info:
+        cv.scalar_curvature(cv.custom_general(fn), POINTS[0])
+    first = next((z1, z2) for z1, z2 in calls if z1.real > 1.1)
+    assert f"fn({first[0]!r}, {first[1]!r})" in str(info.value)
+
+
+def test_real_nan_reads_as_degenerate():
+    plan = cv.SamplePlan(cv.sample_points(1, 4, 3))
+    for pot in (cv.custom_radial(lambda u: math.nan), cv.custom_general(lambda z1, z2: math.nan)):
+        with pytest.raises(DegenerateMetricError):
+            cv.scalar_curvature(pot, POINTS[0])
+        report = cv.verify_scalar_flat(pot, plan)
+        assert not report.passed and report.degenerate_indices == (0, 1, 2)
 
 
 _unit = st.floats(-1.0, 1.0)

@@ -282,16 +282,25 @@ def test_monomial_relation_rejects_a_changed_coefficient(p, q):
 
 @pytest.mark.parametrize("p, q", BROKEN)
 def test_cocycle_rejects_a_changed_chart(p, q):
-    # the cocycle compares the composite of the steps with the first and last charts
+    # every step is checked, so an interior chart, which neither end chart
+    # sees, is caught too; (17, 16) has only its two end charts
     atlas = chart_atlas(lattice_chain(p, q))
-    for index in (0, len(atlas.charts) - 1):
-        for dv in ((1, 0), (0, 1)):
+    for index, chart in enumerate(atlas.charts):
+        (ux, uy), (vx, vy) = chart.u, chart.v
+        for u, v in (((5, 5), (99, 99)), ((ux + 1, uy), chart.v), ((ux, uy + 1), chart.v),
+                     (chart.u, (vx + 1, vy)), (chart.u, (vx, vy + 1))):
             charts = list(atlas.charts)
-            chart = charts[index]
-            v = (chart.v[0] + dv[0], chart.v[1] + dv[1])
-            charts[index] = dataclasses.replace(chart, v=v)
+            charts[index] = dataclasses.replace(chart, u=u, v=v)
             broken = dataclasses.replace(atlas, charts=tuple(charts))
-            assert not transition_cocycle_holds(broken), (index, dv)
+            assert not transition_cocycle_holds(broken), (index, u, v)
+
+
+def test_cocycle_rejects_a_missing_step():
+    atlas = chart_atlas(lattice_chain(11, 4))
+    assert not transition_cocycle_holds(dataclasses.replace(atlas, charts=atlas.charts[:-1]))
+    assert not transition_cocycle_holds(
+        dataclasses.replace(atlas, chain_coeffs=atlas.chain_coeffs[:-1])
+    )
 
 
 @pytest.mark.parametrize("p, q", BROKEN)
