@@ -8,15 +8,17 @@ generators of the invariant ring, and the monomial chart atlas with its
 transition identities.  No floating point enters any computation.
 The currency is Python ints: Fractions appear only as the chain points
 c_i, whose denominators divide p, and as evaluate_fraction's value.
-invariant_monomials is the one conversion of the points into the
-integer vectors p*c_i; the chart atlas and every identity are built
-and checked from those vectors.
+LatticeChain.vectors converts the points into the integer vectors
+p*c_i once per chain and caches them on it; invariant_monomials is
+their public view, and the chart atlas and every identity are built
+and checked from the same cached vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .errors import InvalidPairError
@@ -114,11 +116,17 @@ class LatticeChain:
     """Ascending chain of rational lattice points c_0, ..., c_{m+1}.
 
     The points run from (0, 1) to (1, 0) with denominators dividing p;
-    the integer vectors (a_i, b_i) = p*c_i (invariant_monomials) are
-    the exponent vectors of the minimal invariant monomials, ordered by
-    increasing x-exponent.  Interior points obey
-    c_{i+1} = chain_coeffs[i]*c_i - c_{i-1}, and every consecutive pair
-    satisfies the determinant identity b_i*a_{i+1} - b_{i+1}*a_i = p.
+    the integer vectors (a_i, b_i) = p*c_i (vectors, shown publicly by
+    invariant_monomials) are the exponent vectors of the minimal
+    invariant monomials, ordered by increasing x-exponent.  Interior
+    points obey c_{i+1} = chain_coeffs[i]*c_i - c_{i-1}, and every
+    consecutive pair satisfies the determinant identity
+    b_i*a_{i+1} - b_{i+1}*a_i = p.
+
+    vectors is derived from points, never passed in: it is computed on
+    first use and cached on the instance, and dataclasses.replace builds
+    a fresh instance with an empty cache, so a changed chain is always
+    judged by its own points.
     """
 
     p: int
@@ -129,6 +137,21 @@ class LatticeChain:
     @property
     def m(self) -> int:
         return len(self.points) - 2
+
+    @cached_property
+    def vectors(self) -> tuple[tuple[int, int], ...]:
+        """The integer vectors p*c_i, converted once per chain.
+
+        Raises ValueError naming the point when p*c_i is not an integer
+        vector, i.e. when a denominator of the point does not divide p.
+        """
+        p = self.p
+        out = []
+        for i, (s, t) in enumerate(self.points):
+            if p % s.denominator or p % t.denominator:
+                raise ValueError(f"chain point {i} ({s}, {t}) is not on the lattice (1/{p}) Z^2")
+            out.append((s.numerator * (p // s.denominator), t.numerator * (p // t.denominator)))
+        return tuple(out)
 
 
 def lattice_chain(p: int, q: int) -> LatticeChain:
@@ -176,20 +199,15 @@ class MonomialChain:
 
 
 def invariant_monomials(chain: LatticeChain) -> MonomialChain:
-    """Scale the chain by p into the integer exponent vectors p*c_i.
+    """The chain's integer exponent vectors p*c_i as a monomial chain.
 
-    This is where chain points become integers for every exact check.
-    Raises ValueError naming the point when p*c_i is not an integer
-    vector, i.e. when the point is off the lattice (1/p) Z^2.
+    This is the public view of chain.vectors, the conversion of the
+    points into integers that every exact check reads; it is made once
+    per chain and cached on it.  Raises ValueError naming the point when
+    p*c_i is not an integer vector, i.e. when the point is off the
+    lattice (1/p) Z^2.
     """
-    p = chain.p
-    exps = []
-    for i, (s, t) in enumerate(chain.points):
-        a, b = s * p, t * p
-        if a.denominator != 1 or b.denominator != 1:
-            raise ValueError(f"chain point {i} ({s}, {t}) is not on the lattice (1/{p}) Z^2")
-        exps.append((a.numerator, b.numerator))
-    return MonomialChain(p=p, q=chain.q, exponents=tuple(exps))
+    return MonomialChain(p=chain.p, q=chain.q, exponents=chain.vectors)
 
 
 @dataclass(frozen=True)
@@ -219,14 +237,14 @@ class ChartAtlas:
 def chart_atlas(chain: LatticeChain) -> ChartAtlas:
     """Coordinate monomials dual to each consecutive chain pair.
 
-    With (a_i, b_i) = p*c_i from invariant_monomials, chart i carries
+    With (a_i, b_i) = p*c_i from chain.vectors, chart i carries
     u_i = (b_i, -a_i) = x^(b_i) / y^(a_i) and
     v_i = (-b_{i+1}, a_{i+1}) = y^(a_{i+1}) / x^(b_{i+1}).  Adjacent
     charts satisfy v_i = u_{i+1}^(-1) and v_{i+1} = v_i^(kappa_{i+1}) * u_i
     as integer exponent-vector identities.  Raises ValueError for a
     chain point off the lattice (1/p) Z^2.
     """
-    w = invariant_monomials(chain).exponents
+    w = chain.vectors
     charts = tuple(
         Chart(index=i, u=(b0, -a0), v=(-b1, a1))
         for i, ((a0, b0), (a1, b1)) in enumerate(zip(w, w[1:]))
@@ -240,13 +258,13 @@ def determinant_identity_holds(chain: LatticeChain) -> bool:
     This is t_i*s_{i+1} - t_{i+1}*s_i = 1/p for c_i = (s_i, t_i), scaled
     by p^2.  Raises ValueError for a chain point off the lattice (1/p) Z^2.
     """
-    w = invariant_monomials(chain).exponents
+    w = chain.vectors
     return all(b0 * a1 - b1 * a0 == chain.p for (a0, b0), (a1, b1) in zip(w, w[1:]))
 
 
 def monomial_relation_holds(chain: LatticeChain) -> bool:
     """u_{i-1} * u_{i+1} = u_i^kappa_i as exact exponent identities."""
-    exps = invariant_monomials(chain).exponents
+    exps = chain.vectors
     kappa = chain.chain_coeffs
     for i in range(1, len(exps) - 1):
         ax, ay = exps[i - 1]

@@ -96,8 +96,9 @@ def test_criterion_03_dual_expansion_identities():
 
 
 def test_criterion_04_chain_and_atlas_identities():
-    # exact rational identities for every coprime pair up to 200:
-    # link determinants 1/p, generator relations, transition cocycle
+    # exact integer identities for every coprime pair up to 200, on the
+    # vectors p*c_i: link determinants = p, generator relations,
+    # transition cocycle
     for p, q in coprime_pairs(200):
         chain = lattice_chain(p, q)
         assert determinant_identity_holds(chain), (p, q)

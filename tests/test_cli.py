@@ -4,11 +4,13 @@ Everything runs in-process through main(argv), with output captured
 via capsys, so the tests cover exactly what a shell user sees.
 """
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import textwrap
+from math import gcd
 
 import pytest
 
@@ -76,6 +78,27 @@ def test_resolve_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "resolve", "--p", "7", "--q", "3", "--json")
     _, second, _ = run(capsys, "resolve", "--p", "7", "--q", "3", "--json")
     assert first == second
+
+
+# sha256 of the concatenated stdout below, computed on the program before
+# the chain's integer vectors were cached on it; any byte that moves in
+# the exact verbs' output changes it
+EXACT_VERBS_SHA256 = "4432230a8c7b3fd32caad617b920c10a5e976874f536a539442c98ada5db99b2"
+
+
+def test_exact_verbs_output_is_byte_stable(capsys):
+    digest = hashlib.sha256()
+    for p in range(2, 40):
+        for q in (q for q in range(1, p) if gcd(p, q) == 1):
+            for argv in (
+                ("resolve", "--p", str(p), "--q", str(q), "--json"),
+                ("resolve", "--p", str(p), "--q", str(q)),
+                ("moduli", "--group", f"cyclic:{p},{q}", "--json"),
+            ):
+                code, out, _ = run(capsys, *argv)
+                assert code == 0, argv
+                digest.update(out.encode())
+    assert digest.hexdigest() == EXACT_VERBS_SHA256
 
 
 # ------------------------------------------------------------------- moduli

@@ -303,15 +303,40 @@ def test_cocycle_rejects_a_missing_step():
     )
 
 
+CONSUMERS = [invariant_monomials, chart_atlas, determinant_identity_holds, monomial_relation_holds]
+
+
+def _off_the_lattice(i):
+    return pytest.raises(ValueError, match=rf"chain point {i} \(.*\) is not on the lattice")
+
+
 @pytest.mark.parametrize("p, q", BROKEN)
-@pytest.mark.parametrize(
-    "check", [invariant_monomials, chart_atlas, determinant_identity_holds, monomial_relation_holds]
-)
+@pytest.mark.parametrize("check", CONSUMERS)
 def test_point_off_the_lattice_is_named(p, q, check):
     chain = lattice_chain(p, q)
     for i in range(len(chain.points)):
-        with pytest.raises(ValueError, match=rf"chain point {i} \(.*\) is not on the lattice"):
+        with _off_the_lattice(i):
             check(_shift(chain, i, Fraction(1, 2 * p)))
+
+
+@pytest.mark.parametrize("p, q", BROKEN)
+def test_warm_cache_never_reaches_a_replaced_chain(p, q):
+    # the integer vectors are cached on the chain at first use; a chain
+    # replaced after that must still be judged by its own points
+    chain = lattice_chain(p, q)
+    for check in CONSUMERS:
+        check(chain)
+    for i in range(len(chain.points)):
+        moved = _shift(chain, i, Fraction(1, p))
+        assert not determinant_identity_holds(moved), i
+        assert not (transition_cocycle_holds(chart_atlas(moved)) and monomial_relation_holds(moved)), i
+        off = _shift(chain, i, Fraction(1, 2 * p))
+        for check in CONSUMERS:
+            with _off_the_lattice(i):
+                check(off)
+    assert determinant_identity_holds(chain) and monomial_relation_holds(chain)
+    assert transition_cocycle_holds(chart_atlas(chain))
+    assert invariant_monomials(chain) == invariant_monomials(lattice_chain(p, q))
 
 
 # -------------------------------------------------- large p, by hypothesis
@@ -342,6 +367,24 @@ def test_identities_hold_near_a_million(p, q):
         w.append((kappa * w[-1][0] - w[-2][0], kappa * w[-1][1] - w[-2][1]))
     assert w[-1] == (p, 0)
     assert invariant_monomials(chain).exponents == tuple(w)
+
+
+_pairs_to_a_million = st.integers(2, 10**6).flatmap(
+    lambda p: st.tuples(st.just(p), st.integers(1, p - 1))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=_pairs_to_a_million)
+def test_integer_conversion_equals_the_fraction_one(pair):
+    p, q = pair
+    assume(gcd(p, q) == 1)
+    assume(_partial_quotient_sum(p, q) <= 5000)
+    chain = lattice_chain(p, q)
+    # reference: Fraction multiplication, which shares no arithmetic
+    # with the integer conversion under test
+    want = tuple((int(s * p), int(t * p)) for s, t in chain.points)
+    assert invariant_monomials(chain).exponents == want
 
 
 def test_package_root_reexports():
