@@ -28,10 +28,14 @@ curvature comes out near machine zero instead of h^-4-amplified
 rounding.  Custom potentials keep the plain difference Phi(x + d) -
 Phi(x), evaluated in one of two ways:
 
-  radial (Phi = F(|z|^2)): F is called once per distinct lattice site
-    x + h o of the stencil (673 per scalar curvature and 49 per Hessian
-    at order 4, 169 and 25 at order 2), and psi is differenced from
-    those values through the site lattice's index arrays;
+  radial (Phi = F(|z|^2)): F is called once per distinct site x + h o
+    of a lattice, and psi is differenced from those values through the
+    lattice's index arrays.  The site lattice holds every distinct
+    stencil site (673 per scalar curvature and 49 per Hessian at order
+    4, 169 and 25 at order 2).  The orbit lattice serves a scalar
+    curvature taken at the orbit point c = (r/sqrt 2)(1, 1, 0, 0): there
+    |c + h o|^2 depends on o only through (o0 + o1, |o|^2), so 74 sites
+    stand for the 673 (26 for the 169 at order 2);
   general: the user's fn(z1, z2) is called at both ends of every term,
     duplicates included: one scalar curvature takes 53 Hessians of 48
     psi each at order 4 (29 of 24 at order 2).
@@ -155,6 +159,12 @@ class SiteLattice(NamedTuple):
 _SITE_KEY = np.array([729.0, 81.0, 9.0, 1.0])
 
 
+def _distinct(offsets, keys):
+    """The first offset of each distinct key, and the index of every offset's key among them."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return offsets[first], inverse.reshape(-1)
+
+
 @functools.cache
 def site_lattice(order: int, curvature: bool) -> SiteLattice:
     """Site lattice of the scalar curvature stencil, or of the Hessian's alone.
@@ -165,9 +175,44 @@ def site_lattice(order: int, curvature: bool) -> SiteLattice:
     stencil = STENCILS[order]
     bases = stencil.bases if curvature else stencil.bases[:1]
     offsets = np.concatenate([(bases[:, None] + stencil.steps).reshape(-1, 4), bases])
-    _, first, inverse = np.unique(offsets @ _SITE_KEY, return_index=True, return_inverse=True)
+    sites, inverse = _distinct(offsets, offsets @ _SITE_KEY)
     n = len(bases) * len(stencil.steps)
-    return SiteLattice(offsets[first], inverse[:n].reshape(len(bases), -1), inverse[n:])
+    return SiteLattice(sites, inverse[:n].reshape(len(bases), -1), inverse[n:])
+
+
+@functools.cache
+def orbit_lattice(order: int) -> SiteLattice:
+    """The scalar curvature's site lattice folded for the orbit point c = (r/sqrt 2)(1, 1, 0, 0).
+
+    At c, |c + h o|^2 = r^2 + sqrt 2 r h (o0 + o1) + h^2 |o|^2, so a
+    profile of |z|^2 takes one value on all sites with the same key
+    (o0 + o1, |o|^2).  The first site of each key stands for all of
+    them, and terms and bases point at it: 74 sites at order 4, 26 at
+    order 2.
+    """
+    lattice = site_lattice(order, True)
+    o = lattice.offsets
+    # o0 + o1 lies in [-8, 8] and |o|^2 in [0, 64], so this key is exact
+    sites, inverse = _distinct(o, 128.0 * (o[:, 0] + o[:, 1]) + (o * o).sum(axis=1))
+    return SiteLattice(sites, inverse[lattice.terms], inverse[lattice.bases])
+
+
+def radii(x) -> list[float]:
+    """|x| of every point (row) of x, as Python floats."""
+    return [math.sqrt(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3) for x0, x1, x2, x3 in x.tolist()]
+
+
+def orbit_points(x) -> np.ndarray:
+    """The orbit point c(|x|) = (|x|/sqrt 2)(1, 1, 0, 0) of every point (row) of x.
+
+    |x| is the one step() scales h by, so a point and c(|x|) share their
+    step.
+    """
+    c = np.zeros_like(x)
+    c[:, 0] = radii(x)
+    c[:, 0] /= math.sqrt(2.0)
+    c[:, 1] = c[:, 0]
+    return c
 
 
 def step(x, h0: float) -> np.ndarray:
@@ -177,10 +222,7 @@ def step(x, h0: float) -> np.ndarray:
     """
     # scalar arithmetic per point: a single-point call then pays for one
     # numpy call instead of six
-    return np.array([
-        h0 * (1.0 + math.sqrt(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3))
-        for x0, x1, x2, x3 in x.tolist()
-    ])[:, None, None]
+    return np.array([h0 * (1.0 + r) for r in radii(x)])[:, None, None]
 
 
 def sites(x, h, order: int, curvature: bool):
@@ -287,14 +329,13 @@ def _not_real(name: str, columns, i: int, exc: TypeError) -> TypeError:
     return TypeError(f"{name}: fn({args}) is not a real number ({exc})")
 
 
-def radial_psi(
-    profile, x, h, order: int, curvature: bool, name: str = "custom-radial"
-) -> np.ndarray:
+def radial_psi(profile, x, h, lattice: SiteLattice, name: str = "custom-radial") -> np.ndarray:
     """psi of Phi = profile(|z|^2) over the stencils around the points x, as sites() lays it out.
 
-    The profile is called once per distinct site of each point's lattice.
+    The profile is called once per site of the lattice around each
+    point: site_lattice() anywhere, orbit_lattice() only at orbit points
+    c(r), where its representatives stand for the sites they fold.
     """
-    lattice = site_lattice(order, curvature)
     # coordinates first and column adds, since numpy sums a short last axis
     # slowly; the order of the adds is the one .sum() would take
     y = x[:, :, None] + h * lattice.offsets.T

@@ -6,6 +6,11 @@ coordinates, and the scalar curvature from a second, nested stencil
 applied to log det g.  Each point has its own radius-scaled step h =
 h0 * (1 + |z|); there is no grid.
 
+A custom_radial potential's scalar curvature depends on |z| only, so
+it is taken at the orbit point c(|z|) = (|z|/sqrt 2)(1, 1, 0, 0) with
+the step of z; there the stencil's sites fold by |z|^2 (_engine's orbit
+lattice).  Its Hessians, deviations and derivatives stay at z.
+
 The engine takes a stack of points in one pass, laid out as (points,
 bases, steps).  Multi-point calls (verify_scalar_flat, and
 metric_deviations, which the decay fits and weighted norms use) walk
@@ -38,8 +43,11 @@ class Potential:
     potential differences in a stable closed form.  custom_radial
     potentials (family RADIAL) carry their profile fn(u) -> Phi of
     u = |z|^2, which the engine calls once per distinct stencil site:
-    673 calls per scalar curvature and 49 per Hessian at order 4, 169
-    and 25 at order 2.  custom_general potentials (family None) carry
+    49 calls per Hessian at order 4 and 25 at order 2.  Their scalar
+    curvature depends on |z| only and is taken at the orbit point
+    c(|z|) = (|z|/sqrt 2)(1, 1, 0, 0), where sites with equal |z|^2
+    fold together: 74 calls per point at order 4, 26 at order 2.
+    custom_general potentials (family None) carry
     the user's fn(z1, z2) -> Phi itself, which the engine calls at both
     ends of every stencil term: 5088 calls per scalar curvature and 96
     per Hessian at order 4, 1392 and 48 at order 2.  Either kind's
@@ -114,7 +122,8 @@ def _chunk_points(order: int, curvature: bool) -> int:
 def _psi(potential: Potential, x, h, order: int, curvature: bool) -> np.ndarray:
     """Phi(b + d) - Phi(b) for every base b and step d of the stencils around the points x."""
     if potential.family == _engine.RADIAL:
-        return _engine.radial_psi(potential.fn, x, h, order, curvature, potential.name)
+        lattice = _engine.site_lattice(order, curvature)
+        return _engine.radial_psi(potential.fn, x, h, lattice, potential.name)
     if potential.fn is None:
         return _engine.builtin_psi(potential.family, potential.parameter, x, h, order, curvature)
     bases, steps = _engine.sites(x, h, order, curvature)
@@ -127,8 +136,19 @@ def _metric(potential: Potential, x, h, order: int) -> np.ndarray:
 
 
 def _scalar(potential: Potential, x, h, order: int) -> np.ndarray:
-    """S at each point (row) of x, with steps h; NaN where the metric degenerates on its stencil."""
-    return _engine.scalar_curvature(_psi(potential, x, h, order, curvature=True), h, order)
+    """S at each point (row) of x, with steps h; NaN where the metric degenerates on its stencil.
+
+    The S of a custom_radial potential depends on |x| only, so it is
+    taken at the orbit point c(|x|) with the same step, where the orbit
+    lattice folds the stencil's sites.
+    """
+    if potential.family == _engine.RADIAL:
+        psi = _engine.radial_psi(
+            potential.fn, _engine.orbit_points(x), h, _engine.orbit_lattice(order), potential.name
+        )
+    else:
+        psi = _psi(potential, x, h, order, curvature=True)
+    return _engine.scalar_curvature(psi, h, order)
 
 
 def _chunked(evaluate, potential: Potential, points, h0: float, order: int, curvature: bool):
@@ -355,6 +375,13 @@ def scalar_curvature_derivative(
     S(Phi - t f)] / (2t), which converges at O(t^2) to the linearized
     scalar curvature operator applied to f.  The perturbation may be a
     Potential or a callable f(z1, z2) -> real.
+
+    Both S are differenced on the stencil at z itself, since the
+    perturbation need not be radial: a custom_radial background or
+    perturbation is called at all 673 (order 4) or 169 (order 2) sites,
+    and the S of a custom_radial background here may differ from
+    scalar_curvature's, which is taken at the orbit point c(|z|), by
+    the stencil's truncation error.
     """
     _check_stencil(h0, order)
     if t <= 0:

@@ -399,27 +399,95 @@ def test_weighted_norm_separates_decay_rates():
 # ------------------------------------------------------------ exact oracles
 
 
-def _radial_scalar_oracle(u):
-    # F(u) = u + 0.1 u^2 + 0.3 log u, so f(t) = F(e^t) has these derivatives
-    f1 = u + 0.2 * u * u + 0.3
-    f2 = u + 0.4 * u * u
-    f3 = u + 0.8 * u * u
-    f4 = u + 1.6 * u * u
+def _radial_scalar_oracle(f1, f2, f3, f4):
+    # S from the first four derivatives of f(t) = F(e^t)
     g1 = f2 / f1 + f3 / f2 - 2.0
     g2 = f3 / f1 - (f2 / f1) ** 2 + f4 / f2 - (f3 / f2) ** 2
     return -2.0 * (g1 / f1 + g2 / f2)
 
 
+def _burns_profile(m):
+    # f(t) = e^t + m t
+    return (lambda u: u + m * math.log(u)), (lambda u: (u + m, u, u, u))
+
+
+def _eguchi_hanson_profile(a):
+    # f' = w = sqrt(a^4 + u^2), and each further t-derivative is u d/du of the last
+    a2 = a * a
+
+    def profile(u):
+        w = math.sqrt(a2 * a2 + u * u)
+        return w + a2 * math.log(u) - a2 * math.log(a2 + w)
+
+    def derivatives(u):
+        w = math.sqrt(a2 * a2 + u * u)
+        q = u * u / w
+        return w, q, 2.0 * q - q * q / w, 4.0 * q - 6.0 * q * q / w + 3.0 * q**3 / (w * w)
+
+    return profile, derivatives
+
+
+# profile F(u) and the first four derivatives of f(t) = F(e^t) at u = e^t;
+# S is exactly zero for Burns and Eguchi-Hanson
+_RADIAL_PROFILES = {
+    "quadratic-log": (
+        lambda u: u + 0.1 * u * u + 0.3 * math.log(u),
+        lambda u: (u + 0.2 * u * u + 0.3, u + 0.4 * u * u, u + 0.8 * u * u, u + 1.6 * u * u),
+    ),
+    "burns1": _burns_profile(1.0),
+    "burns2.5": _burns_profile(2.5),
+    "eguchi-hanson1": _eguchi_hanson_profile(1.0),
+    "eguchi-hanson2.5": _eguchi_hanson_profile(2.5),
+}
+
+
 @pytest.mark.parametrize("order, rel_tol", [(4, 1e-5), (2, 5e-3)])
 def test_radial_scalar_curvature_oracle(order, rel_tol):
-    pot = cv.custom_radial(lambda u: u + 0.1 * u * u + 0.3 * math.log(u))
+    profile, derivatives = _RADIAL_PROFILES["quadratic-log"]
+    pot = cv.custom_radial(profile)
     rng = np.random.default_rng(20160517)
     for u in (0.41, 1.0, 2.2, 5.0, 12.0):
         direction = rng.normal(size=4)
         x = math.sqrt(u) * direction / np.linalg.norm(direction)
-        want = _radial_scalar_oracle(u)
+        want = _radial_scalar_oracle(*derivatives(u))
         got = cv.scalar_curvature(pot, x, order=order)
         assert abs(got - want) <= rel_tol * abs(want), (u, got, want)
+
+
+@pytest.mark.parametrize("name", sorted(_RADIAL_PROFILES))
+def test_radial_scalar_oracle_is_exact(name):
+    # the oracle itself: zero for the scalar-flat profiles, and its derivative
+    # table against differences of the profile in t
+    profile, derivatives = _RADIAL_PROFILES[name]
+    for u in (0.5, 2.0, 9.0):
+        f1, f2 = derivatives(u)[:2]
+        dt = 1e-4
+        f = [profile(u * math.exp(k * dt)) for k in (-2, -1, 1, 2)]
+        assert abs((8 * (f[2] - f[1]) - (f[3] - f[0])) / (12 * dt) - f1) < 1e-8 * abs(f1)
+        if name != "quadratic-log":
+            assert abs(_radial_scalar_oracle(*derivatives(u))) < 1e-12 * (f1 + f2)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("name", sorted(_RADIAL_PROFILES))
+def test_orbit_point_error_within_the_direction_spread(name, order):
+    # scalar_curvature takes a radial S at the orbit point c(r); the site
+    # lattice at x gives the S of the direction of x.  Over a sweep of radii,
+    # the worst error at c(r) against the exact S must not exceed the worst
+    # over 32 seeded random directions per radius
+    profile, derivatives = _RADIAL_PROFILES[name]
+    pot = cv.custom_radial(profile)
+    lattice = _engine.site_lattice(order, curvature=True)
+    rng = np.random.default_rng(20160517)
+    orbit_errors, direction_errors = [], []
+    for r in np.geomspace(0.7, 12.0, 6):
+        want = _radial_scalar_oracle(*derivatives(r * r))
+        x = r * _directions(rng, 32)
+        h = _engine.step(x, 1e-2)
+        s = _engine.scalar_curvature(_engine.radial_psi(profile, x, h, lattice), h, order)
+        direction_errors.append(np.abs(s - want).max())
+        orbit_errors.append(abs(cv.scalar_curvature(pot, (r, 0.0, 0.0, 0.0), order=order) - want))
+    assert max(orbit_errors) <= max(direction_errors), (orbit_errors, direction_errors)
 
 
 @pytest.mark.parametrize(
@@ -568,11 +636,14 @@ def test_quadratic_form_hessian(b, x, h0, order):
 
 
 @pytest.mark.parametrize(
-    "order, radial_s, radial_g, general_s, general_g",
-    [(4, 673, 49, 5088, 96), (2, 169, 25, 1392, 48)],
+    "order, radial, general",
+    [(4, (74, 49, 673), (5088, 96, 5088)), (2, (26, 25, 169), (1392, 48, 1392))],
+    ids=["order4", "order2"],
 )
-def test_profile_calls_per_point(order, radial_s, radial_g, general_s, general_g):
-    # a radial profile is called once per distinct stencil site, a general
+def test_profile_calls_per_point(order, radial, general):
+    # (S, Hessian, each side of a derivative) calls per point.  A radial
+    # profile is called once per site of the orbit lattice for S and once
+    # per distinct stencil site at the point itself for the rest, a general
     # callable at both ends of every stencil term; chunking several points
     # into one pass calls it as often as one call per point would, across
     # chunk boundaries too
@@ -582,12 +653,14 @@ def test_profile_calls_per_point(order, radial_s, radial_g, general_s, general_g
         calls.append(u)
         return u + math.log(u)
 
-    radial = cv.custom_radial(profile)
-    general = cv.custom_general(lambda z1, z2: profile(abs(z1) ** 2 + abs(z2) ** 2))
+    pots = (
+        (cv.custom_radial(profile), radial),
+        (cv.custom_general(lambda z1, z2: profile(abs(z1) ** 2 + abs(z2) ** 2)), general),
+    )
     n_s = cv._chunk_points(order, curvature=True) + 1
     n_g = cv._chunk_points(order, curvature=False) + 1
     plan = cv.SamplePlan(cv.sample_points(1, 4, n_s), order=order)
-    for pot, s_calls, g_calls in ((radial, radial_s, radial_g), (general, general_s, general_g)):
+    for pot, (s_calls, g_calls, d_calls) in pots:
         calls.clear()
         cv.scalar_curvature(pot, POINTS[0], order=order)
         assert len(calls) == s_calls, pot.name
@@ -596,7 +669,7 @@ def test_profile_calls_per_point(order, radial_s, radial_g, general_s, general_g
         assert len(calls) == g_calls, pot.name
         calls.clear()
         cv.scalar_curvature_derivative(pot, pot, POINTS[0], order=order)
-        assert len(calls) == 2 * s_calls, pot.name
+        assert len(calls) == 2 * d_calls, pot.name
         calls.clear()
         cv.verify_scalar_flat(pot, plan)
         assert len(calls) == s_calls * n_s, pot.name
@@ -616,6 +689,25 @@ def test_site_lattice_maps_terms_to_their_sites(order, curvature):
     assert np.array_equal(lattice.offsets[lattice.bases], bases)
 
 
+@pytest.mark.parametrize("order", [2, 4])
+def test_orbit_lattice_folds_sites_by_their_orbit_key(order):
+    # at c = (r/sqrt 2)(1, 1, 0, 0), |c + h o|^2 depends on o only through
+    # (o0 + o1, |o|^2): every term and base must land on a site of its own key
+    def key(o):
+        return np.stack([o[..., 0] + o[..., 1], (o * o).sum(axis=-1)], axis=-1)
+
+    stencil = _engine.STENCILS[order]
+    lattice = _engine.orbit_lattice(order)
+    assert len(np.unique(key(lattice.offsets), axis=0)) == len(lattice.offsets)
+    assert len(lattice.offsets) == {4: 74, 2: 26}[order]
+    terms = stencil.bases[:, None] + stencil.steps
+    assert np.array_equal(key(lattice.offsets[lattice.terms]), key(terms))
+    assert np.array_equal(key(lattice.offsets[lattice.bases]), key(stencil.bases))
+    # the folded sites are sites of the stencil
+    full = _engine.site_lattice(order, curvature=True).offsets
+    assert {tuple(o) for o in lattice.offsets} <= {tuple(o) for o in full}
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     a=st.floats(0.0, 0.2),
@@ -625,7 +717,8 @@ def test_site_lattice_maps_terms_to_their_sites(order, curvature):
     order=st.sampled_from((2, 4)),
 )
 def test_custom_radial_matches_custom_general(a, b, r, d, order):
-    # the lattice path and the per-term loop difference the same potential
+    # the lattice paths and the per-term loop difference the same potential:
+    # Hessians at x, and S at the orbit point c(|x|), where the radial S is taken
     def profile(u):
         return u + a * u * u + b * math.log(u)
 
@@ -636,8 +729,59 @@ def test_custom_radial_matches_custom_general(a, b, r, d, order):
     g_general = cv.hermitian_hessian(general, x, order=order)
     assert np.abs(g_radial - g_general).max() < 1e-9
     s_radial = cv.scalar_curvature(radial, x, order=order)
-    s_general = cv.scalar_curvature(general, x, order=order)
+    s_general = cv.scalar_curvature(general, _engine.orbit_points(x[None])[0], order=order)
     assert abs(s_radial - s_general) <= 1e-7 * max(1.0, abs(s_general))
+
+
+def _unitary(theta, phi1, phi2, alpha):
+    """e^{i alpha} [[cos t e^{i p1}, -sin t e^{-i p2}], [sin t e^{i p2}, cos t e^{-i p1}]]: all of U(2)."""
+    c, s = math.cos(theta), math.sin(theta)
+    su2 = np.array([
+        [c * np.exp(1j * phi1), -s * np.exp(-1j * phi2)],
+        [s * np.exp(1j * phi2), c * np.exp(-1j * phi1)],
+    ])
+    return np.exp(1j * alpha) * su2
+
+
+# rounding floor of S for a custom potential (test_custom_potential_noise_floor):
+# the h^-4 of the double stencil turns a one-ulp change of |x| into changes
+# near 1e-8 of S, so points whose computed radii differ agree only to this
+CUSTOM_NOISE_FLOOR = 1e-6
+
+
+_angle = st.floats(-math.pi, math.pi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    r=st.floats(0.7, 8.0),
+    d=st.lists(_unit, min_size=4, max_size=4).filter(lambda d: np.linalg.norm(d) > 0.1),
+    angles=st.lists(_angle, min_size=4, max_size=4),
+    order=st.sampled_from((2, 4)),
+)
+def test_radial_scalar_curvature_is_unitary_invariant(r, d, angles, order):
+    # S of a radial potential is a function of the computed |x| alone, and
+    # the profile gets the same calls in every direction
+    calls = []
+
+    def profile(u):
+        calls.append(u)
+        return u + 0.1 * u * u + 0.3 * math.log(u)
+
+    pot = cv.custom_radial(profile)
+    x = r * np.array(d) / np.linalg.norm(d)
+    w = _unitary(*angles) @ (x[0::2] + 1j * x[1::2])
+    ux = np.array([w[0].real, w[0].imag, w[1].real, w[1].imag])
+    s = cv.scalar_curvature(pot, x, order=order)
+    n_calls = len(calls)
+    s_u = cv.scalar_curvature(pot, ux, order=order)
+    assert n_calls == len(calls) - n_calls == len(_engine.orbit_lattice(order).offsets)
+    (r_x, r_u) = _engine.radii(np.array([x, ux]))
+    if r_x == r_u:
+        assert s_u == s
+    else:
+        assert s_u == cv.scalar_curvature(pot, (r_u, 0.0, 0.0, 0.0), order=order)
+        assert abs(s_u - s) <= CUSTOM_NOISE_FLOOR * max(1.0, abs(s))
 
 
 # ------------------------------------------------------------ package names
