@@ -117,8 +117,7 @@ def _cmd_moduli(args) -> int:
         print(f"{'group':<14}{payload['group']} (order {payload['group_order']})")
         print(f"{'case':<14}{payload['case']}")
         for key in ("moduli_dim", "family_dim", "deformations", "curves"):
-            val = payload[key]
-            print(f"{key:<14}{'-' if val is None else val}")
+            print(f"{key:<14}{payload[key]}")
         print(f"{'note':<14}{payload['note']}")
     return 0
 

@@ -46,6 +46,9 @@ _PRODUCT_KINDS = frozenset(
     }
 )
 _DIHEDRAL_KINDS = frozenset({GroupKind.DIHEDRAL_PRODUCT, GroupKind.DIHEDRAL_INDEX2})
+# the fields each kind takes; a spec leaves every other field None
+_FIELDS = {kind: ("l", "n") if kind in _DIHEDRAL_KINDS else ("l",) for kind in GroupKind}
+_FIELDS[GroupKind.CYCLIC] = ("p", "q")
 
 
 @dataclass(frozen=True)
@@ -74,21 +77,23 @@ def validate_group(spec: GroupSpec) -> GroupSpec:
     """Return the spec unchanged iff its admissibility condition holds.
 
     Raises ConditionViolationError naming the failing field and
-    condition.  Idempotent: validating a validated spec is a no-op.
+    condition, including a field the kind does not take.  Idempotent:
+    validating a validated spec is a no-op.
     """
     kind = spec.kind
+    fields = _FIELDS.get(kind) if isinstance(kind, str) else None
+    if fields is None:
+        raise ConditionViolationError("kind", f"a supported kind, got {kind!r}")
+    for name in ("p", "q", "l", "n"):
+        if name not in fields and getattr(spec, name) is not None:
+            raise ConditionViolationError(name, f"no value for kind {GroupKind(kind).value}")
+    _require_positive(spec, fields)
     if kind == GroupKind.CYCLIC:
-        _require_positive(spec, ("p", "q"))
         if spec.p < 2 or not spec.q < spec.p:
             raise ConditionViolationError("q", "1 <= q < p with p >= 2")
         if gcd(spec.p, spec.q) != 1:
             raise ConditionViolationError("q", "gcd(p, q) = 1")
-        return spec
-    if kind in _DIHEDRAL_KINDS:
-        _require_positive(spec, ("l", "n"))
-    else:
-        _require_positive(spec, ("l",))
-    if kind == GroupKind.DIHEDRAL_PRODUCT:
+    elif kind == GroupKind.DIHEDRAL_PRODUCT:
         if gcd(spec.l, 2 * spec.n) != 1:
             raise ConditionViolationError("l", "gcd(l, 2n) = 1")
     elif kind in (GroupKind.TETRAHEDRAL_PRODUCT, GroupKind.OCTAHEDRAL_PRODUCT):
@@ -103,11 +108,8 @@ def validate_group(spec: GroupSpec) -> GroupSpec:
             raise ConditionViolationError("l", "gcd(l, 2) = 2 (l even)")
         if gcd(spec.l, spec.n) != 1:
             raise ConditionViolationError("l", "gcd(l, n) = 1")
-    elif kind == GroupKind.TETRAHEDRAL_INDEX3:
-        if gcd(spec.l, 6) != 3:
-            raise ConditionViolationError("l", "gcd(l, 6) = 3")
-    else:
-        raise ConditionViolationError("kind", f"a supported kind, got {kind!r}")
+    elif gcd(spec.l, 6) != 3:  # the index-3 tetrahedral family
+        raise ConditionViolationError("l", "gcd(l, 6) = 3")
     return spec
 
 
@@ -146,9 +148,8 @@ def format_group_spec(spec: GroupSpec) -> str:
     """Canonical CLI string for a spec, e.g. 'dprod:l=3,n=5'."""
     if spec.kind == GroupKind.CYCLIC:
         return f"cyclic:{spec.p},{spec.q}"
-    if spec.kind in _DIHEDRAL_KINDS:
-        return f"{spec.kind.value}:l={spec.l},n={spec.n}"
-    return f"{spec.kind.value}:l={spec.l}"
+    fields = ",".join(f"{name}={getattr(spec, name)}" for name in _FIELDS[spec.kind])
+    return f"{spec.kind.value}:{fields}"
 
 
 def parse_group_spec(text: str) -> GroupSpec:
@@ -178,7 +179,7 @@ def parse_group_spec(text: str) -> GroupSpec:
         except ValueError:
             raise ValueError(f"cyclic spec needs integer p,q, got {rest!r}") from None
     else:
-        wanted = ("l", "n") if kind in _DIHEDRAL_KINDS else ("l",)
+        wanted = _FIELDS[kind]
         parts = rest.split(",")
         if len(parts) != len(wanted):
             raise ValueError(f"{head} spec needs {','.join(wanted)}, got {rest!r}")

@@ -1,26 +1,31 @@
 """Dimension counts for scalar-flat Kahler ALE moduli.
 
-For a resolved quotient singularity the deformation count j, curve
-count k and family dimension d = j + k come straight from the
-exceptional string.  The local moduli dimension m then follows one of
-a handful of closed forms depending on the group: special small cyclic
-cases, hyperkahler (SU(2)) cases, a generic cyclic formula, and per
-family closed forms for the non-cyclic groups.
+Every count reads the exceptional curves of the minimal resolution: a
+string (the Hirzebruch-Jung chain of p/q) for a cyclic group, and for a
+non-cyclic one a star of three such chains about a central curve
+(Brieskorn, Invent. Math. 4, 1968).  Deformations j = 2 sum(e_i - 1),
+curves k and family dimension d = j + k come from the self-intersections
+-e_i.  The moduli dimension m is 3k - 3 in the hyperkahler (SU(2))
+cases, closed forms for the line bundles (q = 1), j + k - 2 for every
+other cyclic group and j + k - 1 for every other star.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import gcd
 
-from .errors import UnsupportedParameterError
+from .errors import ConditionViolationError, UnsupportedParameterError
 from .groups import GroupKind, GroupSpec, cyclic_group, validate_group
 from .hj import HJExpansion, embedding_dimension, hj_expand
 
 __all__ = [
     "ResolutionString",
     "ModuliDimensions",
+    "StarGraph",
     "resolution_string",
+    "star_graph",
     "deformation_dimension",
     "family_dimension",
     "cyclic_moduli",
@@ -37,13 +42,12 @@ CASE_CYCLIC_Q1_P3 = "cyclic-q1-p3"
 CASE_CYCLIC_Q1 = "cyclic-q1"
 CASE_CYCLIC_GENERIC = "cyclic-generic"
 CASE_NONCYCLIC_SU2 = "noncyclic-su2"
-CASE_DIHEDRAL = "dihedral-closed-form"
-CASE_POLYHEDRAL = "polyhedral-closed-form"
+CASE_NONCYCLIC_STAR = "noncyclic-star"
 
 
 @dataclass(frozen=True)
 class ResolutionString:
-    """Exceptional divisor of a cyclic resolution: k curves, all <= -2."""
+    """Self-intersections of the k exceptional curves of a resolution, all <= -2."""
 
     k: int
     self_intersections: tuple[int, ...]
@@ -59,17 +63,16 @@ class ResolutionString:
 class ModuliDimensions:
     """Dimension report for one group.
 
-    moduli_dim is always present.  deformations, curves and family_dim
-    are filled for cyclic groups; for non-cyclic groups only the curve
-    count of the hyperkahler (l = 1) families is known here, and the
-    rest stay None rather than guessing.
+    Every field is filled for every group: deformations j, curves k and
+    family_dim d = j + k are counted over the exceptional curves, the
+    string of a cyclic group or the star of a non-cyclic one.
     """
 
     group: GroupSpec
     moduli_dim: int
-    family_dim: int | None
-    deformations: int | None
-    curves: int | None
+    family_dim: int
+    deformations: int
+    curves: int
     case_tag: str
     formula_note: str
 
@@ -137,102 +140,87 @@ def cyclic_moduli(p: int, q: int) -> ModuliDimensions:
     )
 
 
-_DYNKIN_CURVES = {
-    GroupKind.DIHEDRAL_PRODUCT: lambda spec: spec.n + 2,
-    GroupKind.TETRAHEDRAL_PRODUCT: lambda spec: 6,
-    GroupKind.OCTAHEDRAL_PRODUCT: lambda spec: 7,
-    GroupKind.ICOSAHEDRAL_PRODUCT: lambda spec: 8,
+@dataclass(frozen=True)
+class StarGraph:
+    """Resolution graph of C^2/G for a non-cyclic G.
+
+    A central curve of self-intersection -central meets the first curve
+    of each of three arms.  Arm i is the Hirzebruch-Jung string of
+    orders[i]/twists[i], so arms[i] = hj_expand(orders[i], twists[i]).coeffs.
+    """
+
+    central: int
+    orders: tuple[int, int, int]
+    twists: tuple[int, int, int]
+    arms: tuple[tuple[int, ...], ...]
+
+
+# kind -> (arm orders alpha_i, modulus M) of its star, given the dihedral n
+_STAR_ORDERS = {
+    GroupKind.TETRAHEDRAL_PRODUCT: lambda n: ((2, 3, 3), 6),
+    GroupKind.TETRAHEDRAL_INDEX3: lambda n: ((2, 3, 3), 6),
+    GroupKind.OCTAHEDRAL_PRODUCT: lambda n: ((2, 3, 4), 12),
+    GroupKind.ICOSAHEDRAL_PRODUCT: lambda n: ((2, 3, 5), 30),
+    GroupKind.DIHEDRAL_PRODUCT: lambda n: ((2, 2, n), n),
+    GroupKind.DIHEDRAL_INDEX2: lambda n: ((2, 2, n), n),
 }
 
-_KIND_MODULUS = {
-    GroupKind.TETRAHEDRAL_PRODUCT: 6,
-    GroupKind.TETRAHEDRAL_INDEX3: 6,
-    GroupKind.OCTAHEDRAL_PRODUCT: 12,
-    GroupKind.ICOSAHEDRAL_PRODUCT: 30,
-}
 
-# (kind, residue of l mod the kind's modulus) -> (divisor, offset):
-# m = (l - residue)/divisor + offset
-_POLYHEDRAL_ROWS = {
-    (GroupKind.TETRAHEDRAL_PRODUCT, 1): (3, 17),
-    (GroupKind.TETRAHEDRAL_PRODUCT, 5): (3, 15),
-    (GroupKind.TETRAHEDRAL_INDEX3, 3): (3, 16),
-    (GroupKind.OCTAHEDRAL_PRODUCT, 1): (6, 20),
-    (GroupKind.OCTAHEDRAL_PRODUCT, 5): (6, 19),
-    (GroupKind.OCTAHEDRAL_PRODUCT, 7): (6, 18),
-    (GroupKind.OCTAHEDRAL_PRODUCT, 11): (6, 17),
-    (GroupKind.ICOSAHEDRAL_PRODUCT, 1): (15, 23),
-    (GroupKind.ICOSAHEDRAL_PRODUCT, 7): (15, 19),
-    (GroupKind.ICOSAHEDRAL_PRODUCT, 11): (15, 22),
-    (GroupKind.ICOSAHEDRAL_PRODUCT, 13): (15, 19),
-    (GroupKind.ICOSAHEDRAL_PRODUCT, 17): (15, 18),
-    (GroupKind.ICOSAHEDRAL_PRODUCT, 19): (15, 20),
-    (GroupKind.ICOSAHEDRAL_PRODUCT, 23): (15, 18),
-    (GroupKind.ICOSAHEDRAL_PRODUCT, 29): (15, 19),
-}
+def star_graph(spec: GroupSpec) -> StarGraph:
+    """The star of a validated non-cyclic group.
+
+    Solves l/M = b - sum(beta_i/alpha_i) with 1 <= beta_i < alpha_i coprime
+    to alpha_i, in integers: times A = alpha_1 alpha_2 alpha_3 it reads
+    A l/M = b A - sum(beta_i A/alpha_i).  Given beta_1 and beta_2 (at most
+    two pairs), beta_3 follows mod A; the first solution in lexicographic
+    beta order is taken.  b >= 2 always, since sum(beta_i/alpha_i) > 1.
+    """
+    validate_group(spec)
+    if spec.kind == GroupKind.CYCLIC:
+        raise ValueError("use cyclic_moduli for cyclic groups")
+    if spec.n == 1:
+        raise UnsupportedParameterError("n = 1 leaves no arm n/beta with 1 <= beta <= n - 1")
+    orders, modulus = _STAR_ORDERS[spec.kind](spec.n)
+    a1, a2, a3 = orders
+    total = a1 * a2 * a3
+    det = spec.l * (total // modulus)
+    for b1, b2 in product(range(1, a1), range(1, a2)):  # a1, a2 prime: all coprime
+        known = det + b1 * a2 * a3 + b2 * a1 * a3
+        b3, off = divmod(-known % total, a1 * a2)
+        if off == 0 and gcd(b3, a3) == 1:  # gcd(0, a3) = a3 rules out b3 = 0
+            twists = (b1, b2, b3)
+            arms = tuple(hj_expand(a, b).coeffs for a, b in zip(orders, twists))
+            return StarGraph((known + b3 * a1 * a2) // total, orders, twists, arms)
+    raise RuntimeError(f"no resolution star for {spec}")  # unreachable for a validated spec
 
 
 def noncyclic_moduli(spec: GroupSpec) -> ModuliDimensions:
-    """Moduli dimension for a validated non-cyclic group.
+    """Moduli dimension for a validated non-cyclic group, from its star.
 
-    l = 1 product families are hyperkahler: m = 3k - 3 with k the ADE
-    curve count (n + 2, 6, 7 or 8).  Dihedral families use
-    m = 3k + 2k' + (2/n)(l + q) + 4 with q = -l mod n and (k, k') the
-    string lengths of (n, q).  The remaining polyhedral families use
-    per-residue closed forms in l.
+    j, k and d = j + k are counted over every curve of star_graph(spec).
+    The l = 1 product families are hyperkahler (the D_{n+2}, E6, E7 and
+    E8 graphs), with m = 3k - 3; every other group has m = j + k - 1.
     """
-    validate_group(spec)
-    kind = spec.kind
-    if kind == GroupKind.CYCLIC:
-        raise ValueError("use cyclic_moduli for cyclic groups")
-    if kind in _DYNKIN_CURVES and spec.l == 1:
-        k = _DYNKIN_CURVES[kind](spec)
-        return ModuliDimensions(
-            group=spec,
-            moduli_dim=3 * k - 3,
-            family_dim=None,
-            deformations=None,
-            curves=k,
-            case_tag=CASE_NONCYCLIC_SU2,
-            formula_note=f"hyperkahler: m = 3k - 3 with k = {k} exceptional curves",
-        )
-    if kind in (GroupKind.DIHEDRAL_PRODUCT, GroupKind.DIHEDRAL_INDEX2):
-        n = spec.n
-        if n == 1:
-            raise UnsupportedParameterError(
-                "n = 1 leaves no residue q with 1 <= q <= n - 1"
-            )
-        q = (-spec.l) % n
-        exp = hj_expand(n, q)
-        k, k_dual = len(exp.coeffs), len(exp.dual_coeffs)
-        if (spec.l + q) % n != 0:  # q = -l mod n makes this exact by construction
-            raise RuntimeError(f"non-integer twist term for {spec}")
-        m = 3 * k + 2 * k_dual + 2 * (spec.l + q) // n + 4
-        note = (
-            f"m = 3k + 2k' + (2/n)(l + q) + 4 with q = {q}, "
-            f"(k, k') = ({k}, {k_dual})"
-        )
-        return ModuliDimensions(
-            group=spec,
-            moduli_dim=m,
-            family_dim=None,
-            deformations=None,
-            curves=None,
-            case_tag=CASE_DIHEDRAL,
-            formula_note=note,
-        )
-    modulus = _KIND_MODULUS[kind]
-    residue = spec.l % modulus
-    divisor, offset = _POLYHEDRAL_ROWS[(kind, residue)]
-    m = (spec.l - residue) // divisor + offset
+    star = star_graph(spec)
+    coeffs = (star.central, *(e for arm in star.arms for e in arm))
+    curves = ResolutionString(k=len(coeffs), self_intersections=tuple(-e for e in coeffs))
+    j = deformation_dimension(curves)
+    k = curves.k
+    if spec.l == 1:  # only the product kinds admit l = 1
+        m, tag = 3 * k - 3, CASE_NONCYCLIC_SU2
+        note = f"hyperkahler: m = 3k - 3 with k = {k} exceptional curves"
+    else:
+        m, tag = j + k - 1, CASE_NONCYCLIC_STAR
+        arms = " ".join(str(list(arm)) for arm in star.arms)
+        note = f"star b = {star.central}, arms {arms}: m = j + k - 1"
     return ModuliDimensions(
         group=spec,
         moduli_dim=m,
-        family_dim=None,
-        deformations=None,
-        curves=None,
-        case_tag=CASE_POLYHEDRAL,
-        formula_note=f"m = (l - {residue})/{divisor} + {offset} for l = {residue} mod {modulus}",
+        family_dim=family_dimension(curves),
+        deformations=j,
+        curves=k,
+        case_tag=tag,
+        formula_note=note,
     )
 
 
@@ -261,27 +249,35 @@ def table1_rows(pmax: int):
 
 
 def table3_rows(lmax: int):
-    """Closed-form moduli dimensions of the polyhedral families up to lmax.
+    """Moduli dimensions of the polyhedral families up to lmax.
 
-    One entry per admissible l per congruence row, ordered by family
-    then residue then l.  Product families require l > 1 here (l = 1
-    is the hyperkahler case, reported elsewhere).
+    One entry per admissible l per residue of l mod the kind's modulus M,
+    ordered by family then residue then l; a residue is admissible when
+    validate_group accepts it as l.  Product families require l > 1 here
+    (l = 1 is the hyperkahler case, reported elsewhere).
     """
     rows = []
-    for kind, residue in _POLYHEDRAL_ROWS:
-        modulus = _KIND_MODULUS[kind]
-        start = residue if residue != 1 else modulus + 1
-        for l in range(start, lmax + 1, modulus):
-            report = noncyclic_moduli(GroupSpec(kind=kind, l=l))
-            rows.append(
-                {
-                    "kind": kind.value,
-                    "l": l,
-                    "residue": residue,
-                    "modulus": modulus,
-                    "moduli_dim": report.moduli_dim,
-                }
-            )
+    for kind, star_orders in _STAR_ORDERS.items():
+        _, modulus = star_orders(None)
+        if modulus is None:  # a dihedral kind, whose modulus is n
+            continue
+        for residue in range(1, modulus):
+            try:
+                validate_group(GroupSpec(kind=kind, l=residue))
+            except ConditionViolationError:
+                continue
+            start = residue if residue != 1 else modulus + 1
+            for l in range(start, lmax + 1, modulus):
+                report = noncyclic_moduli(GroupSpec(kind=kind, l=l))
+                rows.append(
+                    {
+                        "kind": kind.value,
+                        "l": l,
+                        "residue": residue,
+                        "modulus": modulus,
+                        "moduli_dim": report.moduli_dim,
+                    }
+                )
     return rows
 
 

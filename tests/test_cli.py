@@ -127,7 +127,10 @@ def test_moduli_json_product_family(capsys):
     assert code == 0
     assert payload["group_order"] == 120
     assert payload["moduli_dim"] == 15
-    assert payload["family_dim"] is None
+    # star b = 2 with arms [2] [3] [3]: k = 4, j = 2(1 + 1 + 2 + 2) = 12
+    assert (payload["curves"], payload["deformations"], payload["family_dim"]) == (4, 12, 16)
+    assert payload["case"] == "noncyclic-star"
+    assert payload["note"] == "star b = 2, arms [2] [3] [3]: m = j + k - 1"
 
 
 def test_moduli_text_output(capsys):
@@ -135,8 +138,7 @@ def test_moduli_text_output(capsys):
     assert code == 0
     assert "moduli_dim" in out
     assert "tprod:l=5 (order 120)" in out
-    # unknown counts print as a dash
-    assert "family_dim    -" in out
+    assert "family_dim    16\n" in out
 
 
 # ------------------------------------------------------------------- tables
@@ -157,6 +159,22 @@ def test_table1_json(capsys):
 def test_table1_text(capsys):
     _, out, _ = run(capsys, "table", "--which", "1", "--pmax", "5")
     assert "1/3(1,1)" in out
+
+
+# sha256 of `table --which 3 --lmax 1000` stdout, computed on the program
+# that read the fifteen congruence rows from a hand-written table
+TABLE3_SHA256 = {
+    "--json": "75e163cafb98725f36e151eec4a88607d68c6467f9b03f384d4461dedc0d37ad",
+    "text": "39eafef040dc14662bef7bcac97beb68b7c54a0a5e62b338a214bf5df47e68af",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(TABLE3_SHA256))
+def test_table3_output_is_byte_stable(capsys, mode):
+    argv = ["table", "--which", "3", "--lmax", "1000"] + (["--json"] if mode == "--json" else [])
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE3_SHA256[mode]
 
 
 def test_table3_json(capsys):

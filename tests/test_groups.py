@@ -6,6 +6,7 @@ factor) and compares element counts and determinants against the
 closed-form order and SU(2) membership predicates.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -144,6 +145,29 @@ def test_validate_accepts(spec):
 def test_validate_rejects(spec):
     with pytest.raises(ConditionViolationError):
         validate_group(spec)
+
+
+@pytest.mark.parametrize(
+    "spec, stray",
+    [
+        (GroupSpec(GroupKind.TETRAHEDRAL_PRODUCT, l=5, n=3), "n"),
+        (GroupSpec(GroupKind.CYCLIC, p=7, q=3, l=7), "l"),
+        (GroupSpec(GroupKind.CYCLIC, p=7, q=3, n=2), "n"),
+        (GroupSpec(GroupKind.DIHEDRAL_PRODUCT, p=2, l=3, n=5), "p"),
+        (GroupSpec(GroupKind.DIHEDRAL_INDEX2, q=1, l=4, n=3), "q"),
+        (GroupSpec(GroupKind.OCTAHEDRAL_PRODUCT, l=7, n=1), "n"),
+        (GroupSpec(GroupKind.ICOSAHEDRAL_PRODUCT, p=7, l=7), "p"),
+        (GroupSpec(GroupKind.TETRAHEDRAL_INDEX3, l=3, n=3), "n"),
+    ],
+)
+def test_validate_rejects_a_field_the_kind_does_not_take(spec, stray):
+    with pytest.raises(ConditionViolationError) as info:
+        validate_group(spec)
+    assert info.value.field == stray
+    assert str(info.value) == f"{stray}: requires no value for kind {spec.kind.value}"
+    # the stray field is the only fault
+    clean = dataclasses.replace(spec, **{stray: None})
+    assert validate_group(clean) is clean
 
 
 def test_validate_is_idempotent():

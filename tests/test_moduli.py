@@ -2,13 +2,18 @@
 
 Expected numbers come from hand evaluation of the closed forms (the
 hyperkahler chain, the negative line bundles, the dihedral twist
-formula and the fifteen polyhedral congruence rows), never from the
-code under test.
+formula and the fifteen polyhedral congruence rows) and of the
+resolution stars, never from the code under test.  The twist formula
+and the rows are kept below as reference code, which the star's
+j + k - 1 must reproduce.
 """
 
+from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfkale.errors import UnsupportedParameterError
 from sfkale.hj import HJExpansion, hj_expand
@@ -18,10 +23,10 @@ from sfkale.moduli import (
     CASE_CYCLIC_Q1,
     CASE_CYCLIC_Q1_P3,
     CASE_CYCLIC_SU2,
-    CASE_DIHEDRAL,
+    CASE_NONCYCLIC_STAR,
     CASE_NONCYCLIC_SU2,
-    CASE_POLYHEDRAL,
     ModuliDimensions,
+    StarGraph,
     ResolutionString,
     cyclic_moduli,
     deformation_dimension,
@@ -31,6 +36,7 @@ from sfkale.moduli import (
     resolution_string,
     riemenschneider_identities_hold,
     riemenschneider_sweep,
+    star_graph,
     table1_rows,
     table3_rows,
 )
@@ -99,40 +105,46 @@ def test_inverse_parameter_duality():
 
 
 @pytest.mark.parametrize(
-    "spec_text, k, m",
+    "spec_text, k, j, d, m",
     [
-        ("dprod:l=1,n=3", 5, 12),
-        ("tprod:l=1", 6, 15),
-        ("oprod:l=1", 7, 18),
-        ("iprod:l=1", 8, 21),
+        # every curve is a (-2)-curve: j = 2k, d = 3k, m = 3k - 3
+        ("dprod:l=1,n=3", 5, 10, 15, 12),
+        ("tprod:l=1", 6, 12, 18, 15),
+        ("oprod:l=1", 7, 14, 21, 18),
+        ("iprod:l=1", 8, 16, 24, 21),
     ],
 )
-def test_hyperkahler_products(spec_text, k, m):
+def test_hyperkahler_products(spec_text, k, j, d, m):
     report = noncyclic_moduli(parse_group_spec(spec_text))
     assert report.curves == k
     assert report.moduli_dim == m
     assert report.case_tag == CASE_NONCYCLIC_SU2
-    assert report.family_dim is None and report.deformations is None
+    assert (report.deformations, report.family_dim) == (j, d)
 
 
 @pytest.mark.parametrize(
-    "spec_text, m",
+    "spec_text, k, j, m",
     [
-        # twist formula 3k + 2k' + (2/n)(l + q) + 4 with q = -l mod n
-        ("dprod:l=3,n=5", 16),
-        ("dprod:l=7,n=3", 18),
-        ("d2:l=4,n=3", 16),
+        # twist formula 3k + 2k' + (2/n)(l + q) + 4 with q = -l mod n gives
+        # m; the star gives k and j, and m = j + k - 1 again:
+        # b = 2, arms [2] [2] [3, 2]
+        ("dprod:l=3,n=5", 5, 12, 16),
+        # b = 4, arms [2] [2] [2, 2]
+        ("dprod:l=7,n=3", 5, 14, 18),
+        # b = 3, arms [2] [2] [2, 2]
+        ("d2:l=4,n=3", 5, 12, 16),
     ],
 )
-def test_dihedral_closed_form(spec_text, m):
+def test_dihedral_closed_form(spec_text, k, j, m):
     report = noncyclic_moduli(parse_group_spec(spec_text))
     assert report.moduli_dim == m
-    assert report.case_tag == CASE_DIHEDRAL
+    assert (report.curves, report.deformations, report.family_dim) == (k, j, j + k)
+    assert report.case_tag == CASE_NONCYCLIC_STAR
 
 
-def test_dihedral_note_records_parameters():
+def test_star_note_records_the_graph():
     note = noncyclic_moduli(parse_group_spec("dprod:l=3,n=5")).formula_note
-    assert "q = 2" in note and "(k, k') = (2, 2)" in note
+    assert note == "star b = 2, arms [2] [2] [3, 2]: m = j + k - 1"
 
 
 @pytest.mark.parametrize(
@@ -158,25 +170,212 @@ def test_dihedral_note_records_parameters():
 def test_polyhedral_rows_smallest_member(kind, l, m):
     report = noncyclic_moduli(GroupSpec(kind=kind, l=l))
     assert report.moduli_dim == m
-    assert report.case_tag == CASE_POLYHEDRAL
+    assert report.case_tag == CASE_NONCYCLIC_STAR
+
+
+@pytest.mark.parametrize(
+    "spec_text, star",
+    [
+        # 3/5 = 2 - 1/2 - 1/2 - 2/5
+        ("dprod:l=3,n=5", StarGraph(2, (2, 2, 5), (1, 1, 2), ((2,), (2,), (3, 2)))),
+        # 3/6 = 2 - 1/2 - 1/3 - 2/3, taken before the swapped twists (1, 2, 1)
+        ("t3:l=3", StarGraph(2, (2, 3, 3), (1, 1, 2), ((2,), (3,), (2, 2)))),
+        # 5/6 = 2 - 1/2 - 1/3 - 1/3
+        ("tprod:l=5", StarGraph(2, (2, 3, 3), (1, 1, 1), ((2,), (3,), (3,)))),
+        # 7/30 = 2 - 1/2 - 2/3 - 3/5, and 5/3 = 2 - 1/3
+        ("iprod:l=7", StarGraph(2, (2, 3, 5), (1, 2, 3), ((2,), (2, 2), (2, 3)))),
+        # 1/12 = 2 - 1/2 - 2/3 - 3/4: the E7 graph
+        ("oprod:l=1", StarGraph(2, (2, 3, 4), (1, 2, 3), ((2,), (2, 2), (2, 2, 2)))),
+        # 25/12 = 4 - 1/2 - 2/3 - 3/4
+        ("oprod:l=25", StarGraph(4, (2, 3, 4), (1, 2, 3), ((2,), (2, 2), (2, 2, 2)))),
+    ],
+)
+def test_star_graph_spot_values(spec_text, star):
+    assert star_graph(parse_group_spec(spec_text)) == star
 
 
 def test_dihedral_n1_unsupported():
-    with pytest.raises(UnsupportedParameterError):
-        noncyclic_moduli(parse_group_spec("dprod:l=3,n=1"))
-    with pytest.raises(UnsupportedParameterError):
-        noncyclic_moduli(parse_group_spec("d2:l=2,n=1"))
+    for text in ("dprod:l=3,n=1", "d2:l=2,n=1"):
+        for fn in (star_graph, noncyclic_moduli):
+            with pytest.raises(UnsupportedParameterError):
+                fn(parse_group_spec(text))
 
 
 def test_noncyclic_rejects_cyclic_spec():
-    with pytest.raises(ValueError):
-        noncyclic_moduli(parse_group_spec("cyclic:5,2"))
+    for fn in (star_graph, noncyclic_moduli):
+        with pytest.raises(ValueError):
+            fn(parse_group_spec("cyclic:5,2"))
 
 
 def test_moduli_report_dispatch():
     assert moduli_report(parse_group_spec("cyclic:5,2")) == cyclic_moduli(5, 2)
     spec = parse_group_spec("tprod:l=5")
     assert moduli_report(spec) == noncyclic_moduli(spec)
+
+
+# ------------------------------------------------- stars against references
+
+# the fifteen congruence rows: (kind, residue of l mod M) -> (divisor,
+# offset), m = (l - residue)/divisor + offset
+REFERENCE_ROWS = {
+    ("tprod", 1): (3, 17),
+    ("tprod", 5): (3, 15),
+    ("t3", 3): (3, 16),
+    ("oprod", 1): (6, 20),
+    ("oprod", 5): (6, 19),
+    ("oprod", 7): (6, 18),
+    ("oprod", 11): (6, 17),
+    ("iprod", 1): (15, 23),
+    ("iprod", 7): (15, 19),
+    ("iprod", 11): (15, 22),
+    ("iprod", 13): (15, 19),
+    ("iprod", 17): (15, 18),
+    ("iprod", 19): (15, 20),
+    ("iprod", 23): (15, 18),
+    ("iprod", 29): (15, 19),
+}
+# kind -> (arm orders, modulus M); the dihedral kinds have (2, 2, n), M = n
+REFERENCE_STARS = {
+    "tprod": ((2, 3, 3), 6),
+    "t3": ((2, 3, 3), 6),
+    "oprod": ((2, 3, 4), 12),
+    "iprod": ((2, 3, 5), 30),
+}
+
+
+def _string_length(n, q):
+    """Entries of the all->=2 continued fraction of n/q."""
+    k = 0
+    while q:
+        e = -(-n // q)
+        n, q = q, e * q - n
+        k += 1
+    return k
+
+
+def reference_moduli(kind, l, n):
+    """m for l > 1 from the dihedral twist formula or the residue rows."""
+    if kind in ("dprod", "d2"):
+        q = (-l) % n
+        k, k_dual = _string_length(n, q), _string_length(n, n - q)
+        return 3 * k + 2 * k_dual + 2 * (l + q) // n + 4
+    modulus = REFERENCE_STARS[kind][1]
+    divisor, offset = REFERENCE_ROWS[(kind, l % modulus)]
+    return (l - l % modulus) // divisor + offset
+
+
+@st.composite
+def noncyclic_specs(draw, lmin=1):
+    """An admissible non-cyclic spec with lmin <= l < 10^6 and n < 40."""
+    kind = draw(st.sampled_from(("dprod", "d2", "tprod", "t3", "oprod", "iprod")))
+    if kind in ("dprod", "d2"):
+        # l coprime to n: odd for the product, even (so n odd) for the
+        # index-2 subgroup
+        n = draw(st.integers(2, 39)) if kind == "dprod" else 2 * draw(st.integers(1, 19)) + 1
+        start = 2 * draw(st.integers(lmin // 2, 10**6 // 2 - 40)) + (1 if kind == "dprod" else 2)
+        l = next(l for l in range(start, start + 2 * n, 2) if gcd(l, n) == 1)
+        return GroupSpec(GroupKind(kind), l=l, n=n)
+    modulus = REFERENCE_STARS[kind][1]
+    residue = draw(st.sampled_from([r for k, r in REFERENCE_ROWS if k == kind]))
+    l = modulus * draw(st.integers(0, (10**6 - 1) // modulus - 1)) + residue
+    if l < lmin:
+        l += modulus
+    return GroupSpec(GroupKind(kind), l=l)
+
+
+def _bareiss_det(matrix):
+    """Exact integer determinant by fraction-free elimination.
+
+    The pivots are the leading principal minors, all positive for the
+    positive definite matrices below.
+    """
+    a = [row[:] for row in matrix]
+    prev = 1
+    for i in range(len(a) - 1):
+        assert a[i][i] > 0
+        for r in range(i + 1, len(a)):
+            for c in range(i + 1, len(a)):
+                a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) // prev
+        prev = a[i][i]
+    return a[-1][-1]
+
+
+def negated_intersection_matrix(star):
+    """-(C_i . C_j) over the star: the centre first, each arm's first curve next to it."""
+    curves = [star.central]
+    edges = []
+    for arm in star.arms:
+        for i, e in enumerate(arm):
+            edges.append((0 if i == 0 else len(curves) - 1, len(curves)))
+            curves.append(e)
+    matrix = [[0] * len(curves) for _ in curves]
+    for i, e in enumerate(curves):
+        matrix[i][i] = e
+    for i, j in edges:
+        matrix[i][j] = matrix[j][i] = -1
+    return matrix
+
+
+def _fold(coeffs):
+    """e1 - 1/(e2 - 1/(...)) as a Fraction."""
+    value = Fraction(coeffs[-1])
+    for e in reversed(coeffs[:-1]):
+        value = e - 1 / value
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=noncyclic_specs(lmin=2))
+def test_star_moduli_equal_the_closed_forms(spec):
+    report = noncyclic_moduli(spec)
+    assert report.moduli_dim == reference_moduli(spec.kind.value, spec.l, spec.n)
+    star = star_graph(spec)
+    coeffs = [star.central] + [e for arm in star.arms for e in arm]
+    assert report.curves == len(coeffs)
+    assert report.deformations == 2 * sum(e - 1 for e in coeffs)
+    assert report.family_dim == report.deformations + report.curves
+    assert report.moduli_dim == report.family_dim - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=noncyclic_specs())
+def test_star_solves_its_equation_and_its_determinant(spec):
+    star = star_graph(spec)
+    orders, modulus = REFERENCE_STARS.get(spec.kind.value, ((2, 2, spec.n), spec.n))
+    assert star.orders == orders
+    assert star.central >= 2
+    for alpha, beta, arm in zip(star.orders, star.twists, star.arms):
+        assert 1 <= beta < alpha and gcd(alpha, beta) == 1
+        assert min(arm) >= 2 and _fold(arm) == Fraction(alpha, beta)
+    assert Fraction(spec.l, modulus) == star.central - sum(
+        Fraction(beta, alpha) for alpha, beta in zip(star.orders, star.twists)
+    )
+    alpha_product = orders[0] * orders[1] * orders[2]
+    det = _bareiss_det(negated_intersection_matrix(star))
+    assert det * modulus == alpha_product * spec.l
+
+
+def test_determinant_spot_values():
+    # 4l for the dihedral kinds, 3l for tprod and t3, 2l for oprod, l for iprod
+    for text, det in (("dprod:l=3,n=5", 12), ("d2:l=4,n=3", 16), ("tprod:l=5", 15),
+                      ("t3:l=3", 9), ("oprod:l=25", 50), ("iprod:l=7", 7), ("iprod:l=1", 1)):
+        assert _bareiss_det(negated_intersection_matrix(star_graph(parse_group_spec(text)))) == det
+
+
+@settings(max_examples=38, deadline=None)
+@given(n=st.integers(2, 39))
+def test_hyperkahler_dihedral_star_is_d_n_plus_2(n):
+    report = noncyclic_moduli(GroupSpec(GroupKind.DIHEDRAL_PRODUCT, l=1, n=n))
+    k = n + 2
+    assert (report.curves, report.deformations, report.family_dim) == (k, 2 * k, 3 * k)
+    assert report.moduli_dim == 3 * k - 3
+
+
+@pytest.mark.parametrize("kind, k", [("tprod", 6), ("oprod", 7), ("iprod", 8)])
+def test_hyperkahler_polyhedral_star_is_e_k(kind, k):
+    report = noncyclic_moduli(GroupSpec(GroupKind(kind), l=1))
+    assert (report.curves, report.deformations, report.family_dim) == (k, 2 * k, 3 * k)
+    assert report.moduli_dim == 3 * k - 3
 
 
 # ---------------------------------------------------------------- strings
