@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import gcd
+from typing import NamedTuple
 
 from .errors import ConditionViolationError, UnsupportedParameterError
 from .groups import GroupKind, GroupSpec, cyclic_group, validate_group
@@ -140,13 +141,13 @@ def cyclic_moduli(p: int, q: int) -> ModuliDimensions:
     )
 
 
-@dataclass(frozen=True)
-class StarGraph:
+class StarGraph(NamedTuple):
     """Resolution graph of C^2/G for a non-cyclic G.
 
     A central curve of self-intersection -central meets the first curve
     of each of three arms.  Arm i is the Hirzebruch-Jung string of
-    orders[i]/twists[i], so arms[i] = hj_expand(orders[i], twists[i]).coeffs.
+    orders[i]/twists[i], so arms[i] = hj_expand(orders[i], twists[i]).coeffs;
+    an arm of order 1 (dprod:l=1,n=1) has twist 0 and no curves.
     """
 
     central: int
@@ -155,14 +156,13 @@ class StarGraph:
     arms: tuple[tuple[int, ...], ...]
 
 
-# kind -> (arm orders alpha_i, modulus M) of its star, given the dihedral n
+# kind -> (arm orders alpha_i, modulus M) of its star; a dihedral kind
+# has orders (2, 2, n) and M = n
 _STAR_ORDERS = {
-    GroupKind.TETRAHEDRAL_PRODUCT: lambda n: ((2, 3, 3), 6),
-    GroupKind.TETRAHEDRAL_INDEX3: lambda n: ((2, 3, 3), 6),
-    GroupKind.OCTAHEDRAL_PRODUCT: lambda n: ((2, 3, 4), 12),
-    GroupKind.ICOSAHEDRAL_PRODUCT: lambda n: ((2, 3, 5), 30),
-    GroupKind.DIHEDRAL_PRODUCT: lambda n: ((2, 2, n), n),
-    GroupKind.DIHEDRAL_INDEX2: lambda n: ((2, 2, n), n),
+    GroupKind.TETRAHEDRAL_PRODUCT: ((2, 3, 3), 6),
+    GroupKind.TETRAHEDRAL_INDEX3: ((2, 3, 3), 6),
+    GroupKind.OCTAHEDRAL_PRODUCT: ((2, 3, 4), 12),
+    GroupKind.ICOSAHEDRAL_PRODUCT: ((2, 3, 5), 30),
 }
 
 
@@ -173,23 +173,28 @@ def star_graph(spec: GroupSpec) -> StarGraph:
     to alpha_i, in integers: times A = alpha_1 alpha_2 alpha_3 it reads
     A l/M = b A - sum(beta_i A/alpha_i).  Given beta_1 and beta_2 (at most
     two pairs), beta_3 follows mod A; the first solution in lexicographic
-    beta order is taken.  b >= 2 always, since sum(beta_i/alpha_i) > 1.
+    beta order is taken.  b >= 2 always, since sum(beta_i/alpha_i) >= 1.
+    A dihedral n = 1 has an empty third arm (beta_3 = 0), giving the A_3
+    chain [2, 2, 2] at l = 1; for l > 1 it raises UnsupportedParameterError.
     """
     validate_group(spec)
     if spec.kind == GroupKind.CYCLIC:
         raise ValueError("use cyclic_moduli for cyclic groups")
-    if spec.n == 1:
+    if spec.kind in _STAR_ORDERS:
+        orders, modulus = _STAR_ORDERS[spec.kind]
+    elif spec.n > 1 or spec.l == 1:
+        orders, modulus = (2, 2, spec.n), spec.n
+    else:
         raise UnsupportedParameterError("n = 1 leaves no arm n/beta with 1 <= beta <= n - 1")
-    orders, modulus = _STAR_ORDERS[spec.kind](spec.n)
     a1, a2, a3 = orders
     total = a1 * a2 * a3
     det = spec.l * (total // modulus)
     for b1, b2 in product(range(1, a1), range(1, a2)):  # a1, a2 prime: all coprime
         known = det + b1 * a2 * a3 + b2 * a1 * a3
         b3, off = divmod(-known % total, a1 * a2)
-        if off == 0 and gcd(b3, a3) == 1:  # gcd(0, a3) = a3 rules out b3 = 0
+        if off == 0 and gcd(b3, a3) == 1:  # gcd(0, a3) = a3: b3 = 0 passes only for a3 = 1
             twists = (b1, b2, b3)
-            arms = tuple(hj_expand(a, b).coeffs for a, b in zip(orders, twists))
+            arms = tuple(hj_expand(a, b).coeffs if b else () for a, b in zip(orders, twists))
             return StarGraph((known + b3 * a1 * a2) // total, orders, twists, arms)
     raise RuntimeError(f"no resolution star for {spec}")  # unreachable for a validated spec
 
@@ -257,10 +262,7 @@ def table3_rows(lmax: int):
     (l = 1 is the hyperkahler case, reported elsewhere).
     """
     rows = []
-    for kind, star_orders in _STAR_ORDERS.items():
-        _, modulus = star_orders(None)
-        if modulus is None:  # a dihedral kind, whose modulus is n
-            continue
+    for kind, (_, modulus) in _STAR_ORDERS.items():
         for residue in range(1, modulus):
             try:
                 validate_group(GroupSpec(kind=kind, l=residue))

@@ -108,6 +108,7 @@ def test_inverse_parameter_duality():
     "spec_text, k, j, d, m",
     [
         # every curve is a (-2)-curve: j = 2k, d = 3k, m = 3k - 3
+        ("dprod:l=1,n=1", 3, 6, 9, 6),
         ("dprod:l=1,n=3", 5, 10, 15, 12),
         ("tprod:l=1", 6, 12, 18, 15),
         ("oprod:l=1", 7, 14, 21, 18),
@@ -176,6 +177,8 @@ def test_polyhedral_rows_smallest_member(kind, l, m):
 @pytest.mark.parametrize(
     "spec_text, star",
     [
+        # 1/1 = 2 - 1/2 - 1/2 - 0/1: the arm of order 1 is empty, the A_3 chain
+        ("dprod:l=1,n=1", StarGraph(2, (2, 2, 1), (1, 1, 0), ((2,), (2,), ()))),
         # 3/5 = 2 - 1/2 - 1/2 - 2/5
         ("dprod:l=3,n=5", StarGraph(2, (2, 2, 5), (1, 1, 2), ((2,), (2,), (3, 2)))),
         # 3/6 = 2 - 1/2 - 1/3 - 2/3, taken before the swapped twists (1, 2, 1)
@@ -357,13 +360,13 @@ def test_star_solves_its_equation_and_its_determinant(spec):
 
 def test_determinant_spot_values():
     # 4l for the dihedral kinds, 3l for tprod and t3, 2l for oprod, l for iprod
-    for text, det in (("dprod:l=3,n=5", 12), ("d2:l=4,n=3", 16), ("tprod:l=5", 15),
+    for text, det in (("dprod:l=1,n=1", 4), ("dprod:l=3,n=5", 12), ("d2:l=4,n=3", 16), ("tprod:l=5", 15),
                       ("t3:l=3", 9), ("oprod:l=25", 50), ("iprod:l=7", 7), ("iprod:l=1", 1)):
         assert _bareiss_det(negated_intersection_matrix(star_graph(parse_group_spec(text)))) == det
 
 
-@settings(max_examples=38, deadline=None)
-@given(n=st.integers(2, 39))
+@settings(max_examples=39, deadline=None)
+@given(n=st.integers(1, 39))
 def test_hyperkahler_dihedral_star_is_d_n_plus_2(n):
     report = noncyclic_moduli(GroupSpec(GroupKind.DIHEDRAL_PRODUCT, l=1, n=n))
     k = n + 2
