@@ -149,7 +149,7 @@ def format_group_spec(spec: GroupSpec) -> str:
     if spec.kind == GroupKind.CYCLIC:
         return f"cyclic:{spec.p},{spec.q}"
     fields = ",".join(f"{name}={getattr(spec, name)}" for name in _FIELDS[spec.kind])
-    return f"{spec.kind.value}:{fields}"
+    return f"{GroupKind(spec.kind).value}:{fields}"  # kind may be a plain string
 
 
 def parse_group_spec(text: str) -> GroupSpec:

@@ -8,10 +8,12 @@ generators of the invariant ring, and the monomial chart atlas with its
 transition identities.  No floating point enters any computation.
 The currency is Python ints: Fractions appear only as the chain points
 c_i, whose denominators divide p, and as evaluate_fraction's value.
-LatticeChain.vectors converts the points into the integer vectors
-p*c_i once per chain and caches them on it; invariant_monomials is
-their public view, and the chart atlas and every identity are built
-and checked from the same cached vectors.
+The integer vectors p*c_i are LatticeChain.vectors: lattice_chain runs
+its recursion in ints and seeds them on the chain it returns, and any
+other chain (one built by hand or by dataclasses.replace) derives them
+from its points on first use.  invariant_monomials is their public
+view, and the chart atlas and every identity are built and checked
+from them.
 """
 
 from __future__ import annotations
@@ -123,10 +125,11 @@ class LatticeChain:
     consecutive pair satisfies the determinant identity
     b_i*a_{i+1} - b_{i+1}*a_i = p.
 
-    vectors is derived from points, never passed in: it is computed on
-    first use and cached on the instance, and dataclasses.replace builds
-    a fresh instance with an empty cache, so a changed chain is always
-    judged by its own points.
+    vectors is never passed in.  lattice_chain seeds it with the integers
+    its recursion produced; on every other instance it is derived from
+    points on first use and cached.  dataclasses.replace builds a fresh
+    instance with an empty cache, so a changed chain is always judged by
+    its own points.
     """
 
     p: int
@@ -140,7 +143,7 @@ class LatticeChain:
 
     @cached_property
     def vectors(self) -> tuple[tuple[int, int], ...]:
-        """The integer vectors p*c_i, converted once per chain.
+        """The integer vectors p*c_i, unless lattice_chain seeded them.
 
         Raises ValueError naming the point when p*c_i is not an integer
         vector, i.e. when a denominator of the point does not divide p.
@@ -161,23 +164,23 @@ def lattice_chain(p: int, q: int) -> LatticeChain:
     known generators x^p and x^(p-q)*y with the dual coefficients, then
     reversing into ascending order; the ascending multipliers are the
     dual expansion read backwards.  The recursion is closed (last point
-    (0, p)) for every coprime pair, which the constructor checks.
+    (0, p)) for every coprime pair, which the constructor checks.  Its
+    integer vectors seed the chain's vectors cache, so no check converts
+    the points back.  Raises InvalidPairError as hj_expand does.
     """
-    exp = hj_expand(p, q)
+    _check_pair(p, q)
+    dual = _expand(p, p - q)
     w = [(p, 0), (p - q, 1)]
-    for a in exp.dual_coeffs:
+    for a in dual:
         prev, cur = w[-2], w[-1]
         w.append((a * cur[0] - prev[0], a * cur[1] - prev[1]))
     if w[-1] != (0, p):  # guaranteed by the recursion; guards transcription bugs
         raise RuntimeError(f"chain for ({p}, {q}) did not close: {w[-1]}")
     w.reverse()
     points = tuple((Fraction(a, p), Fraction(b, p)) for a, b in w)
-    return LatticeChain(
-        p=p,
-        q=q,
-        points=points,
-        chain_coeffs=tuple(reversed(exp.dual_coeffs)),
-    )
+    chain = LatticeChain(p=p, q=q, points=points, chain_coeffs=dual[::-1])
+    vars(chain)["vectors"] = tuple(w)  # the cached_property's slot
+    return chain
 
 
 @dataclass(frozen=True)
@@ -201,11 +204,11 @@ class MonomialChain:
 def invariant_monomials(chain: LatticeChain) -> MonomialChain:
     """The chain's integer exponent vectors p*c_i as a monomial chain.
 
-    This is the public view of chain.vectors, the conversion of the
-    points into integers that every exact check reads; it is made once
-    per chain and cached on it.  Raises ValueError naming the point when
-    p*c_i is not an integer vector, i.e. when the point is off the
-    lattice (1/p) Z^2.
+    This is the public view of chain.vectors, the integers that every
+    exact check reads: seeded by lattice_chain, derived from the points
+    for any other chain.  Raises ValueError naming the point when p*c_i
+    is not an integer vector, i.e. when the point is off the lattice
+    (1/p) Z^2.
     """
     return MonomialChain(p=chain.p, q=chain.q, exponents=chain.vectors)
 
@@ -275,13 +278,6 @@ def monomial_relation_holds(chain: LatticeChain) -> bool:
     return True
 
 
-def _mat_mul(a, b):
-    return (
-        (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-        (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
-    )
-
-
 def transition_matrices(atlas: ChartAtlas):
     """Per-step basis changes: rows of (u, v) exponents map by [[0,-1],[1,kappa]]."""
     return [((0, -1), (1, k)) for k in atlas.chain_coeffs]
@@ -291,20 +287,20 @@ def transition_cocycle_holds(atlas: ChartAtlas) -> bool:
     """Every transition step carries its chart to the next, starting from det A_0 = p.
 
     Chart exponents stack into rows A_i = [u_i; v_i].  Step i is
-    A_{i+1} = T_i A_i with T_i = [[0, -1], [1, kappa_i]], that is
-    u_{i+1} = -v_i and v_{i+1} = u_i + kappa_i v_i, checked in exact
+    A_{i+1} = T_i A_i with T_i = [[0, -1], [1, kappa_i]] (transition_matrices),
+    that is u_{i+1} = -v_i and v_{i+1} = u_i + kappa_i v_i, checked in exact
     integers at every step.  Since det T_i = 1, this gives det A_i = p
     for every chart and the composite T_m ... T_1 A_0 = A_m.
     """
     charts = atlas.charts
-    steps = transition_matrices(atlas)
     (ux, uy), (vx, vy) = charts[0].u, charts[0].v
-    if len(steps) != len(charts) - 1 or ux * vy - uy * vx != atlas.p:
+    if len(atlas.chain_coeffs) != len(charts) - 1 or ux * vy - uy * vx != atlas.p:
         return False
-    return all(
-        _mat_mul(step, (a.u, a.v)) == (b.u, b.v)
-        for step, a, b in zip(steps, charts, charts[1:])
-    )
+    for k, a, b in zip(atlas.chain_coeffs, charts, charts[1:]):
+        (ux, uy), (vx, vy) = a.u, a.v
+        if b.u != (-vx, -vy) or b.v != (ux + k * vx, uy + k * vy):
+            return False
+    return True
 
 
 def format_monomial(exponent) -> str:

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .errors import ConditionViolationError, UnsupportedParameterError
 from .groups import GroupKind, GroupSpec, cyclic_group, validate_group
-from .hj import HJExpansion, embedding_dimension, hj_expand
+from .hj import HJExpansion, _expand, embedding_dimension, hj_expand
 
 __all__ = [
     "ResolutionString",
@@ -146,8 +146,9 @@ class StarGraph(NamedTuple):
 
     A central curve of self-intersection -central meets the first curve
     of each of three arms.  Arm i is the Hirzebruch-Jung string of
-    orders[i]/twists[i], so arms[i] = hj_expand(orders[i], twists[i]).coeffs;
-    an arm of order 1 (dprod:l=1,n=1) has twist 0 and no curves.
+    orders[i]/twists[i], so arms[i] = hj_expand(orders[i], twists[i]).coeffs
+    (the star never reads the dual); an arm of order 1 (dprod:l=1,n=1)
+    has twist 0 and no curves.
     """
 
     central: int
@@ -194,7 +195,7 @@ def star_graph(spec: GroupSpec) -> StarGraph:
         b3, off = divmod(-known % total, a1 * a2)
         if off == 0 and gcd(b3, a3) == 1:  # gcd(0, a3) = a3: b3 = 0 passes only for a3 = 1
             twists = (b1, b2, b3)
-            arms = tuple(hj_expand(a, b).coeffs if b else () for a, b in zip(orders, twists))
+            arms = tuple(_expand(a, b) for a, b in zip(orders, twists))  # _expand(1, 0) = ()
             return StarGraph((known + b3 * a1 * a2) // total, orders, twists, arms)
     raise RuntimeError(f"no resolution star for {spec}")  # unreachable for a validated spec
 

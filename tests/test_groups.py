@@ -255,6 +255,17 @@ def test_parse_format_round_trip(text):
     assert format_group_spec(parse_group_spec(text)) == text
 
 
+@pytest.mark.parametrize(
+    "text", ["dprod:l=3,n=5", "tprod:l=5", "oprod:l=7", "iprod:l=7", "d2:l=4,n=3", "t3:l=3"]
+)
+def test_format_accepts_a_plain_string_kind(text):
+    # GroupKind is a str enum, so validate_group accepts its plain value too
+    spec = parse_group_spec(text)
+    plain = dataclasses.replace(spec, kind=spec.kind.value)
+    assert type(plain.kind) is str and validate_group(plain) is plain
+    assert format_group_spec(plain) == text
+
+
 def test_parse_accepts_keyed_cyclic_form():
     assert parse_group_spec("cyclic:p=5,q=2") == parse_group_spec("cyclic:5,2")
 

@@ -93,6 +93,8 @@ def test_evaluate_fraction_rejects():
 def test_expand_rejects_bad_pairs(p, q):
     with pytest.raises(InvalidPairError):
         hj_expand(p, q)
+    with pytest.raises(InvalidPairError):
+        lattice_chain(p, q)
 
 
 def test_expand_rejects_non_integers():
@@ -100,6 +102,8 @@ def test_expand_rejects_non_integers():
         hj_expand(5.0, 2)
     with pytest.raises(InvalidPairError):
         hj_expand(5, "2")
+    with pytest.raises(InvalidPairError):
+        lattice_chain(5.0, 2)
 
 
 def test_embedding_dimension():
@@ -152,6 +156,18 @@ def _chains_by_search(p, q):
 
     walk([start, second])
     return found
+
+
+@pytest.mark.parametrize("p, q", [(2, 1), (7, 3), (11, 4), (13, 1), (17, 16), (997, 354)])
+def test_seeded_vectors_equal_the_ones_derived_from_points(p, q):
+    # lattice_chain seeds vectors from its recursion; a replaced chain,
+    # even an unchanged one, starts empty and converts its own points
+    chain = lattice_chain(p, q)
+    assert "vectors" in vars(chain)
+    fresh = dataclasses.replace(chain)
+    assert "vectors" not in vars(fresh)
+    assert chain.vectors == fresh.vectors
+    assert all(type(x) is int for w in fresh.vectors for x in w)
 
 
 def test_chain_by_exhaustive_search():
@@ -250,6 +266,53 @@ def test_transition_cocycle_sweep():
         atlas = chart_atlas(lattice_chain(p, q))
         assert transition_cocycle_holds(atlas)
         assert len(transition_matrices(atlas)) == len(atlas.chain_coeffs)
+
+
+def _mat_mul(a, b):
+    return (
+        (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
+        (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
+    )
+
+
+def _cocycle_by_matrix_products(atlas):
+    """Reference: T_i [u_i; v_i] == [u_{i+1}; v_{i+1}] as 2x2 products."""
+    charts = atlas.charts
+    steps = transition_matrices(atlas)
+    (ux, uy), (vx, vy) = charts[0].u, charts[0].v
+    if len(steps) != len(charts) - 1 or ux * vy - uy * vx != atlas.p:
+        return False
+    return all(
+        _mat_mul(step, (a.u, a.v)) == (b.u, b.v)
+        for step, a, b in zip(steps, charts, charts[1:])
+    )
+
+
+_small_pairs = st.integers(2, 400).flatmap(lambda p: st.tuples(st.just(p), st.integers(1, p - 1)))
+_offset = st.integers(-3, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_small_pairs, data=st.data())
+def test_integer_steps_agree_with_matrix_products(pair, data):
+    p, q = pair
+    assume(gcd(p, q) == 1)
+    atlas = chart_atlas(lattice_chain(p, q))
+    assert transition_cocycle_holds(atlas) and _cocycle_by_matrix_products(atlas)
+    # one chart changed by small offsets, which may all be zero
+    index = data.draw(st.integers(0, len(atlas.charts) - 1))
+    chart = atlas.charts[index]
+    du = data.draw(st.tuples(_offset, _offset))
+    dv = data.draw(st.tuples(_offset, _offset))
+    changed = dataclasses.replace(
+        chart,
+        u=(chart.u[0] + du[0], chart.u[1] + du[1]),
+        v=(chart.v[0] + dv[0], chart.v[1] + dv[1]),
+    )
+    charts = (*atlas.charts[:index], changed, *atlas.charts[index + 1 :])
+    broken = dataclasses.replace(atlas, charts=charts)
+    assert transition_cocycle_holds(broken) == _cocycle_by_matrix_products(broken)
+    assert transition_cocycle_holds(broken) == (du == dv == (0, 0))
 
 
 # ------------------------------------------------------------ broken chains
