@@ -29,13 +29,10 @@ rounding.  Custom potentials keep the plain difference Phi(x + d) -
 Phi(x), evaluated in one of two ways:
 
   radial (Phi = F(|z|^2)): F is called once per distinct site x + h o
-    of a lattice, and psi is differenced from those values through the
-    lattice's index arrays.  The site lattice holds every distinct
-    stencil site (673 per scalar curvature and 49 per Hessian at order
-    4, 169 and 25 at order 2).  The orbit lattice serves a scalar
-    curvature taken at the orbit point c = (r/sqrt 2)(1, 1, 0, 0): there
-    |c + h o|^2 depends on o only through (o0 + o1, |o|^2), so 74 sites
-    stand for the 673 (26 for the 169 at order 2);
+    of the site lattice (49 per Hessian and 673 per 4-D scalar
+    curvature at order 4, 25 and 169 at order 2), and psi is differenced
+    from those values through the lattice's index arrays.  radial_scalar
+    takes a radial S from 9 (order 4) or 7 values of F along t = log u;
   general: the user's fn(z1, z2) is called at both ends of every term,
     duplicates included: one scalar curvature takes 53 Hessians of 48
     psi each at order 4 (29 of 24 at order 2).
@@ -69,7 +66,7 @@ import numpy as np
 FLAT = 0
 EGUCHI_HANSON = 1
 BURNS = 2
-# custom potential F(|z|^2), differenced over the site lattice
+# custom potential F(|z|^2): g over the site lattice, S along t = log |z|^2
 RADIAL = 3
 
 # one-axis second derivative: offset -> weight (times 1/h^2); symmetric,
@@ -159,12 +156,6 @@ class SiteLattice(NamedTuple):
 _SITE_KEY = np.array([729.0, 81.0, 9.0, 1.0])
 
 
-def _distinct(offsets, keys):
-    """The first offset of each distinct key, and the index of every offset's key among them."""
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return offsets[first], inverse.reshape(-1)
-
-
 @functools.cache
 def site_lattice(order: int, curvature: bool) -> SiteLattice:
     """Site lattice of the scalar curvature stencil, or of the Hessian's alone.
@@ -175,44 +166,14 @@ def site_lattice(order: int, curvature: bool) -> SiteLattice:
     stencil = STENCILS[order]
     bases = stencil.bases if curvature else stencil.bases[:1]
     offsets = np.concatenate([(bases[:, None] + stencil.steps).reshape(-1, 4), bases])
-    sites, inverse = _distinct(offsets, offsets @ _SITE_KEY)
+    _, first, inverse = np.unique(offsets @ _SITE_KEY, return_index=True, return_inverse=True)
     n = len(bases) * len(stencil.steps)
-    return SiteLattice(sites, inverse[:n].reshape(len(bases), -1), inverse[n:])
-
-
-@functools.cache
-def orbit_lattice(order: int) -> SiteLattice:
-    """The scalar curvature's site lattice folded for the orbit point c = (r/sqrt 2)(1, 1, 0, 0).
-
-    At c, |c + h o|^2 = r^2 + sqrt 2 r h (o0 + o1) + h^2 |o|^2, so a
-    profile of |z|^2 takes one value on all sites with the same key
-    (o0 + o1, |o|^2).  The first site of each key stands for all of
-    them, and terms and bases point at it: 74 sites at order 4, 26 at
-    order 2.
-    """
-    lattice = site_lattice(order, True)
-    o = lattice.offsets
-    # o0 + o1 lies in [-8, 8] and |o|^2 in [0, 64], so this key is exact
-    sites, inverse = _distinct(o, 128.0 * (o[:, 0] + o[:, 1]) + (o * o).sum(axis=1))
-    return SiteLattice(sites, inverse[lattice.terms], inverse[lattice.bases])
+    return SiteLattice(offsets[first], inverse[:n].reshape(len(bases), -1), inverse[n:])
 
 
 def radii(x) -> list[float]:
     """|x| of every point (row) of x, as Python floats."""
     return [math.sqrt(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3) for x0, x1, x2, x3 in x.tolist()]
-
-
-def orbit_points(x) -> np.ndarray:
-    """The orbit point c(|x|) = (|x|/sqrt 2)(1, 1, 0, 0) of every point (row) of x.
-
-    |x| is the one step() scales h by, so a point and c(|x|) share their
-    step.
-    """
-    c = np.zeros_like(x)
-    c[:, 0] = radii(x)
-    c[:, 0] /= math.sqrt(2.0)
-    c[:, 1] = c[:, 0]
-    return c
 
 
 def step(x, h0: float) -> np.ndarray:
@@ -329,13 +290,12 @@ def _not_real(name: str, columns, i: int, exc: TypeError) -> TypeError:
     return TypeError(f"{name}: fn({args}) is not a real number ({exc})")
 
 
-def radial_psi(profile, x, h, lattice: SiteLattice, name: str = "custom-radial") -> np.ndarray:
+def radial_psi(profile, x, h, order: int, curvature: bool, name: str = "custom-radial"):
     """psi of Phi = profile(|z|^2) over the stencils around the points x, as sites() lays it out.
 
-    The profile is called once per site of the lattice around each
-    point: site_lattice() anywhere, orbit_lattice() only at orbit points
-    c(r), where its representatives stand for the sites they fold.
+    The profile is called once per site of site_lattice() around each point.
     """
+    lattice = site_lattice(order, curvature)
     # coordinates first and column adds, since numpy sums a short last axis
     # slowly; the order of the adds is the one .sum() would take
     y = x[:, :, None] + h * lattice.offsets.T
@@ -345,6 +305,54 @@ def radial_psi(profile, x, h, lattice: SiteLattice, name: str = "custom-radial")
     psi = np.take(phi, lattice.terms, axis=1)
     psi -= np.take(phi, lattice.bases, axis=1)[:, :, None]
     return psi
+
+
+# central weights of d^j f / dt^j, j = 1..4, at t + k h for |k| <= 3 (order 2)
+# or 4 (order 4) as integer rows over their denominators: the unique rows with
+# sum_k w_k k^i = j! delta_ij for i <= 2 max |k| (Fornberg, Math. Comp. 51, 1988)
+_T_WEIGHTS = {
+    2: (
+        ((-1, 9, -45, 0, 45, -9, 1), 60),
+        ((2, -27, 270, -490, 270, -27, 2), 180),
+        ((1, -8, 13, 0, -13, 8, -1), 8),
+        ((-1, 12, -39, 56, -39, 12, -1), 6),
+    ),
+    4: (
+        ((3, -32, 168, -672, 0, 672, -168, 32, -3), 840),
+        ((-9, 128, -1008, 8064, -14350, 8064, -1008, 128, -9), 5040),
+        ((-7, 72, -338, 488, 0, -488, 338, -72, 7), 240),
+        ((7, -96, 676, -1952, 2730, -1952, 676, -96, 7), 240),
+    ),
+}
+
+
+def radial_scalar(profile, x, h0: float, order: int, name: str = "custom-radial") -> np.ndarray:
+    """S of Phi = profile(|z|^2) at each point (row) of x, from the profile along t = log |z|^2.
+
+    With u = |x|^2 and f(t) = profile(e^t), g has the eigenvalues f'/u
+    and f''/u, and S = -2 (G'/f' + G''/f'') with G = log(f' f'') - 2t.
+    The profile is called at u e^(k h), h = 4 h0, for the _T_WEIGHTS of
+    the order, and each sum is rounded once, so a point's S depends on
+    its computed |x| alone.  NaN where f' or f'' is not positive or a
+    profile value is NaN.
+    """
+    rows = _T_WEIGHTS[order]
+    reach = len(rows[0][0]) // 2
+    h = 4.0 * h0
+    # the weights of k = 1..reach, over the denominator and h^j
+    weights = [[w / (d * h**j) for w in row[reach + 1 :]] for j, (row, d) in enumerate(rows, 1)]
+    sites = [r * r * math.exp(k * h) for r in radii(x) for k in range(-reach, reach + 1)]
+    out = []
+    for f in callable_values(profile, [sites], name).reshape(len(x), -1).tolist():
+        # f(k) - f(-k) carries the odd derivatives, f(k) + f(-k) - 2 f(0) the even
+        up, down, two_f0 = f[reach + 1 :], f[reach - 1 :: -1], 2.0 * f[reach]
+        pairs = [list(map(operator.sub, up, down)), [a + b - two_f0 for a, b in zip(up, down)]]
+        f1, f2, f3, f4 = (math.fsum(map(operator.mul, w, p)) for w, p in zip(weights, pairs * 2))
+        if not (f1 > 0.0 and f2 > 0.0):
+            f1 = f2 = math.nan  # g is not positive definite
+        a, b = f2 / f1, f3 / f2
+        out.append(-2.0 * ((a + b - 2.0) / f1 + (f3 / f1 - a * a + f4 / f2 - b * b) / f2))
+    return np.array(out)
 
 
 def callable_psi(fn, bases, steps, name: str = "custom-general") -> np.ndarray:

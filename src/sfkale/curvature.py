@@ -6,10 +6,9 @@ coordinates, and the scalar curvature from a second, nested stencil
 applied to log det g.  Each point has its own radius-scaled step h =
 h0 * (1 + |z|); there is no grid.
 
-A custom_radial potential's scalar curvature depends on |z| only, so
-it is taken at the orbit point c(|z|) = (|z|/sqrt 2)(1, 1, 0, 0) with
-the step of z; there the stencil's sites fold by |z|^2 (_engine's orbit
-lattice).  Its Hessians, deviations and derivatives stay at z.
+A custom_radial potential's scalar curvature is taken from its profile
+along t = log |z|^2 (_engine.radial_scalar); its Hessians, deviations
+and derivatives use the 4-D stencils like every other potential.
 
 The engine takes a stack of points in one pass, laid out as (points,
 bases, steps).  Multi-point calls (verify_scalar_flat, and
@@ -44,17 +43,16 @@ class Potential:
     potentials (family RADIAL) carry their profile fn(u) -> Phi of
     u = |z|^2, which the engine calls once per distinct stencil site:
     49 calls per Hessian at order 4 and 25 at order 2.  Their scalar
-    curvature depends on |z| only and is taken at the orbit point
-    c(|z|) = (|z|/sqrt 2)(1, 1, 0, 0), where sites with equal |z|^2
-    fold together: 74 calls per point at order 4, 26 at order 2.
-    custom_general potentials (family None) carry
-    the user's fn(z1, z2) -> Phi itself, which the engine calls at both
-    ends of every stencil term: 5088 calls per scalar curvature and 96
-    per Hessian at order 4, 1392 and 48 at order 2.  Either kind's
-    values go through one map per engine pass, and a value that is not
-    a real number raises TypeError naming the potential and the site.
-    Use the module constructors (flat, eguchi_hanson, burns,
-    custom_radial, custom_general) rather than instantiating directly.
+    curvature is taken from the profile along t = log u: 9 calls per
+    point at order 4, 7 at order 2.  custom_general potentials (family
+    None) carry the user's fn(z1, z2) -> Phi itself, which the engine
+    calls at both ends of every stencil term: 5088 calls per scalar
+    curvature and 96 per Hessian at order 4, 1392 and 48 at order 2.
+    Either kind's values go through one map per engine pass, and a
+    value that is not a real number raises TypeError naming the
+    potential and the site.  Use the module constructors (flat,
+    eguchi_hanson, burns, custom_radial, custom_general) rather than
+    instantiating directly.
     """
 
     name: str
@@ -122,41 +120,32 @@ def _chunk_points(order: int, curvature: bool) -> int:
 def _psi(potential: Potential, x, h, order: int, curvature: bool) -> np.ndarray:
     """Phi(b + d) - Phi(b) for every base b and step d of the stencils around the points x."""
     if potential.family == _engine.RADIAL:
-        lattice = _engine.site_lattice(order, curvature)
-        return _engine.radial_psi(potential.fn, x, h, lattice, potential.name)
+        return _engine.radial_psi(potential.fn, x, h, order, curvature, potential.name)
     if potential.fn is None:
         return _engine.builtin_psi(potential.family, potential.parameter, x, h, order, curvature)
     bases, steps = _engine.sites(x, h, order, curvature)
     return _engine.callable_psi(potential.fn, bases, steps, potential.name)
 
 
-def _metric(potential: Potential, x, h, order: int) -> np.ndarray:
-    """(g11, g22, Re g12, Im g12) at each point (row) of x, with steps h."""
+def _metric(potential: Potential, x, h0: float, order: int) -> np.ndarray:
+    """(g11, g22, Re g12, Im g12) at each point (row) of x."""
+    h = _engine.step(x, h0)
     return _engine.hessian(_psi(potential, x, h, order, curvature=False), h, order)[:, 0]
 
 
-def _scalar(potential: Potential, x, h, order: int) -> np.ndarray:
-    """S at each point (row) of x, with steps h; NaN where the metric degenerates on its stencil.
-
-    The S of a custom_radial potential depends on |x| only, so it is
-    taken at the orbit point c(|x|) with the same step, where the orbit
-    lattice folds the stencil's sites.
-    """
+def _scalar(potential: Potential, x, h0: float, order: int) -> np.ndarray:
+    """S at each point (row) of x; NaN where the metric degenerates."""
     if potential.family == _engine.RADIAL:
-        psi = _engine.radial_psi(
-            potential.fn, _engine.orbit_points(x), h, _engine.orbit_lattice(order), potential.name
-        )
-    else:
-        psi = _psi(potential, x, h, order, curvature=True)
-    return _engine.scalar_curvature(psi, h, order)
+        return _engine.radial_scalar(potential.fn, x, h0, order, potential.name)
+    h = _engine.step(x, h0)
+    return _engine.scalar_curvature(_psi(potential, x, h, order, curvature=True), h, order)
 
 
 def _chunked(evaluate, potential: Potential, points, h0: float, order: int, curvature: bool):
-    """evaluate(potential, x, h, order) over the points a chunk at a time, joined."""
-    h = _engine.step(points, h0)
+    """evaluate(potential, x, h0, order) over the points a chunk at a time, joined."""
     size = _chunk_points(order, curvature)
     return np.concatenate([
-        evaluate(potential, points[i : i + size], h[i : i + size], order)
+        evaluate(potential, points[i : i + size], h0, order)
         for i in range(0, len(points), size)
     ])
 
@@ -300,7 +289,7 @@ def hermitian_hessian(potential: Potential, z, h0: float = 1e-2, order: int = 4)
     """
     _check_stencil(h0, order)
     x = np.array([_coords(z)])
-    g11, g22, gr, gi = _metric(potential, x, _engine.step(x, h0), order)[0].tolist()
+    g11, g22, gr, gi = _metric(potential, x, h0, order)[0].tolist()
     det = g11 * g22 - gr * gr - gi * gi
     if not (math.isfinite(det) and det > 0.0 and g11 > 0.0 and g22 > 0.0):
         raise DegenerateMetricError(
@@ -313,7 +302,7 @@ def scalar_curvature(potential: Potential, z, h0: float = 1e-2, order: int = 4) 
     """Scalar curvature S = -2 tr(g^-1 Hess log det g) at z."""
     _check_stencil(h0, order)
     x = np.array([_coords(z)])
-    s = float(_scalar(potential, x, _engine.step(x, h0), order)[0])
+    s = float(_scalar(potential, x, h0, order)[0])
     if math.isnan(s):
         raise DegenerateMetricError(
             f"metric of {potential.name} degenerates on the stencil at {z!r}"
@@ -336,6 +325,8 @@ def verify_scalar_flat(
     Degenerate points make the report fail rather than raise, so a
     single bad sample cannot hide the rest of the sweep.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     s = _chunked(_scalar, potential, plan.points, plan.h0, plan.order, curvature=True)
     finite = np.isfinite(s)
     positive = bool(finite.all())
@@ -376,16 +367,16 @@ def scalar_curvature_derivative(
     scalar curvature operator applied to f.  The perturbation may be a
     Potential or a callable f(z1, z2) -> real.
 
-    Both S are differenced on the stencil at z itself, since the
+    Both S are differenced on the 4-D stencil at z, since the
     perturbation need not be radial: a custom_radial background or
     perturbation is called at all 673 (order 4) or 169 (order 2) sites,
     and the S of a custom_radial background here may differ from
-    scalar_curvature's, which is taken at the orbit point c(|z|), by
-    the stencil's truncation error.
+    scalar_curvature's, which is taken along t = log |z|^2, by the
+    stencil's truncation error.
     """
     _check_stencil(h0, order)
-    if t <= 0:
-        raise ValueError(f"perturbation scale t must be positive, got {t}")
+    if not (math.isfinite(t) and t > 0.0):
+        raise ValueError(f"perturbation scale t must be finite and positive, got {t}")
     if not isinstance(perturbation, Potential):
         perturbation = custom_general(perturbation)
     x = np.array([_coords(z)])

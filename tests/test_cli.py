@@ -304,6 +304,12 @@ def test_riemenschneider_text(capsys):
         ["table", "--which", "2"],
         ["verify-metric", "--potential", "unknown", "--rmin", "1", "--rmax", "4", "--samples", "4"],
         ["decay", "--potential", "eguchi-hanson", "--radii", "2:64:10", "--h0", "0.5"],
+        # a malformed tolerance is a usage error, not a failed verification
+        *(
+            ["verify-metric", "--potential", "flat", "--rmin", "1", "--rmax", "2", "--samples", "2",
+             "--tol", tol]
+            for tol in ("nan", "-1", "0", "inf")
+        ),
     ],
 )
 def test_usage_and_validation_errors_exit_1(capsys, argv):
