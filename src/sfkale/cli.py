@@ -2,10 +2,11 @@
 
 Verbs: resolve, moduli, table, verify-metric, decay, riemenschneider.
 Exit codes: 0 success, 1 usage or validation error, 2 mathematical
-verification failure.  JSON mode always emits exactly one top-level
-object; floats are printed with 12 significant digits and exact
-rationals as "num/den" strings, so output is byte-for-byte
-deterministic for fixed flags.
+verification failure, 141 (128 + SIGPIPE) when the reader of stdout
+closes the pipe early, as `sfkale ... | head -1` does.  JSON mode
+always emits exactly one top-level object; floats are printed with 12
+significant digits and exact rationals as "num/den" strings, so output
+is byte-for-byte deterministic for fixed flags.
 """
 
 from __future__ import annotations
@@ -13,11 +14,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import __version__, hj, moduli
 from .errors import SfkaleError
 from .groups import format_group_spec, group_order, parse_group_spec
+
+
+EXIT_BROKEN_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -318,7 +323,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return _exit_code(exc)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # what is still buffered goes to devnull, so the interpreter's own
+        # flush at exit does not raise a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except SystemExit as exc:
         return _exit_code(exc)
     except (SfkaleError, ValueError) as exc:

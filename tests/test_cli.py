@@ -15,6 +15,7 @@ from math import gcd
 import pytest
 
 import sfkale
+from sfkale import cli
 from sfkale.cli import main
 
 
@@ -354,6 +355,24 @@ def test_exact_verbs_run_without_numpy():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_closed_pipe_exits_quietly_with_its_own_code():
+    # the JSON table is larger than a pipe's buffer, so the verb is still
+    # writing when the reader closes its end after the first line, as
+    # `sfkale table --which 3 --lmax 1000 --json | head -1` does
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sfkale.__file__)))
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sfkale.cli", "table", "--which", "3", "--lmax", "1000", "--json"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+    assert stderr == b""
 
 
 # ------------------------------------------------------------------- README

@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sfkale.errors import InvalidPairError
+from sfkale.groups import cyclic_group
 from sfkale.hj import (
     chart_atlas,
     determinant_identity_holds,
@@ -29,6 +30,7 @@ from sfkale.hj import (
     transition_cocycle_holds,
     transition_matrices,
 )
+from sfkale.moduli import moduli_report
 
 
 def coprime_pairs(pmax):
@@ -195,6 +197,59 @@ def test_chain_structure_sweep():
             assert pts[i][0] < pts[i + 1][0]
             assert pts[i][1] > pts[i + 1][1]
         assert determinant_identity_holds(chain)
+
+
+# ------------------------------------------------------- the points view
+
+_pairs_to_ten_thousand = st.integers(2, 10**4).flatmap(
+    lambda p: st.tuples(st.just(p), st.integers(1, p - 1))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=_pairs_to_ten_thousand)
+def test_points_view_behaves_as_the_eager_tuple(pair):
+    p, q = pair
+    assume(gcd(p, q) == 1)
+    chain = lattice_chain(p, q)
+    view = chain.points
+    eager = tuple((Fraction(a, p), Fraction(b, p)) for a, b in chain.vectors)
+    assert eager == view and view == eager and not view != eager
+    assert hash(view) == hash(eager)
+    assert len(view) == len(eager) and repr(view) == repr(eager)
+    n = len(eager)
+    for i in (0, 1, n // 2, -2, -1):
+        assert view[i] == eager[i]
+    for cut in (slice(None), slice(1, -1), slice(None, None, -1), slice(n // 2, None, 2)):
+        assert view[cut] == eager[cut] and type(view[cut]) is tuple
+    assert tuple(view) == eager and list(reversed(view)) == list(reversed(eager))
+    fresh = dataclasses.replace(chain)
+    assert fresh == chain and hash(fresh) == hash(chain)
+    by_hand = dataclasses.replace(chain, points=eager)
+    assert by_hand == chain and hash(by_hand) == hash(chain)
+
+
+@pytest.mark.parametrize("p, q", [(2, 1), (7, 3), (17, 16), (13, 1), (997, 354)])
+def test_points_are_built_only_when_read(monkeypatch, p, q):
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr("sfkale.hj.Fraction", counting)
+    chain = lattice_chain(p, q)
+    invariant_monomials(chain)
+    atlas = chart_atlas(chain)
+    assert determinant_identity_holds(chain) and monomial_relation_holds(chain)
+    assert transition_cocycle_holds(atlas)
+    moduli_report(cyclic_group(p, q))
+    assert built == []
+    n = chain.m + 2  # len of the view reads only the vectors
+    assert built == [] and n == len(chain.vectors)
+    points = list(chain.points)
+    assert len(built) == 2 * n
+    assert list(chain.points) == points and len(built) == 2 * n  # the tuple is cached
 
 
 # ---------------------------------------------------------------- monomials
