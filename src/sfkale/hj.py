@@ -6,23 +6,21 @@ computes the all->=2 continued fraction of p/q and its dual, the chain
 of lattice points spanning the invariant monomial cone, the minimal
 generators of the invariant ring, and the monomial chart atlas with its
 transition identities.  No floating point enters any computation.
-The currency is Python ints.  A chain's data are the integer vectors
-p*c_i (LatticeChain.vectors), which lattice_chain computes by an integer
-recursion; its points are their Fraction view c_i, whose denominators
-divide p, built on first read and never read by any check here.
-invariant_monomials is the public view of the vectors, and the chart
-atlas and every identity are built and checked from them.  A chain
-built by hand or by dataclasses.replace still derives its vectors from
-its own points on first use.  The only other Fraction is
-evaluate_fraction's value.
+The currency is Python ints: Fractions appear only as the chain points
+c_i, whose denominators divide p, and as evaluate_fraction's value.
+The integer vectors p*c_i are LatticeChain.vectors: lattice_chain runs
+its recursion in ints and seeds them on the chain it returns, and any
+other chain (one built by hand or by dataclasses.replace) derives them
+from its points on first use.  invariant_monomials is their public
+view, and the chart atlas and every identity are built and checked
+from them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd
 
 from .errors import InvalidPairError
@@ -73,6 +71,9 @@ class HJExpansion:
     dual_coeffs: tuple[int, ...]
 
 
+# one resolve expands p/q twice and p/(p-q) three times: hj_expand (called
+# again by moduli.cyclic_moduli) and lattice_chain each ask for them
+@lru_cache(maxsize=64)
 def _expand(p, q):
     # e = ceil(p/q), then recurse on (q, e*q - p); remainder 0 stops.
     out = []
@@ -82,6 +83,21 @@ def _expand(p, q):
         out.append(e)
         a, b = b, e * b - a
     return tuple(out)
+
+
+def _over(n, p):
+    """Fraction(n, p) for ints n >= 0 and p > 0, at half the constructor's cost.
+
+    The reduced pair goes straight into Fraction's two slots, as
+    Fraction._from_coprime_ints does from Python 3.12 on; the
+    constructor's argument dispatch is most of the cost of a chain's
+    points.
+    """
+    g = gcd(n, p)
+    fr = object.__new__(Fraction)
+    fr._numerator = n // g
+    fr._denominator = p // g
+    return fr
 
 
 def hj_expand(p: int, q: int) -> HJExpansion:
@@ -115,63 +131,17 @@ def embedding_dimension(coeffs) -> int:
     return 3 + sum(e - 2 for e in coeffs)
 
 
-class _ScaledPoints(Sequence):
-    """Read-only view of integer vectors (a, b) as the points (a/p, b/p).
-
-    The tuple ((Fraction(a, p), Fraction(b, p)), ...) is built on the
-    first read (index, slice, iteration, ==, hash, repr) and cached; len
-    needs only the vectors.  The view equals that tuple, either way
-    round, and hashes like it.
-    """
-
-    __slots__ = ("_p", "_vectors", "_points")
-
-    def __init__(self, p, vectors):
-        self._p = p
-        self._vectors = vectors
-        self._points = None
-
-    @property
-    def _tuple(self):
-        if self._points is None:
-            p = self._p
-            self._points = tuple((Fraction(a, p), Fraction(b, p)) for a, b in self._vectors)
-        return self._points
-
-    def __len__(self):
-        return len(self._vectors)
-
-    def __getitem__(self, index):
-        return self._tuple[index]
-
-    def __iter__(self):
-        return iter(self._tuple)
-
-    def __eq__(self, other):
-        return self._tuple == other
-
-    def __hash__(self):
-        return hash(self._tuple)
-
-    def __repr__(self):
-        return repr(self._tuple)
-
-
 @dataclass(frozen=True)
 class LatticeChain:
     """Ascending chain of rational lattice points c_0, ..., c_{m+1}.
 
-    The integer vectors (a_i, b_i) = p*c_i (vectors, shown publicly by
-    invariant_monomials) are the chain's data: the exponent vectors of
-    the minimal invariant monomials, ordered by increasing x-exponent,
-    from (0, p) to (p, 0).  Interior vectors obey
-    w_{i+1} = chain_coeffs[i]*w_i - w_{i-1}, and every consecutive pair
-    satisfies the determinant identity b_i*a_{i+1} - b_{i+1}*a_i = p.
-
-    points are their Fraction view c_i = w_i / p, from (0, 1) to (1, 0).
-    On a chain from lattice_chain it is a read-only sequence built from
-    the vectors on first read; it equals and hashes like the plain tuple
-    of Fraction pairs.  A chain built by hand passes that tuple.
+    The points run from (0, 1) to (1, 0) with denominators dividing p;
+    the integer vectors (a_i, b_i) = p*c_i (vectors, shown publicly by
+    invariant_monomials) are the exponent vectors of the minimal
+    invariant monomials, ordered by increasing x-exponent.  Interior
+    points obey c_{i+1} = chain_coeffs[i]*c_i - c_{i-1}, and every
+    consecutive pair satisfies the determinant identity
+    b_i*a_{i+1} - b_{i+1}*a_i = p.
 
     vectors is never passed in.  lattice_chain seeds it with the integers
     its recursion produced; on every other instance it is derived from
@@ -182,7 +152,7 @@ class LatticeChain:
 
     p: int
     q: int
-    points: Sequence[tuple[Fraction, Fraction]]
+    points: tuple[tuple[Fraction, Fraction], ...]
     chain_coeffs: tuple[int, ...]
 
     @property
@@ -213,9 +183,8 @@ def lattice_chain(p: int, q: int) -> LatticeChain:
     reversing into ascending order; the ascending multipliers are the
     dual expansion read backwards.  The recursion is closed (last point
     (0, p)) for every coprime pair, which the constructor checks.  Its
-    integer vectors seed the chain's vectors cache, and the points are
-    their Fraction view, so no Fraction is built until the points are
-    read.  Raises InvalidPairError as hj_expand does.
+    integer vectors seed the chain's vectors cache, so no check converts
+    the points back.  Raises InvalidPairError as hj_expand does.
     """
     _check_pair(p, q)
     dual = _expand(p, p - q)
@@ -226,9 +195,9 @@ def lattice_chain(p: int, q: int) -> LatticeChain:
     if w[-1] != (0, p):  # guaranteed by the recursion; guards transcription bugs
         raise RuntimeError(f"chain for ({p}, {q}) did not close: {w[-1]}")
     w.reverse()
-    vectors = tuple(w)
-    chain = LatticeChain(p=p, q=q, points=_ScaledPoints(p, vectors), chain_coeffs=dual[::-1])
-    vars(chain)["vectors"] = vectors  # the cached_property's slot
+    points = tuple((_over(a, p), _over(b, p)) for a, b in w)
+    chain = LatticeChain(p=p, q=q, points=points, chain_coeffs=dual[::-1])
+    vars(chain)["vectors"] = tuple(w)  # the cached_property's slot
     return chain
 
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from sfkale.errors import InvalidPairError
 from sfkale.groups import cyclic_group
 from sfkale.hj import (
+    _expand,
     chart_atlas,
     determinant_identity_holds,
     embedding_dimension,
@@ -197,59 +198,6 @@ def test_chain_structure_sweep():
             assert pts[i][0] < pts[i + 1][0]
             assert pts[i][1] > pts[i + 1][1]
         assert determinant_identity_holds(chain)
-
-
-# ------------------------------------------------------- the points view
-
-_pairs_to_ten_thousand = st.integers(2, 10**4).flatmap(
-    lambda p: st.tuples(st.just(p), st.integers(1, p - 1))
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(pair=_pairs_to_ten_thousand)
-def test_points_view_behaves_as_the_eager_tuple(pair):
-    p, q = pair
-    assume(gcd(p, q) == 1)
-    chain = lattice_chain(p, q)
-    view = chain.points
-    eager = tuple((Fraction(a, p), Fraction(b, p)) for a, b in chain.vectors)
-    assert eager == view and view == eager and not view != eager
-    assert hash(view) == hash(eager)
-    assert len(view) == len(eager) and repr(view) == repr(eager)
-    n = len(eager)
-    for i in (0, 1, n // 2, -2, -1):
-        assert view[i] == eager[i]
-    for cut in (slice(None), slice(1, -1), slice(None, None, -1), slice(n // 2, None, 2)):
-        assert view[cut] == eager[cut] and type(view[cut]) is tuple
-    assert tuple(view) == eager and list(reversed(view)) == list(reversed(eager))
-    fresh = dataclasses.replace(chain)
-    assert fresh == chain and hash(fresh) == hash(chain)
-    by_hand = dataclasses.replace(chain, points=eager)
-    assert by_hand == chain and hash(by_hand) == hash(chain)
-
-
-@pytest.mark.parametrize("p, q", [(2, 1), (7, 3), (17, 16), (13, 1), (997, 354)])
-def test_points_are_built_only_when_read(monkeypatch, p, q):
-    built = []
-
-    def counting(*args):
-        built.append(args)
-        return Fraction(*args)
-
-    monkeypatch.setattr("sfkale.hj.Fraction", counting)
-    chain = lattice_chain(p, q)
-    invariant_monomials(chain)
-    atlas = chart_atlas(chain)
-    assert determinant_identity_holds(chain) and monomial_relation_holds(chain)
-    assert transition_cocycle_holds(atlas)
-    moduli_report(cyclic_group(p, q))
-    assert built == []
-    n = chain.m + 2  # len of the view reads only the vectors
-    assert built == [] and n == len(chain.vectors)
-    points = list(chain.points)
-    assert len(built) == 2 * n
-    assert list(chain.points) == points and len(built) == 2 * n  # the tuple is cached
 
 
 # ---------------------------------------------------------------- monomials
@@ -503,6 +451,36 @@ def test_integer_conversion_equals_the_fraction_one(pair):
     # with the integer conversion under test
     want = tuple((int(s * p), int(t * p)) for s, t in chain.points)
     assert invariant_monomials(chain).exponents == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=_pairs_to_a_million)
+def test_points_are_the_fractions_the_constructor_builds(pair):
+    # lattice_chain fills Fraction's slots directly; its points must be
+    # what Fraction(a, p) builds: same type, lowest terms, hash and repr
+    p, q = pair
+    assume(gcd(p, q) == 1)
+    assume(_partial_quotient_sum(p, q) <= 5000)
+    chain = lattice_chain(p, q)
+    want = tuple((Fraction(a, p), Fraction(b, p)) for a, b in chain.vectors)
+    assert chain.points == want
+    assert hash(chain.points) == hash(want) and repr(chain.points) == repr(want)
+    for got, ref in zip(itertools.chain(*chain.points), itertools.chain(*want)):
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == (ref.numerator, ref.denominator)
+    assert dataclasses.replace(chain) == chain
+
+
+def test_one_resolve_expands_each_continued_fraction_once():
+    # hj_expand, lattice_chain and cyclic_moduli (through moduli_report)
+    # ask for p/q twice and p/(p - q) three times between them
+    _expand.cache_clear()
+    p, q = 997, 354
+    hj_expand(p, q)
+    lattice_chain(p, q)
+    moduli_report(cyclic_group(p, q))
+    info = _expand.cache_info()
+    assert (info.misses, info.hits) == (2, 3)
 
 
 def test_package_root_reexports():
