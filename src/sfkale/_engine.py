@@ -51,7 +51,9 @@ own h^2.  How many points share a stack is the caller's choice
 neighbours.
 
 Degenerate metrics surface as NaN at the points they touch; callers
-turn that into an error or a failed report.
+turn that into an error or a failed report.  The engine leaves numpy's
+error state alone: the divide, invalid and overflow warnings that mark
+those points are the caller's to silence, once per call.
 """
 
 from __future__ import annotations
@@ -230,31 +232,30 @@ def builtin_psi(family, par, x, h, order: int, curvature: bool):
         return du
     u = (bases * bases).sum(axis=2)[:, :, None]
     a2 = par * par
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_term = du / u
-        # a base at the origin, or a site at or beyond the log singularity
-        bad = (u <= 0.0) | (log_term <= -1.0)
-        np.log1p(log_term, out=log_term)
-        log_term *= a2 if family == EGUCHI_HANSON else par
-        if family == EGUCHI_HANSON:
-            # dw = du (us + u) / (ws + w), the change of w = sqrt(a^4 + u^2)
-            w = np.sqrt(a2 * a2 + u * u)
-            us = u + du
-            ws = us * us
-            ws += a2 * a2
-            np.sqrt(ws, out=ws)
-            ws += w
-            us += u
-            dw = np.multiply(du, us, out=us)
-            dw /= ws
-            psi = np.add(dw, log_term, out=ws)
-            dw /= a2 + w
-            np.log1p(dw, out=dw)
-            dw *= a2
-            psi -= dw
-        else:
-            psi = np.add(du, log_term, out=log_term)
-        psi[bad] = np.nan
+    log_term = du / u
+    # a base at the origin, or a site at or beyond the log singularity
+    bad = (u <= 0.0) | (log_term <= -1.0)
+    np.log1p(log_term, out=log_term)
+    log_term *= a2 if family == EGUCHI_HANSON else par
+    if family == EGUCHI_HANSON:
+        # dw = du (us + u) / (ws + w), the change of w = sqrt(a^4 + u^2)
+        w = np.sqrt(a2 * a2 + u * u)
+        us = u + du
+        ws = us * us
+        ws += a2 * a2
+        np.sqrt(ws, out=ws)
+        ws += w
+        us += u
+        dw = np.multiply(du, us, out=us)
+        dw /= ws
+        psi = np.add(dw, log_term, out=ws)
+        dw /= a2 + w
+        np.log1p(dw, out=dw)
+        dw *= a2
+        psi -= dw
+    else:
+        psi = np.add(du, log_term, out=log_term)
+    psi[bad] = np.nan
     return psi
 
 

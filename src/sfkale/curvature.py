@@ -16,7 +16,9 @@ metric_deviations, which the decay fits and weighted norms use) walk
 their points in chunks of about _CHUNK_TERMS stencil terms: 4 scalar
 curvature points at order 4, 14 at order 2, 213 or 426 Hessians.  A
 single-point call passes one row through the same code, and no value
-depends on which chunk its point fell in.
+depends on which chunk its point fell in.  numpy's float warnings are
+off for the whole of each public call, a custom potential's included:
+the points they would flag come back NaN and count as degenerate.
 """
 
 from __future__ import annotations
@@ -78,15 +80,15 @@ def flat() -> Potential:
 
 def eguchi_hanson(a: float = 1.0) -> Potential:
     """Ricci-flat ALE potential with length-scale parameter a > 0."""
-    if not a > 0:
-        raise ValueError(f"eguchi-hanson parameter a must be positive, got {a}")
+    if not (math.isfinite(a) and a > 0):
+        raise ValueError(f"eguchi-hanson parameter a must be finite and positive, got {a}")
     return Potential(name="eguchi-hanson", family=_engine.EGUCHI_HANSON, parameter=float(a))
 
 
 def burns(m: float = 1.0) -> Potential:
     """Scalar-flat potential |z|^2 + m log |z|^2 with mass parameter m > 0."""
-    if not m > 0:
-        raise ValueError(f"burns parameter m must be positive, got {m}")
+    if not (math.isfinite(m) and m > 0):
+        raise ValueError(f"burns parameter m must be finite and positive, got {m}")
     return Potential(name="burns", family=_engine.BURNS, parameter=float(m))
 
 
@@ -289,7 +291,8 @@ def hermitian_hessian(potential: Potential, z, h0: float = 1e-2, order: int = 4)
     """
     _check_stencil(h0, order)
     x = np.array([_coords(z)])
-    g11, g22, gr, gi = _metric(potential, x, h0, order)[0].tolist()
+    with np.errstate(all="ignore"):
+        g11, g22, gr, gi = _metric(potential, x, h0, order)[0].tolist()
     det = g11 * g22 - gr * gr - gi * gi
     if not (math.isfinite(det) and det > 0.0 and g11 > 0.0 and g22 > 0.0):
         raise DegenerateMetricError(
@@ -302,7 +305,8 @@ def scalar_curvature(potential: Potential, z, h0: float = 1e-2, order: int = 4) 
     """Scalar curvature S = -2 tr(g^-1 Hess log det g) at z."""
     _check_stencil(h0, order)
     x = np.array([_coords(z)])
-    s = float(_scalar(potential, x, h0, order)[0])
+    with np.errstate(all="ignore"):
+        s = float(_scalar(potential, x, h0, order)[0])
     if math.isnan(s):
         raise DegenerateMetricError(
             f"metric of {potential.name} degenerates on the stencil at {z!r}"
@@ -313,7 +317,8 @@ def scalar_curvature(potential: Potential, z, h0: float = 1e-2, order: int = 4) 
 def metric_deviations(potential: Potential, points, h0: float = 1e-2, order: int = 4) -> np.ndarray:
     """Max entrywise |g - I| at each point."""
     _check_stencil(h0, order)
-    g = _chunked(_metric, potential, _coords_array(points), h0, order, curvature=False)
+    with np.errstate(all="ignore"):
+        g = _chunked(_metric, potential, _coords_array(points), h0, order, curvature=False)
     return np.max(np.abs(g - np.array([1.0, 1.0, 0.0, 0.0])), axis=1)
 
 
@@ -327,7 +332,8 @@ def verify_scalar_flat(
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
-    s = _chunked(_scalar, potential, plan.points, plan.h0, plan.order, curvature=True)
+    with np.errstate(all="ignore"):
+        s = _chunked(_scalar, potential, plan.points, plan.h0, plan.order, curvature=True)
     finite = np.isfinite(s)
     positive = bool(finite.all())
     if positive:
@@ -383,10 +389,11 @@ def scalar_curvature_derivative(
     h = _engine.step(x, h0)
     # the background keeps its stable differences; the perturbation's
     # enter scaled by t, so their own rounding is harmless
-    base = _psi(background, x, h, order, curvature=True)
-    shift = t * _psi(perturbation, x, h, order, curvature=True)
-    s_plus = float(_engine.scalar_curvature(base + shift, h, order)[0])
-    s_minus = float(_engine.scalar_curvature(base - shift, h, order)[0])
+    with np.errstate(all="ignore"):
+        base = _psi(background, x, h, order, curvature=True)
+        shift = t * _psi(perturbation, x, h, order, curvature=True)
+        s_plus = float(_engine.scalar_curvature(base + shift, h, order)[0])
+        s_minus = float(_engine.scalar_curvature(base - shift, h, order)[0])
     if math.isnan(s_plus) or math.isnan(s_minus):
         raise DegenerateMetricError(
             f"perturbed metric degenerates at {z!r} for scale t={t}"

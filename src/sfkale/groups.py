@@ -3,8 +3,10 @@
 Seven families are supported: the cyclic actions (p, q) and six
 non-cyclic families built from the binary polyhedral groups, either as
 products with a scalar cyclic factor or as the index-2 / index-3
-diagonal subgroups of such products.  Each family carries a
-coprimality condition; validate_group enforces them.
+diagonal subgroups of such products.  One table holds each family's
+fields, coprimality conditions (validate_group enforces them) and the
+arm orders alpha_i of its resolution star; the star's modulus M, with
+1/M = sum(1/alpha_i) - 1, and the group order 4Ml follow from them.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd
+from typing import NamedTuple
 
 from .errors import ConditionViolationError
 
@@ -37,18 +40,48 @@ class GroupKind(str, Enum):
     TETRAHEDRAL_INDEX3 = "t3"
 
 
-_PRODUCT_KINDS = frozenset(
-    {
-        GroupKind.DIHEDRAL_PRODUCT,
-        GroupKind.TETRAHEDRAL_PRODUCT,
-        GroupKind.OCTAHEDRAL_PRODUCT,
-        GroupKind.ICOSAHEDRAL_PRODUCT,
-    }
-)
-_DIHEDRAL_KINDS = frozenset({GroupKind.DIHEDRAL_PRODUCT, GroupKind.DIHEDRAL_INDEX2})
-# the fields each kind takes; a spec leaves every other field None
-_FIELDS = {kind: ("l", "n") if kind in _DIHEDRAL_KINDS else ("l",) for kind in GroupKind}
-_FIELDS[GroupKind.CYCLIC] = ("p", "q")
+class _Family(NamedTuple):
+    fields: tuple[str, ...]  # a spec of the kind sets these and leaves the rest None
+    arms: tuple | None  # arm orders alpha_i of the star, "n" for the spec's n; None if cyclic
+    conditions: tuple  # (field, holds, text), checked in order
+
+
+# one row per kind; the polyhedral rows, which take l alone, run in Table 3's order
+_FAMILIES = {
+    GroupKind.CYCLIC: _Family(("p", "q"), None, (
+        ("q", lambda s: s.p >= 2 and s.q < s.p, "1 <= q < p with p >= 2"),
+        ("q", lambda s: gcd(s.p, s.q) == 1, "gcd(p, q) = 1"),
+    )),
+    GroupKind.DIHEDRAL_PRODUCT: _Family(("l", "n"), (2, 2, "n"), (
+        ("l", lambda s: gcd(s.l, 2 * s.n) == 1, "gcd(l, 2n) = 1"),
+    )),
+    GroupKind.DIHEDRAL_INDEX2: _Family(("l", "n"), (2, 2, "n"), (
+        ("l", lambda s: s.l % 2 == 0, "gcd(l, 2) = 2 (l even)"),
+        ("l", lambda s: gcd(s.l, s.n) == 1, "gcd(l, n) = 1"),
+    )),
+    GroupKind.TETRAHEDRAL_PRODUCT: _Family(("l",), (2, 3, 3), (
+        ("l", lambda s: gcd(s.l, 6) == 1, "gcd(l, 6) = 1"),
+    )),
+    GroupKind.TETRAHEDRAL_INDEX3: _Family(("l",), (2, 3, 3), (
+        ("l", lambda s: gcd(s.l, 6) == 3, "gcd(l, 6) = 3"),
+    )),
+    GroupKind.OCTAHEDRAL_PRODUCT: _Family(("l",), (2, 3, 4), (
+        ("l", lambda s: gcd(s.l, 6) == 1, "gcd(l, 6) = 1"),
+    )),
+    GroupKind.ICOSAHEDRAL_PRODUCT: _Family(("l",), (2, 3, 5), (
+        ("l", lambda s: gcd(s.l, 30) == 1, "gcd(l, 30) = 1"),
+    )),
+}
+
+
+def _star(kind: GroupKind, n: int | None = None) -> tuple[tuple[int, int, int], int]:
+    """Arm orders of a non-cyclic kind's star and its modulus M, 1/M = sum(1/alpha_i) - 1.
+
+    4M is the order of the binary polyhedral group <alpha_1, alpha_2, alpha_3>
+    (Coxeter, Duke Math. J. 7, 1940): M = n, 6, 12 or 30.
+    """
+    a1, a2, a3 = arms = tuple(n if a == "n" else a for a in _FAMILIES[kind].arms)
+    return arms, a1 * a2 * a3 // (a1 * a2 + a1 * a3 + a2 * a3 - a1 * a2 * a3)
 
 
 @dataclass(frozen=True)
@@ -66,13 +99,6 @@ def cyclic_group(p: int, q: int) -> GroupSpec:
     return validate_group(GroupSpec(kind=GroupKind.CYCLIC, p=p, q=q))
 
 
-def _require_positive(spec, fields):
-    for name in fields:
-        value = getattr(spec, name)
-        if not isinstance(value, int) or value < 1:
-            raise ConditionViolationError(name, "a positive integer")
-
-
 def validate_group(spec: GroupSpec) -> GroupSpec:
     """Return the spec unchanged iff its admissibility condition holds.
 
@@ -81,51 +107,28 @@ def validate_group(spec: GroupSpec) -> GroupSpec:
     validating a validated spec is a no-op.
     """
     kind = spec.kind
-    fields = _FIELDS.get(kind) if isinstance(kind, str) else None
-    if fields is None:
+    family = _FAMILIES.get(kind) if isinstance(kind, str) else None
+    if family is None:
         raise ConditionViolationError("kind", f"a supported kind, got {kind!r}")
     for name in ("p", "q", "l", "n"):
-        if name not in fields and getattr(spec, name) is not None:
+        if name not in family.fields and getattr(spec, name) is not None:
             raise ConditionViolationError(name, f"no value for kind {GroupKind(kind).value}")
-    _require_positive(spec, fields)
-    if kind == GroupKind.CYCLIC:
-        if spec.p < 2 or not spec.q < spec.p:
-            raise ConditionViolationError("q", "1 <= q < p with p >= 2")
-        if gcd(spec.p, spec.q) != 1:
-            raise ConditionViolationError("q", "gcd(p, q) = 1")
-    elif kind == GroupKind.DIHEDRAL_PRODUCT:
-        if gcd(spec.l, 2 * spec.n) != 1:
-            raise ConditionViolationError("l", "gcd(l, 2n) = 1")
-    elif kind in (GroupKind.TETRAHEDRAL_PRODUCT, GroupKind.OCTAHEDRAL_PRODUCT):
-        if gcd(spec.l, 6) != 1:
-            raise ConditionViolationError("l", "gcd(l, 6) = 1")
-    elif kind == GroupKind.ICOSAHEDRAL_PRODUCT:
-        if gcd(spec.l, 30) != 1:
-            raise ConditionViolationError("l", "gcd(l, 30) = 1")
-    elif kind == GroupKind.DIHEDRAL_INDEX2:
-        # "(l, 2) = 2" i.e. l even, alongside gcd(l, n) = 1
-        if spec.l % 2 != 0:
-            raise ConditionViolationError("l", "gcd(l, 2) = 2 (l even)")
-        if gcd(spec.l, spec.n) != 1:
-            raise ConditionViolationError("l", "gcd(l, n) = 1")
-    elif gcd(spec.l, 6) != 3:  # the index-3 tetrahedral family
-        raise ConditionViolationError("l", "gcd(l, 6) = 3")
+    for name in family.fields:
+        value = getattr(spec, name)
+        if not isinstance(value, int) or value < 1:
+            raise ConditionViolationError(name, "a positive integer")
+    for name, holds, condition in family.conditions:
+        if not holds(spec):
+            raise ConditionViolationError(name, condition)
     return spec
 
 
 def group_order(spec: GroupSpec) -> int:
-    """Number of elements of the group."""
+    """Number of elements of the group: p, or 4 M l for a star of modulus M."""
     validate_group(spec)
-    kind = spec.kind
-    if kind == GroupKind.CYCLIC:
+    if spec.kind == GroupKind.CYCLIC:
         return spec.p
-    if kind in _DIHEDRAL_KINDS:
-        return 4 * spec.l * spec.n
-    if kind in (GroupKind.TETRAHEDRAL_PRODUCT, GroupKind.TETRAHEDRAL_INDEX3):
-        return 24 * spec.l
-    if kind == GroupKind.OCTAHEDRAL_PRODUCT:
-        return 48 * spec.l
-    return 120 * spec.l
+    return 4 * _star(spec.kind, spec.n)[1] * spec.l
 
 
 def is_su2(spec: GroupSpec) -> bool:
@@ -139,16 +142,14 @@ def is_su2(spec: GroupSpec) -> bool:
     validate_group(spec)
     if spec.kind == GroupKind.CYCLIC:
         return spec.q == spec.p - 1
-    if spec.kind in _PRODUCT_KINDS:
-        return spec.l == 1
-    return False
+    return spec.l == 1
 
 
 def format_group_spec(spec: GroupSpec) -> str:
     """Canonical CLI string for a spec, e.g. 'dprod:l=3,n=5'."""
     if spec.kind == GroupKind.CYCLIC:
         return f"cyclic:{spec.p},{spec.q}"
-    fields = ",".join(f"{name}={getattr(spec, name)}" for name in _FIELDS[spec.kind])
+    fields = ",".join(f"{name}={getattr(spec, name)}" for name in _FAMILIES[spec.kind].fields)
     return f"{GroupKind(spec.kind).value}:{fields}"  # kind may be a plain string
 
 
@@ -179,7 +180,7 @@ def parse_group_spec(text: str) -> GroupSpec:
         except ValueError:
             raise ValueError(f"cyclic spec needs integer p,q, got {rest!r}") from None
     else:
-        wanted = _FIELDS[kind]
+        wanted = _FAMILIES[kind].fields
         parts = rest.split(",")
         if len(parts) != len(wanted):
             raise ValueError(f"{head} spec needs {','.join(wanted)}, got {rest!r}")

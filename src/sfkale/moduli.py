@@ -18,7 +18,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import ConditionViolationError, UnsupportedParameterError
-from .groups import GroupKind, GroupSpec, cyclic_group, validate_group
+from .groups import _FAMILIES, GroupKind, GroupSpec, _star, cyclic_group, validate_group
 from .hj import HJExpansion, _expand, embedding_dimension, hj_expand
 
 __all__ = [
@@ -157,16 +157,6 @@ class StarGraph(NamedTuple):
     arms: tuple[tuple[int, ...], ...]
 
 
-# kind -> (arm orders alpha_i, modulus M) of its star; a dihedral kind
-# has orders (2, 2, n) and M = n
-_STAR_ORDERS = {
-    GroupKind.TETRAHEDRAL_PRODUCT: ((2, 3, 3), 6),
-    GroupKind.TETRAHEDRAL_INDEX3: ((2, 3, 3), 6),
-    GroupKind.OCTAHEDRAL_PRODUCT: ((2, 3, 4), 12),
-    GroupKind.ICOSAHEDRAL_PRODUCT: ((2, 3, 5), 30),
-}
-
-
 def star_graph(spec: GroupSpec) -> StarGraph:
     """The star of a validated non-cyclic group.
 
@@ -181,12 +171,9 @@ def star_graph(spec: GroupSpec) -> StarGraph:
     validate_group(spec)
     if spec.kind == GroupKind.CYCLIC:
         raise ValueError("use cyclic_moduli for cyclic groups")
-    if spec.kind in _STAR_ORDERS:
-        orders, modulus = _STAR_ORDERS[spec.kind]
-    elif spec.n > 1 or spec.l == 1:
-        orders, modulus = (2, 2, spec.n), spec.n
-    else:
+    if spec.n == 1 and spec.l > 1:
         raise UnsupportedParameterError("n = 1 leaves no arm n/beta with 1 <= beta <= n - 1")
+    orders, modulus = _star(spec.kind, spec.n)
     a1, a2, a3 = orders
     total = a1 * a2 * a3
     det = spec.l * (total // modulus)
@@ -263,7 +250,10 @@ def table3_rows(lmax: int):
     (l = 1 is the hyperkahler case, reported elsewhere).
     """
     rows = []
-    for kind, (_, modulus) in _STAR_ORDERS.items():
+    for kind, family in _FAMILIES.items():
+        if family.fields != ("l",):
+            continue  # the cyclic and dihedral kinds
+        modulus = _star(kind)[1]
         for residue in range(1, modulus):
             try:
                 validate_group(GroupSpec(kind=kind, l=residue))

@@ -311,6 +311,11 @@ def test_riemenschneider_text(capsys):
              "--tol", tol]
             for tol in ("nan", "-1", "0", "inf")
         ),
+        # a potential parameter that is not finite is a usage error too
+        ["verify-metric", "--potential", "eguchi-hanson", "--a", "inf", "--rmin", "1", "--rmax", "8",
+         "--samples", "4"],
+        ["verify-metric", "--potential", "burns", "--m", "inf", "--rmin", "1", "--rmax", "8",
+         "--samples", "4"],
     ],
 )
 def test_usage_and_validation_errors_exit_1(capsys, argv):

@@ -272,6 +272,32 @@ def test_potential_constructors():
         cv.eguchi_hanson(0.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0, 0.0])
+def test_potential_parameters_must_be_finite_and_positive(bad):
+    # an infinite parameter built a potential whose every sample degenerated
+    with pytest.raises(ValueError, match="eguchi-hanson parameter a must be finite and positive"):
+        cv.eguchi_hanson(bad)
+    with pytest.raises(ValueError, match="burns parameter m must be finite and positive"):
+        cv.burns(bad)
+
+
+def test_accepted_inputs_leak_no_numpy_warnings():
+    # at h0 = 1e-300, h * h underflows to 0 in the reduction; at m = 1e300 the
+    # Burns term overflows.  The engine's NaN must reach the caller as a
+    # degenerate point, with no RuntimeWarning on the way
+    plan = cv.SamplePlan(cv.sample_points(1, 8, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tiny = cv.verify_scalar_flat(FL, cv.SamplePlan(plan.points, h0=1e-300))
+        with pytest.raises(DegenerateMetricError):
+            cv.hermitian_hessian(FL, (1.3, 0.4 + 0.2j), h0=1e-300)
+        heavy = cv.verify_scalar_flat(cv.burns(1e300), plan)
+    for report in (tiny, heavy):
+        assert not report.passed and report.degenerate_indices == (0, 1, 2, 3)
+    # the caller's error state is left as it was
+    assert np.geterr()["invalid"] == "warn"
+
+
 # -------------------------------------------------------------------- decay
 
 

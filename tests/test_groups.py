@@ -15,10 +15,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sfkale.errors import ConditionViolationError
+from sfkale.errors import ConditionViolationError, UnsupportedParameterError
 from sfkale.groups import (
     GroupKind,
     GroupSpec,
+    _star,
     cyclic_group,
     format_group_spec,
     group_order,
@@ -26,6 +27,7 @@ from sfkale.groups import (
     parse_group_spec,
     validate_group,
 )
+from sfkale.moduli import star_graph
 
 
 # --------------------------------------------------------------- the oracle
@@ -377,3 +379,109 @@ def test_parse_validates_parameters():
         parse_group_spec("cyclic:6,3")
     with pytest.raises(ConditionViolationError):
         parse_group_spec("tprod:l=4")
+
+
+# ------------------------------------------- reference code for the family table
+# validate_group, group_order and is_su2 as they read with one branch per
+# kind, and the arm orders and moduli M that moduli.star_graph read from a
+# table of its own.  The one family table in sfkale.groups must agree with
+# them on every spec.
+
+
+def _ref_validate(spec):
+    fields = {"cyclic": ("p", "q"), "dprod": ("l", "n"), "d2": ("l", "n")}.get(spec.kind, ("l",))
+    for name in ("p", "q", "l", "n"):
+        if name not in fields and getattr(spec, name) is not None:
+            raise ConditionViolationError(name, f"no value for kind {spec.kind.value}")
+    for name in fields:
+        value = getattr(spec, name)
+        if not isinstance(value, int) or value < 1:
+            raise ConditionViolationError(name, "a positive integer")
+    kind = spec.kind
+    if kind == GroupKind.CYCLIC:
+        if spec.p < 2 or not spec.q < spec.p:
+            raise ConditionViolationError("q", "1 <= q < p with p >= 2")
+        if math.gcd(spec.p, spec.q) != 1:
+            raise ConditionViolationError("q", "gcd(p, q) = 1")
+    elif kind == GroupKind.DIHEDRAL_PRODUCT:
+        if math.gcd(spec.l, 2 * spec.n) != 1:
+            raise ConditionViolationError("l", "gcd(l, 2n) = 1")
+    elif kind in (GroupKind.TETRAHEDRAL_PRODUCT, GroupKind.OCTAHEDRAL_PRODUCT):
+        if math.gcd(spec.l, 6) != 1:
+            raise ConditionViolationError("l", "gcd(l, 6) = 1")
+    elif kind == GroupKind.ICOSAHEDRAL_PRODUCT:
+        if math.gcd(spec.l, 30) != 1:
+            raise ConditionViolationError("l", "gcd(l, 30) = 1")
+    elif kind == GroupKind.DIHEDRAL_INDEX2:
+        if spec.l % 2 != 0:
+            raise ConditionViolationError("l", "gcd(l, 2) = 2 (l even)")
+        if math.gcd(spec.l, spec.n) != 1:
+            raise ConditionViolationError("l", "gcd(l, n) = 1")
+    elif math.gcd(spec.l, 6) != 3:
+        raise ConditionViolationError("l", "gcd(l, 6) = 3")
+
+
+def _ref_order(spec):
+    kind = spec.kind
+    if kind == GroupKind.CYCLIC:
+        return spec.p
+    if kind in (GroupKind.DIHEDRAL_PRODUCT, GroupKind.DIHEDRAL_INDEX2):
+        return 4 * spec.l * spec.n
+    if kind in (GroupKind.TETRAHEDRAL_PRODUCT, GroupKind.TETRAHEDRAL_INDEX3):
+        return 24 * spec.l
+    if kind == GroupKind.OCTAHEDRAL_PRODUCT:
+        return 48 * spec.l
+    return 120 * spec.l
+
+
+def _ref_su2(spec):
+    if spec.kind == GroupKind.CYCLIC:
+        return spec.q == spec.p - 1
+    products = ("dprod", "tprod", "oprod", "iprod")
+    return spec.kind in products and spec.l == 1
+
+
+_REF_STAR = {
+    GroupKind.TETRAHEDRAL_PRODUCT: ((2, 3, 3), 6),
+    GroupKind.TETRAHEDRAL_INDEX3: ((2, 3, 3), 6),
+    GroupKind.OCTAHEDRAL_PRODUCT: ((2, 3, 4), 12),
+    GroupKind.ICOSAHEDRAL_PRODUCT: ((2, 3, 5), 30),
+}
+
+
+@st.composite
+def any_specs(draw):
+    """A spec of any kind, admissible or not, sometimes with a field it does not take."""
+    kind = GroupKind(draw(st.sampled_from(_KINDS)))
+    # small values reach the boundaries (p = 1, q = p, n = 1) and the gcd residues often
+    value = st.one_of(st.integers(1, 12), st.integers(1, 10**4), st.sampled_from((0, -1)))
+    names = ("p", "q") if kind == GroupKind.CYCLIC else _FIELDS.get(kind.value, ("l",))
+    fields = {name: draw(value) for name in names}
+    if draw(st.integers(0, 9)) == 0:
+        stray = draw(st.sampled_from([f for f in ("p", "q", "l", "n") if f not in names]))
+        fields[stray] = draw(value)
+    return GroupSpec(kind, **fields)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(spec=any_specs())
+def test_family_table_matches_the_per_kind_reference(spec):
+    try:
+        _ref_validate(spec)
+    except ConditionViolationError as want:
+        with pytest.raises(ConditionViolationError) as info:
+            validate_group(spec)
+        assert (info.value.field, info.value.condition) == (want.field, want.condition)
+        return
+    assert validate_group(spec) is spec
+    assert group_order(spec) == _ref_order(spec)
+    assert is_su2(spec) == _ref_su2(spec)
+    if spec.kind == GroupKind.CYCLIC:
+        return
+    arms, modulus = _REF_STAR.get(spec.kind, ((2, 2, spec.n), spec.n))
+    assert _star(spec.kind, spec.n) == (arms, modulus)
+    if spec.n == 1 and spec.l > 1:
+        with pytest.raises(UnsupportedParameterError):
+            star_graph(spec)
+    else:
+        assert star_graph(spec).orders == arms
