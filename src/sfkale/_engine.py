@@ -28,18 +28,21 @@ curvature comes out near machine zero instead of h^-4-amplified
 rounding.  Custom potentials keep the plain difference Phi(x + d) -
 Phi(x), evaluated in one of two ways:
 
-  radial (Phi = F(|z|^2)): F is called once per distinct site x + h o
-    of the site lattice (49 per Hessian and 673 per 4-D scalar
-    curvature at order 4, 25 and 169 at order 2), and psi is differenced
-    from those values through the lattice's index arrays.  radial_scalar
+  lattice_psi: the callable is called once per distinct site x + h o of
+    the site lattice (49 per Hessian and 673 per 4-D scalar curvature
+    at order 4, 25 and 169 at order 2), and psi is differenced from
+    those values through the lattice's index arrays.  This serves a
+    radial F(|z|^2) everywhere, and any callable perturbation of a
+    scalar curvature derivative, radial or general.  radial_scalar
     takes a radial S from 9 (order 4) or 7 values of F along t = log u;
-  general: the user's fn(z1, z2) is called at both ends of every term,
-    duplicates included: one scalar curvature takes 53 Hessians of 48
-    psi each at order 4 (29 of 24 at order 2).
+  callable_psi: a general fn(z1, z2) is called at both ends of every
+    term, duplicates included: one scalar curvature takes 53 Hessians
+    of 48 psi each at order 4 (29 of 24 at order 2).  Only a
+    custom_general potential's own S and Hessian still take this path.
 
-Both kinds hand their sites to callable_values as Python lists (u for
-radial, the complex coordinates z1 and z2 for general) and get the
-values back from one map per pass.
+Both hand their sites to callable_values as Python lists (u for radial,
+the complex coordinates z1 and z2 for general) and get the values back
+from one map per pass.
 
 Every function works on a stack of n points at once.  sites() lays the
 stencils out as bases (n, B, 4) and steps (n, K, 4): at order 4, B = 53
@@ -291,18 +294,29 @@ def _not_real(name: str, columns, i: int, exc: TypeError) -> TypeError:
     return TypeError(f"{name}: fn({args}) is not a real number ({exc})")
 
 
-def radial_psi(profile, x, h, order: int, curvature: bool, name: str = "custom-radial"):
-    """psi of Phi = profile(|z|^2) over the stencils around the points x, as sites() lays it out.
+def lattice_psi(fn, x, h, order: int, curvature: bool, radial: bool, name: str):
+    """psi of a callable potential over the stencils around the points x, as sites() lays it out.
 
-    The profile is called once per site of site_lattice() around each point.
+    fn is called once per site of site_lattice() around each point: with
+    u = |z|^2 when radial (Phi = fn(u)), else with the complex
+    coordinates (z1, z2).
     """
     lattice = site_lattice(order, curvature)
-    # coordinates first and column adds, since numpy sums a short last axis
-    # slowly; the order of the adds is the one .sum() would take
     y = x[:, :, None] + h * lattice.offsets.T
-    y *= y
-    u = y[:, 0] + y[:, 1] + y[:, 2] + y[:, 3]
-    phi = callable_values(profile, [u.ravel().tolist()], name).reshape(u.shape)
+    if radial:
+        # column adds, since numpy sums a short last axis slowly; the order
+        # of the adds is the one .sum() would take
+        y *= y
+        u = y[:, 0] + y[:, 1] + y[:, 2] + y[:, 3]
+        columns = [u.ravel().tolist()]
+    else:
+        z = np.empty((2,) + y[:, 0].shape, complex)
+        # real and imaginary parts are written directly: complex arithmetic
+        # such as a + 1j*b would turn a -0.0 into 0.0
+        for j, part in enumerate((z[0].real, z[0].imag, z[1].real, z[1].imag)):
+            part[...] = y[:, j]
+        columns = z.reshape(2, -1).tolist()
+    phi = callable_values(fn, columns, name).reshape(y[:, 0].shape)
     psi = np.take(phi, lattice.terms, axis=1)
     psi -= np.take(phi, lattice.bases, axis=1)[:, :, None]
     return psi
@@ -348,7 +362,12 @@ def radial_scalar(profile, x, h0: float, order: int, name: str = "custom-radial"
         # f(k) - f(-k) carries the odd derivatives, f(k) + f(-k) - 2 f(0) the even
         up, down, two_f0 = f[reach + 1 :], f[reach - 1 :: -1], 2.0 * f[reach]
         pairs = [list(map(operator.sub, up, down)), [a + b - two_f0 for a, b in zip(up, down)]]
-        f1, f2, f3, f4 = (math.fsum(map(operator.mul, w, p)) for w, p in zip(weights, pairs * 2))
+        terms = (map(operator.mul, w, p) for w, p in zip(weights, pairs * 2))
+        try:
+            f1, f2, f3, f4 = map(math.fsum, terms)
+        except (OverflowError, ValueError):
+            # fsum raises for a sum that overflows, or for inf - inf
+            f1 = f2 = f3 = f4 = math.nan
         if not (f1 > 0.0 and f2 > 0.0):
             f1 = f2 = math.nan  # g is not positive definite
         a, b = f2 / f1, f3 / f2
@@ -356,6 +375,7 @@ def radial_scalar(profile, x, h0: float, order: int, name: str = "custom-radial"
     return np.array(out)
 
 
+# only a custom_general potential's own S and Hessian, whose calls perfbench pins (ROADMAP 1, 7)
 def callable_psi(fn, bases, steps, name: str = "custom-general") -> np.ndarray:
     """Phi(b + d) - Phi(b) from a callable fn(z1, z2), over the bases and steps of sites().
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from typing import Callable, Optional
 
 import numpy as np
@@ -48,8 +49,11 @@ class Potential:
     curvature is taken from the profile along t = log u: 9 calls per
     point at order 4, 7 at order 2.  custom_general potentials (family
     None) carry the user's fn(z1, z2) -> Phi itself, which the engine
-    calls at both ends of every stencil term: 5088 calls per scalar
-    curvature and 96 per Hessian at order 4, 1392 and 48 at order 2.
+    calls at both ends of every stencil term for the potential's own S
+    and Hessian: 5088 calls per scalar curvature and 96 per Hessian at
+    order 4, 1392 and 48 at order 2.  As the perturbation of
+    scalar_curvature_derivative, either kind is called once per site:
+    673 calls per side at order 4, 169 at order 2.
     Either kind's values go through one map per engine pass, and a
     value that is not a real number raises TypeError naming the
     potential and the site.  Use the module constructors (flat,
@@ -122,7 +126,7 @@ def _chunk_points(order: int, curvature: bool) -> int:
 def _psi(potential: Potential, x, h, order: int, curvature: bool) -> np.ndarray:
     """Phi(b + d) - Phi(b) for every base b and step d of the stencils around the points x."""
     if potential.family == _engine.RADIAL:
-        return _engine.radial_psi(potential.fn, x, h, order, curvature, potential.name)
+        return _engine.lattice_psi(potential.fn, x, h, order, curvature, True, potential.name)
     if potential.fn is None:
         return _engine.builtin_psi(potential.family, potential.parameter, x, h, order, curvature)
     bases, steps = _engine.sites(x, h, order, curvature)
@@ -153,9 +157,12 @@ def _chunked(evaluate, potential: Potential, points, h0: float, order: int, curv
 
 
 def _check_stencil(h0: float, order: int) -> None:
-    """Reject a base step outside (0, 0.1] or an order other than 2 or 4."""
+    """Reject a base step outside (0, 0.1] or too small to square, or an order not 2 or 4."""
     if not 0.0 < h0 <= 0.1:
         raise ValueError(f"h0 must lie in (0, 0.1], got {h0}")
+    if h0 * h0 < sys.float_info.min:
+        # the reductions divide by h^2, which would be 0 or subnormal
+        raise ValueError(f"h0 = {h0} is too small: the stencil's h^2 underflows")
     if order not in (2, 4):
         raise ValueError(f"stencil order must be 2 or 4, got {order}")
 
@@ -374,11 +381,15 @@ def scalar_curvature_derivative(
     Potential or a callable f(z1, z2) -> real.
 
     Both S are differenced on the 4-D stencil at z, since the
-    perturbation need not be radial: a custom_radial background or
-    perturbation is called at all 673 (order 4) or 169 (order 2) sites,
-    and the S of a custom_radial background here may differ from
-    scalar_curvature's, which is taken along t = log |z|^2, by the
-    stencil's truncation error.
+    perturbation need not be radial.  A callable perturbation, plain,
+    custom_general or custom_radial, is called once at each of the 673
+    (order 4) or 169 (order 2) sites of the stencil, and both sides
+    share its values; so is a custom_radial background.  A
+    custom_general background is called at both ends of every term, as
+    for its own S.  The S of a custom_radial background here may differ
+    from scalar_curvature's, which is taken along t = log |z|^2, by the
+    stencil's truncation error.  DegenerateMetricError names the side,
+    +t or -t, whose metric degenerates.
     """
     _check_stencil(h0, order)
     if not (math.isfinite(t) and t > 0.0):
@@ -388,15 +399,25 @@ def scalar_curvature_derivative(
     x = np.array([_coords(z)])
     h = _engine.step(x, h0)
     # the background keeps its stable differences; the perturbation's
-    # enter scaled by t, so their own rounding is harmless
+    # enter scaled by t, so their own rounding is harmless, and a callable
+    # is called once per site of the lattice
     with np.errstate(all="ignore"):
         base = _psi(background, x, h, order, curvature=True)
-        shift = t * _psi(perturbation, x, h, order, curvature=True)
+        if perturbation.fn is None:
+            shift = _psi(perturbation, x, h, order, curvature=True)
+        else:
+            radial = perturbation.family == _engine.RADIAL
+            shift = _engine.lattice_psi(
+                perturbation.fn, x, h, order, True, radial, perturbation.name
+            )
+        shift *= t
         s_plus = float(_engine.scalar_curvature(base + shift, h, order)[0])
         s_minus = float(_engine.scalar_curvature(base - shift, h, order)[0])
-    if math.isnan(s_plus) or math.isnan(s_minus):
+    sides = [side for side, s in (("+t", s_plus), ("-t", s_minus)) if math.isnan(s)]
+    if sides:
         raise DegenerateMetricError(
-            f"perturbed metric degenerates at {z!r} for scale t={t}"
+            f"perturbed metric degenerates on the {' and '.join(sides)} side at {z!r}"
+            f" for scale t={t}"
         )
     return (s_plus - s_minus) / (2.0 * t)
 

@@ -316,6 +316,9 @@ def test_riemenschneider_text(capsys):
          "--samples", "4"],
         ["verify-metric", "--potential", "burns", "--m", "inf", "--rmin", "1", "--rmax", "8",
          "--samples", "4"],
+        # h0^2 underflows, so the step is rejected rather than every point degenerate
+        ["verify-metric", "--potential", "flat", "--rmin", "1", "--rmax", "8", "--samples", "4",
+         "--h0", "1e-300"],
     ],
 )
 def test_usage_and_validation_errors_exit_1(capsys, argv):

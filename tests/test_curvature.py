@@ -282,17 +282,23 @@ def test_potential_parameters_must_be_finite_and_positive(bad):
 
 
 def test_accepted_inputs_leak_no_numpy_warnings():
-    # at h0 = 1e-300, h * h underflows to 0 in the reduction; at m = 1e300 the
-    # Burns term overflows.  The engine's NaN must reach the caller as a
-    # degenerate point, with no RuntimeWarning on the way
+    # at m = 1e300 the Burns term overflows, and so does the custom profile's
+    # value.  The engine's NaN must reach the caller as a degenerate point,
+    # with no RuntimeWarning on the way.  At h0 = 1e-300, h * h would
+    # underflow to 0 in the reduction, so such a step is rejected up front
     plan = cv.SamplePlan(cv.sample_points(1, 8, 4))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        tiny = cv.verify_scalar_flat(FL, cv.SamplePlan(plan.points, h0=1e-300))
-        with pytest.raises(DegenerateMetricError):
+        with pytest.raises(ValueError, match="h0 = 1e-300 is too small: .* h\\^2 underflows"):
+            cv.SamplePlan(plan.points, h0=1e-300)
+        with pytest.raises(ValueError, match="h0 = 1e-300 is too small"):
             cv.hermitian_hessian(FL, (1.3, 0.4 + 0.2j), h0=1e-300)
         heavy = cv.verify_scalar_flat(cv.burns(1e300), plan)
-    for report in (tiny, heavy):
+        overflowing = cv.custom_radial(lambda u: 1e308 * u)
+        huge = cv.verify_scalar_flat(overflowing, plan)
+        with pytest.raises(DegenerateMetricError):
+            cv.hermitian_hessian(overflowing, (1.3, 0.4 + 0.2j))
+    for report in (heavy, huge):
         assert not report.passed and report.degenerate_indices == (0, 1, 2, 3)
     # the caller's error state is left as it was
     assert np.geterr()["invalid"] == "warn"
@@ -695,16 +701,20 @@ def test_quadratic_form_hessian(b, x, h0, order):
 
 @pytest.mark.parametrize(
     "order, radial, general",
-    [(4, (9, 49, 673), (5088, 96, 5088)), (2, (7, 25, 169), (1392, 48, 1392))],
+    [
+        (4, (9, 49, 673 + 673), (5088, 96, 5088 + 673)),
+        (2, (7, 25, 169 + 169), (1392, 48, 1392 + 169)),
+    ],
     ids=["order4", "order2"],
 )
 def test_profile_calls_per_point(order, radial, general):
-    # (S, Hessian, each side of a derivative) calls per point.  A radial
-    # profile is called at 9 or 7 points along t = log |z|^2 for S and once
-    # per distinct stencil site at the point itself for the rest, a general
-    # callable at both ends of every stencil term; chunking several points
-    # into one pass calls it as often as one call per point would, across
-    # chunk boundaries too
+    # (S, Hessian, derivative of S at a background toward a perturbation)
+    # calls per point.  A radial profile is called at 9 or 7 points along
+    # t = log |z|^2 for S and once per distinct stencil site at the point
+    # itself for the rest; a general callable at both ends of every stencil
+    # term for its own S and Hessian, but once per site as a perturbation.
+    # Chunking several points into one pass calls it as often as one call
+    # per point would, across chunk boundaries too
     calls = []
 
     def profile(u):
@@ -727,7 +737,7 @@ def test_profile_calls_per_point(order, radial, general):
         assert len(calls) == g_calls, pot.name
         calls.clear()
         cv.scalar_curvature_derivative(pot, pot, POINTS[0], order=order)
-        assert len(calls) == 2 * d_calls, pot.name
+        assert len(calls) == d_calls, pot.name
         calls.clear()
         cv.verify_scalar_flat(pot, plan)
         assert len(calls) == s_calls * n_s, pot.name
