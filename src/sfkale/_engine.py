@@ -26,23 +26,23 @@ computed stably (du = 2 x.d + |d|^2 is exact for the flat potential,
 and log1p / sqrt-difference forms handle the rest), so the flat scalar
 curvature comes out near machine zero instead of h^-4-amplified
 rounding.  Custom potentials keep the plain difference Phi(x + d) -
-Phi(x), evaluated in one of two ways:
+Phi(x), with one call path: lattice_psi calls the callable at the sites
+x + h o of a site lattice and differences psi from those values through
+the lattice's index arrays.  The lattice comes in two forms:
 
-  lattice_psi: the callable is called once per distinct site x + h o of
-    the site lattice (49 per Hessian and 673 per 4-D scalar curvature
-    at order 4, 25 and 169 at order 2), and psi is differenced from
-    those values through the lattice's index arrays.  This serves a
-    radial F(|z|^2) everywhere, and any callable perturbation of a
-    scalar curvature derivative, radial or general.  radial_scalar
-    takes a radial S from 9 (order 4) or 7 values of F along t = log u;
-  callable_psi: a general fn(z1, z2) is called at both ends of every
-    term, duplicates included: one scalar curvature takes 53 Hessians
-    of 48 psi each at order 4 (29 of 24 at order 2).  Only a
-    custom_general potential's own S and Hessian still take this path.
+  distinct: each site once (49 per Hessian and 673 per 4-D scalar
+    curvature at order 4, 25 and 169 at order 2).  This serves a radial
+    F(|z|^2) everywhere, and any callable perturbation of a scalar
+    curvature derivative, radial or general;
+  not distinct: both ends of every term, duplicates included, 2 B K
+    sites (96 per Hessian and 5088 per scalar curvature at order 4, 48
+    and 1392 at order 2).  Only a custom_general potential's own S and
+    Hessian still take this form.
 
-Both hand their sites to callable_values as Python lists (u for radial,
-the complex coordinates z1 and z2 for general) and get the values back
-from one map per pass.
+radial_scalar takes a radial S from 9 (order 4) or 7 values of F along
+t = log u.  Every callable gets its sites as Python lists (u for
+radial, the complex coordinates z1 and z2 for general), handed to
+callable_values, and its values back from one map per pass.
 
 Every function works on a stack of n points at once.  sites() lays the
 stencils out as bases (n, B, 4) and steps (n, K, 4): at order 4, B = 53
@@ -144,11 +144,11 @@ STENCILS = {order: _stencil(order) for order in (2, 4)}
 
 
 class SiteLattice(NamedTuple):
-    """The distinct sites one stencil visits, and where each term lands.
+    """The sites one stencil visits, and where each term lands.
 
-    offsets (n x 4) lists each distinct site once, in steps h from the
-    point; terms[i, j] is the site of base i plus step j and bases[i]
-    the site of base i, so psi = Phi[terms] - Phi[bases, None].
+    offsets (n x 4) lists the sites in steps h from the point;
+    terms[i, j] is the site of base i plus step j and bases[i, j] the
+    site of base i, so psi = Phi[terms] - Phi[bases].
     """
 
     offsets: np.ndarray
@@ -162,18 +162,25 @@ _SITE_KEY = np.array([729.0, 81.0, 9.0, 1.0])
 
 
 @functools.cache
-def site_lattice(order: int, curvature: bool) -> SiteLattice:
+def site_lattice(order: int, curvature: bool, distinct: bool = True) -> SiteLattice:
     """Site lattice of the scalar curvature stencil, or of the Hessian's alone.
 
-    Built from STENCILS on first use, so processes that never evaluate
-    a radial custom potential do not pay for it.
+    distinct lists each site once; otherwise the lattice lists every
+    term's end, then every term's base, 2 B K sites in all.  Built from
+    STENCILS on first use, so processes that never evaluate a custom
+    potential do not pay for it.
     """
     stencil = STENCILS[order]
     bases = stencil.bases if curvature else stencil.bases[:1]
-    offsets = np.concatenate([(bases[:, None] + stencil.steps).reshape(-1, 4), bases])
-    _, first, inverse = np.unique(offsets @ _SITE_KEY, return_index=True, return_inverse=True)
-    n = len(bases) * len(stencil.steps)
-    return SiteLattice(offsets[first], inverse[:n].reshape(len(bases), -1), inverse[n:])
+    ends = bases[:, None] + stencil.steps
+    offsets = np.concatenate([ends, np.broadcast_to(bases[:, None], ends.shape)]).reshape(-1, 4)
+    index = np.arange(len(offsets))
+    if distinct:
+        _, first, index = np.unique(offsets @ _SITE_KEY, return_index=True, return_inverse=True)
+        offsets = offsets[first]
+    index = index.reshape(2, *ends.shape[:2])
+    # Fortran order makes lattice_psi's offsets.T contiguous: it forms the sites 1.5-3.6x faster
+    return SiteLattice(np.asfortranarray(offsets), index[0], index[1])
 
 
 def radii(x) -> list[float]:
@@ -294,14 +301,13 @@ def _not_real(name: str, columns, i: int, exc: TypeError) -> TypeError:
     return TypeError(f"{name}: fn({args}) is not a real number ({exc})")
 
 
-def lattice_psi(fn, x, h, order: int, curvature: bool, radial: bool, name: str):
+def lattice_psi(fn, x, h, lattice: SiteLattice, radial: bool, name: str):
     """psi of a callable potential over the stencils around the points x, as sites() lays it out.
 
-    fn is called once per site of site_lattice() around each point: with
-    u = |z|^2 when radial (Phi = fn(u)), else with the complex
-    coordinates (z1, z2).
+    fn is called once per site x + h o of the lattice around each point,
+    in lattice order: with u = |z|^2 when radial (Phi = fn(u)), else
+    with the complex coordinates (z1, z2).
     """
-    lattice = site_lattice(order, curvature)
     y = x[:, :, None] + h * lattice.offsets.T
     if radial:
         # column adds, since numpy sums a short last axis slowly; the order
@@ -318,7 +324,7 @@ def lattice_psi(fn, x, h, order: int, curvature: bool, radial: bool, name: str):
         columns = z.reshape(2, -1).tolist()
     phi = callable_values(fn, columns, name).reshape(y[:, 0].shape)
     psi = np.take(phi, lattice.terms, axis=1)
-    psi -= np.take(phi, lattice.bases, axis=1)[:, :, None]
+    psi -= np.take(phi, lattice.bases, axis=1)
     return psi
 
 
@@ -373,30 +379,6 @@ def radial_scalar(profile, x, h0: float, order: int, name: str = "custom-radial"
         a, b = f2 / f1, f3 / f2
         out.append(-2.0 * ((a + b - 2.0) / f1 + (f3 / f1 - a * a + f4 / f2 - b * b) / f2))
     return np.array(out)
-
-
-# only a custom_general potential's own S and Hessian, whose calls perfbench pins (ROADMAP 1, 7)
-def callable_psi(fn, bases, steps, name: str = "custom-general") -> np.ndarray:
-    """Phi(b + d) - Phi(b) from a callable fn(z1, z2), over the bases and steps of sites().
-
-    fn is called at both ends of every term, as often as a loop over
-    the terms would call it: first at every term end b + d, then at
-    every base, once per step.  Each pass builds one pair of lists of
-    complex coordinates, (n, B, K) in sites() order.
-    """
-    shape = bases.shape[:2] + steps.shape[1:2]
-    z = np.empty((2,) + shape, complex)
-    # real and imaginary parts are written directly: complex arithmetic
-    # such as a + 1j*b would turn a -0.0 into 0.0
-    parts = (z[0].real, z[0].imag, z[1].real, z[1].imag)
-    b, d = bases[:, :, None, :], steps[:, None, :, :]
-    for j, part in enumerate(parts):
-        np.add(b[..., j], d[..., j], out=part)
-    psi = callable_values(fn, z.reshape(2, -1).tolist(), name)
-    for j, part in enumerate(parts):
-        part[...] = b[..., j]
-    psi -= callable_values(fn, z.reshape(2, -1).tolist(), name)
-    return psi.reshape(shape)
 
 
 def _reduce(values, stencil: Stencil, h):

@@ -24,6 +24,7 @@ the points they would flag come back NaN and count as degenerate.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import sys
 from typing import Callable, Optional
@@ -48,12 +49,13 @@ class Potential:
     49 calls per Hessian at order 4 and 25 at order 2.  Their scalar
     curvature is taken from the profile along t = log u: 9 calls per
     point at order 4, 7 at order 2.  custom_general potentials (family
-    None) carry the user's fn(z1, z2) -> Phi itself, which the engine
-    calls at both ends of every stencil term for the potential's own S
-    and Hessian: 5088 calls per scalar curvature and 96 per Hessian at
-    order 4, 1392 and 48 at order 2.  As the perturbation of
-    scalar_curvature_derivative, either kind is called once per site:
-    673 calls per side at order 4, 169 at order 2.
+    None) carry the user's fn(z1, z2) -> Phi itself.  Both kinds are
+    called on a site lattice: custom_general, for its own S and
+    Hessian, on the one that lists both ends of every stencil term,
+    5088 calls per scalar curvature and 96 per Hessian at order 4, 1392
+    and 48 at order 2.  As the perturbation of
+    scalar_curvature_derivative, either kind is called once per distinct
+    site: 673 calls per side at order 4, 169 at order 2.
     Either kind's values go through one map per engine pass, and a
     value that is not a real number raises TypeError naming the
     potential and the site.  Use the module constructors (flat,
@@ -116,6 +118,7 @@ def custom_general(fn: Callable[[complex, complex], float]) -> Potential:
 _CHUNK_TERMS = 10240
 
 
+@functools.cache
 def _chunk_points(order: int, curvature: bool) -> int:
     """Points per engine pass for the scalar curvature or the Hessian stencil."""
     stencil = _engine.STENCILS[order]
@@ -125,35 +128,36 @@ def _chunk_points(order: int, curvature: bool) -> int:
 
 def _psi(potential: Potential, x, h, order: int, curvature: bool) -> np.ndarray:
     """Phi(b + d) - Phi(b) for every base b and step d of the stencils around the points x."""
-    if potential.family == _engine.RADIAL:
-        return _engine.lattice_psi(potential.fn, x, h, order, curvature, True, potential.name)
     if potential.fn is None:
         return _engine.builtin_psi(potential.family, potential.parameter, x, h, order, curvature)
-    bases, steps = _engine.sites(x, h, order, curvature)
-    return _engine.callable_psi(potential.fn, bases, steps, potential.name)
+    radial = potential.family == _engine.RADIAL
+    # perfbench's census pins custom_general's own calls at both ends of every term (ROADMAP 7)
+    lattice = _engine.site_lattice(order, curvature, distinct=radial)
+    return _engine.lattice_psi(potential.fn, x, h, lattice, radial, potential.name)
 
 
-def _metric(potential: Potential, x, h0: float, order: int) -> np.ndarray:
-    """(g11, g22, Re g12, Im g12) at each point (row) of x."""
-    h = _engine.step(x, h0)
-    return _engine.hessian(_psi(potential, x, h, order, curvature=False), h, order)[:, 0]
+def _evaluate(potential: Potential, x, h0: float, order: int, curvature: bool) -> np.ndarray:
+    """S (curvature) or (g11, g22, Re g12, Im g12) at each point (row) of x, a chunk per pass.
 
-
-def _scalar(potential: Potential, x, h0: float, order: int) -> np.ndarray:
-    """S at each point (row) of x; NaN where the metric degenerates."""
-    if potential.family == _engine.RADIAL:
-        return _engine.radial_scalar(potential.fn, x, h0, order, potential.name)
-    h = _engine.step(x, h0)
-    return _engine.scalar_curvature(_psi(potential, x, h, order, curvature=True), h, order)
-
-
-def _chunked(evaluate, potential: Potential, points, h0: float, order: int, curvature: bool):
-    """evaluate(potential, x, h0, order) over the points a chunk at a time, joined."""
+    NaN where the metric degenerates; numpy's float warnings are off
+    for the whole call.
+    """
     size = _chunk_points(order, curvature)
-    return np.concatenate([
-        evaluate(potential, points[i : i + size], h0, order)
-        for i in range(0, len(points), size)
-    ])
+    out = []
+    with np.errstate(all="ignore"):
+        for i in range(0, len(x), size):
+            chunk = x[i : i + size]
+            if curvature and potential.family == _engine.RADIAL:
+                out.append(_engine.radial_scalar(potential.fn, chunk, h0, order, potential.name))
+                continue
+            h = _engine.step(chunk, h0)
+            psi = _psi(potential, chunk, h, order, curvature)
+            if curvature:
+                out.append(_engine.scalar_curvature(psi, h, order))
+            else:
+                out.append(_engine.hessian(psi, h, order)[:, 0])
+    # a single-point call has one chunk, and skips the copy
+    return out[0] if len(out) == 1 else np.concatenate(out)
 
 
 def _check_stencil(h0: float, order: int) -> None:
@@ -219,8 +223,12 @@ class SamplePlan:
         pts = _coords_array(self.points)
         object.__setattr__(self, "points", pts)
         _check_stencil(self.h0, self.order)
+        if 10.0 * self.h0 >= 1.0:
+            # r >= 10 h0 (1 + r) has no solution r then
+            raise ValueError(f"h0 = {self.h0} leaves no sample point 10h from the origin")
         r = np.sqrt((pts * pts).sum(axis=1))
-        # the double stencil reaches 10h from the center; keep it off the origin
+        # the double stencil reaches 4 sqrt(2) h at order 4 and 2 sqrt(2) h at
+        # order 2 (site_lattice's largest offset); 10h keeps a margin from the origin
         too_close = r < 10.0 * self.h0 * (1.0 + r)
         if too_close.any():
             i = int(np.argmax(too_close))
@@ -298,8 +306,7 @@ def hermitian_hessian(potential: Potential, z, h0: float = 1e-2, order: int = 4)
     """
     _check_stencil(h0, order)
     x = np.array([_coords(z)])
-    with np.errstate(all="ignore"):
-        g11, g22, gr, gi = _metric(potential, x, h0, order)[0].tolist()
+    g11, g22, gr, gi = _evaluate(potential, x, h0, order, curvature=False)[0].tolist()
     det = g11 * g22 - gr * gr - gi * gi
     if not (math.isfinite(det) and det > 0.0 and g11 > 0.0 and g22 > 0.0):
         raise DegenerateMetricError(
@@ -312,8 +319,7 @@ def scalar_curvature(potential: Potential, z, h0: float = 1e-2, order: int = 4) 
     """Scalar curvature S = -2 tr(g^-1 Hess log det g) at z."""
     _check_stencil(h0, order)
     x = np.array([_coords(z)])
-    with np.errstate(all="ignore"):
-        s = float(_scalar(potential, x, h0, order)[0])
+    s = float(_evaluate(potential, x, h0, order, curvature=True)[0])
     if math.isnan(s):
         raise DegenerateMetricError(
             f"metric of {potential.name} degenerates on the stencil at {z!r}"
@@ -324,8 +330,7 @@ def scalar_curvature(potential: Potential, z, h0: float = 1e-2, order: int = 4) 
 def metric_deviations(potential: Potential, points, h0: float = 1e-2, order: int = 4) -> np.ndarray:
     """Max entrywise |g - I| at each point."""
     _check_stencil(h0, order)
-    with np.errstate(all="ignore"):
-        g = _chunked(_metric, potential, _coords_array(points), h0, order, curvature=False)
+    g = _evaluate(potential, _coords_array(points), h0, order, curvature=False)
     return np.max(np.abs(g - np.array([1.0, 1.0, 0.0, 0.0])), axis=1)
 
 
@@ -339,8 +344,7 @@ def verify_scalar_flat(
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
-    with np.errstate(all="ignore"):
-        s = _chunked(_scalar, potential, plan.points, plan.h0, plan.order, curvature=True)
+    s = _evaluate(potential, plan.points, plan.h0, plan.order, curvature=True)
     finite = np.isfinite(s)
     positive = bool(finite.all())
     if positive:
@@ -383,13 +387,15 @@ def scalar_curvature_derivative(
     Both S are differenced on the 4-D stencil at z, since the
     perturbation need not be radial.  A callable perturbation, plain,
     custom_general or custom_radial, is called once at each of the 673
-    (order 4) or 169 (order 2) sites of the stencil, and both sides
-    share its values; so is a custom_radial background.  A
-    custom_general background is called at both ends of every term, as
-    for its own S.  The S of a custom_radial background here may differ
-    from scalar_curvature's, which is taken along t = log |z|^2, by the
-    stencil's truncation error.  DegenerateMetricError names the side,
-    +t or -t, whose metric degenerates.
+    (order 4) or 169 (order 2) distinct sites of the stencil, and both
+    sides share its values; so is a custom_radial background.  A
+    custom_general background is called at both ends of every term
+    (5088 or 1392 sites), as for its own S.  Either way each term's
+    value is taken at its site x + h o.  The S of a custom_radial
+    background here may differ from scalar_curvature's, which is taken
+    along t = log |z|^2, by the stencil's truncation error.
+    DegenerateMetricError names the side, +t or -t, whose metric
+    degenerates.
     """
     _check_stencil(h0, order)
     if not (math.isfinite(t) and t > 0.0):
@@ -407,9 +413,8 @@ def scalar_curvature_derivative(
             shift = _psi(perturbation, x, h, order, curvature=True)
         else:
             radial = perturbation.family == _engine.RADIAL
-            shift = _engine.lattice_psi(
-                perturbation.fn, x, h, order, True, radial, perturbation.name
-            )
+            lattice = _engine.site_lattice(order, True)
+            shift = _engine.lattice_psi(perturbation.fn, x, h, lattice, radial, perturbation.name)
         shift *= t
         s_plus = float(_engine.scalar_curvature(base + shift, h, order)[0])
         s_minus = float(_engine.scalar_curvature(base - shift, h, order)[0])

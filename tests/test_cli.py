@@ -327,6 +327,13 @@ def test_usage_and_validation_errors_exit_1(capsys, argv):
     assert err  # some diagnostic lands on stderr
 
 
+def test_h0_that_leaves_no_sample_room_exits_1(capsys):
+    code, _, err = run(capsys, "verify-metric", "--potential", "flat", "--h0", "0.1",
+                       "--rmin", "2", "--rmax", "50", "--samples", "4")
+    assert code == 1
+    assert "h0 = 0.1" in err
+
+
 def test_invalid_pair_diagnostic(capsys):
     code, _, err = run(capsys, "resolve", "--p", "6", "--q", "3")
     assert code == 1

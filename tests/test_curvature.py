@@ -262,6 +262,16 @@ def test_sample_plan_validation():
     assert np.allclose(plan.radii, np.geomspace(1, 4, 4))
 
 
+def test_sample_plan_rejects_an_h0_that_leaves_no_room():
+    # r >= 10 h0 (1 + r) needs 10 h0 < 1; at h0 = 0.1 no radius, however
+    # large, passes, so the step is named rather than the first point
+    for radius in (2.0, 1e12):
+        with pytest.raises(ValueError, match="h0 = 0.1 leaves no sample point"):
+            cv.SamplePlan(np.array([[radius, 0.0, 0.0, 0.0]]), h0=0.1)
+    # just below it, a point far enough out is accepted
+    assert cv.SamplePlan(np.array([[100.0, 0.0, 0.0, 0.0]]), h0=0.099).radii[0] == 100.0
+
+
 def test_potential_constructors():
     assert cv.flat()(1 + 2j, 3.0) == pytest.approx(14.0)
     assert cv.burns(2.0)(1.0, 1.0) == pytest.approx(2.0 + 2.0 * math.log(2.0))
@@ -558,32 +568,20 @@ def test_t_weights_meet_their_moment_conditions(order):
     "pot", [FL, EH, BU, cv.eguchi_hanson(2.5)], ids=["flat", "eh", "burns", "eh2.5"]
 )
 @pytest.mark.parametrize("order", [2, 4])
-def test_builtin_psi_matches_scalar_loop(pot, order):
+def test_builtin_psi_matches_scalar_loop(pot, order, loop_psi):
     # the numpy closed forms against plain differences of the potential itself,
     # whose own rounding is a few ulps of Phi at the site; all points in one pass
     x = np.array([cv._coords(z) for z in POINTS])
     h = _engine.step(x, 0.05)
     fast = _engine.builtin_psi(pot.family, pot.parameter, x, h, order, curvature=True)
-    loop = _engine.callable_psi(
+    loop = loop_psi(
         lambda z1, z2: _engine.builtin_potential(
             pot.family, pot.parameter, z1.real, z1.imag, z2.real, z2.imag
         ),
-        *_engine.sites(x, h, order, curvature=True),
+        x, h, order, curvature=True,
     )
     scale = np.array([abs(pot(*z)) + 1.0 for z in POINTS])[:, None, None]
     assert np.all(np.abs(fast - loop) < 64 * np.finfo(float).eps * scale)
-
-
-def _loop_psi(fn, bases, steps):
-    """callable_psi as a loop over the terms, calling fn at both ends of each."""
-    psi = [
-        fn(complex(x0 + d0, x1 + d1), complex(x2 + d2, x3 + d3))
-        - fn(complex(x0, x1), complex(x2, x3))
-        for point_bases, point_steps in zip(bases.tolist(), steps.tolist())
-        for x0, x1, x2, x3 in point_bases
-        for d0, d1, d2, d3 in point_steps
-    ]
-    return np.array(psi).reshape(bases.shape[:2] + steps.shape[1:2])
 
 
 def _not_radial(z1, z2):
@@ -604,11 +602,13 @@ _coordinate = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-3.0, 3.0))
     order=st.sampled_from((2, 4)),
     curvature=st.booleans(),
 )
-def test_callable_psi_matches_the_term_loop(points, h0, order, curvature):
+def test_both_ends_lattice_psi_matches_the_term_loop(points, h0, order, curvature, loop_psi):
+    # the lattice that is not deduplicated calls fn as the term loop does:
     # bitwise, signed zeros included, with the same calls at the same sites
     x = np.array(points)
-    sites = _engine.sites(x, _engine.step(x, h0), order, curvature)
-    seen = {"map": collections.Counter(), "loop": collections.Counter()}
+    h = _engine.step(x, h0)
+    lattice = _engine.site_lattice(order, curvature, distinct=False)
+    seen = {"lattice": collections.Counter(), "loop": collections.Counter()}
 
     def counting(key):
         def fn(z1, z2):
@@ -617,11 +617,11 @@ def test_callable_psi_matches_the_term_loop(points, h0, order, curvature):
 
         return fn
 
-    got = _engine.callable_psi(counting("map"), *sites)
-    want = _loop_psi(counting("loop"), *sites)
+    got = _engine.lattice_psi(counting("lattice"), x, h, lattice, False, "custom-general")
+    want = loop_psi(counting("loop"), x, h, order, curvature)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
-    assert seen["map"] == seen["loop"]
+    assert seen["lattice"] == seen["loop"]
 
 
 _ENTRIES = {
@@ -746,15 +746,26 @@ def test_profile_calls_per_point(order, radial, general):
         assert len(calls) == g_calls * n_g, pot.name
 
 
+@pytest.mark.parametrize("distinct", [True, False], ids=["distinct", "both-ends"])
 @pytest.mark.parametrize("curvature", [False, True], ids=["hessian", "scalar"])
 @pytest.mark.parametrize("order", [2, 4])
-def test_site_lattice_maps_terms_to_their_sites(order, curvature):
+def test_site_lattice_maps_terms_to_their_sites(order, curvature, distinct):
     stencil = _engine.STENCILS[order]
-    lattice = _engine.site_lattice(order, curvature)
+    lattice = _engine.site_lattice(order, curvature, distinct)
     bases = stencil.bases if curvature else stencil.bases[:1]
-    assert len(np.unique(lattice.offsets, axis=0)) == len(lattice.offsets)
-    assert np.array_equal(lattice.offsets[lattice.terms], bases[:, None] + stencil.steps)
-    assert np.array_equal(lattice.offsets[lattice.bases], bases)
+    ends = bases[:, None] + stencil.steps
+    assert lattice.terms.shape == lattice.bases.shape == ends.shape[:2]
+    assert np.array_equal(lattice.offsets[lattice.terms], ends)
+    starts = np.broadcast_to(bases[:, None], ends.shape)
+    assert np.array_equal(lattice.offsets[lattice.bases], starts)
+    if distinct:
+        assert len(np.unique(lattice.offsets, axis=0)) == len(lattice.offsets)
+    else:
+        # every term's end, then every term's base: 2 B K sites, each used once
+        n = lattice.terms.size
+        assert len(lattice.offsets) == 2 * n
+        assert np.array_equal(lattice.terms.ravel(), np.arange(n))
+        assert np.array_equal(lattice.bases.ravel(), np.arange(n, 2 * n))
 
 
 @settings(max_examples=40, deadline=None)
@@ -838,6 +849,73 @@ def test_radial_scalar_curvature_is_unitary_invariant(r, d, angles, order):
     else:
         assert s_u == cv.scalar_curvature(pot, (r_u, 0.0, 0.0, 0.0), order=order)
         assert abs(s_u - s) <= CUSTOM_NOISE_FLOOR * max(1.0, abs(s))
+
+
+# ---------------------------------------------------------------- pullbacks
+
+# Phi o A for A in GL(2, C) is the potential of the metric pulled back by
+# z -> Az, so g_{Phi o A}(z) = A^T g_Phi(Az) conj(A) and S_{Phi o A}(z) =
+# S_Phi(Az): exact non-radial references when Phi is radial
+_PULLBACKS = {
+    "unitary": _unitary(0.7, 0.3, -1.1, 0.4),
+    "general": np.array([[1.0, 0.3 + 0.4j], [-0.2j, 0.9]]),
+}
+
+
+def _pullback(phi, a):
+    """custom_general potential z -> phi(Az) for a callable phi(w1, w2)."""
+    (a11, a12), (a21, a22) = a.tolist()
+    return cv.custom_general(lambda z1, z2: phi(a11 * z1 + a12 * z2, a21 * z1 + a22 * z2))
+
+
+def _pullback_points():
+    rng = np.random.default_rng(20160517)
+    x = np.geomspace(0.8, 6.0, 6)[:, None] * _directions(rng, 6)
+    return [(complex(x0, x1), complex(x2, x3)) for x0, x1, x2, x3 in x.tolist()]
+
+
+# worst error over _pullback_points and both A, about 3 times the measured
+# one (quadratic-log, Burns 2.5, Eguchi-Hanson 1: g 8.1e-7, 2.4e-6, 2.5e-6
+# and S 3.1e-5, 3.8e-5, 7.0e-5 at order 4; g 2.8e-4, 2.6e-4, 2.6e-4 and S
+# 2.1e-3, 5.9e-3, 5.1e-2 at order 2), relative to max(1, largest exact entry
+# or |S|).  S is the 4-D stencil's truncation error, far above the rounding
+# of where the callable is sampled (2.5e-9)
+_PULLBACK_TOLERANCES = {
+    4: {"quadratic-log": (3e-6, 1e-4), "burns2.5": (8e-6, 1.2e-4),
+        "eguchi-hanson1": (8e-6, 2e-4)},
+    2: {"quadratic-log": (8e-4, 7e-3), "burns2.5": (8e-4, 2e-2),
+        "eguchi-hanson1": (8e-4, 0.15)},
+}
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("a", sorted(_PULLBACKS))
+@pytest.mark.parametrize("name", sorted(_PULLBACK_TOLERANCES[4]))
+def test_pullback_hessian_and_scalar_curvature(name, a, order):
+    profile, derivatives = _RADIAL_PROFILES[name]
+    pot = _pullback(lambda w1, w2: profile(abs(w1) ** 2 + abs(w2) ** 2), _PULLBACKS[a])
+    g_tol, s_tol = _PULLBACK_TOLERANCES[order][name]
+    for z in _pullback_points():
+        w = _PULLBACKS[a] @ np.array(z)
+        u = float(np.vdot(w, w).real)
+        f1, f2, f3, f4 = derivatives(u)
+        # F' = f'/u and F'' = (f'' - f')/u^2 for f(t) = F(e^t)
+        g = f1 / u * np.eye(2) + (f2 - f1) / (u * u) * np.outer(w.conj(), w)
+        want = _PULLBACKS[a].T @ g @ _PULLBACKS[a].conj()
+        got = cv.hermitian_hessian(pot, z, order=order)
+        assert np.abs(got - want).max() <= g_tol * max(1.0, np.abs(want).max()), z
+        s_want = _radial_scalar_oracle(f1, f2, f3, f4)
+        s_got = cv.scalar_curvature(pot, z, order=order)
+        assert abs(s_got - s_want) <= s_tol * max(1.0, abs(s_want)), z
+
+
+@pytest.mark.parametrize("a", sorted(_PULLBACKS))
+@pytest.mark.parametrize("base", [BU, EH], ids=["burns", "eguchi-hanson"])
+def test_pullbacks_of_scalar_flat_metrics_pass(base, a):
+    # non-radial and exactly scalar-flat; measured max |S| 4.6e-6 to 1.6e-5
+    plan = cv.SamplePlan(cv.sample_points(1, 8, 12))
+    report = cv.verify_scalar_flat(_pullback(base, _PULLBACKS[a]), plan)
+    assert report.passed and report.degenerate_indices == ()
 
 
 # ------------------------------------------------------------ package names

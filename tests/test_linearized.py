@@ -6,8 +6,8 @@ nested fourth-order stencils, entirely independent of the library's
 own differencing, and the derivative quotient must match it.  Known
 closed forms double as spot values: the bilaplacian of u^2 is the
 constant 192 and that of x0^6 is 360 x0^2.  A callable perturbation is
-called once per stencil site; the quotient must match the one taken
-with it called at both ends of every term, to rounding.
+called once per stencil site; the quotient must equal the one taken
+with it called at both ends of every term.
 """
 
 import collections
@@ -142,13 +142,13 @@ def test_nonpositive_scale_rejected():
         cv.scalar_curvature_derivative(FLAT, u_squared, (1.0, 1.0), t=-1e-3)
 
 
-def _both_ends_derivative(background, f, x, h0, order, t=1e-3):
-    """The derivative as it was taken with f called at both ends of every stencil term."""
+def _both_ends_derivative(loop_psi, background, f, x, h0, order, t=1e-3):
+    """The derivative with f called at both ends of every stencil term, by the term loop."""
     x = np.array([x])
     h = _engine.step(x, h0)
     with np.errstate(all="ignore"):
         base = cv._psi(background, x, h, order, curvature=True)
-        shift = t * _engine.callable_psi(f, *_engine.sites(x, h, order, curvature=True))
+        shift = t * loop_psi(f, x, h, order, curvature=True)
         s_plus = _engine.scalar_curvature(base + shift, h, order)[0]
         s_minus = _engine.scalar_curvature(base - shift, h, order)[0]
     return (s_plus - s_minus) / (2.0 * t)
@@ -176,10 +176,11 @@ _BACKGROUNDS = {
     ),
     order=st.sampled_from((2, 4)),
 )
-def test_callable_perturbation_is_called_once_per_site(background, parameter, r, d, order):
-    # the site lattice gives each term the value at its site, not at b + d, so
-    # the quotient moves by rounding only: at most 3.2e-9 of max(1, |D|) over
-    # 600 random cases of this domain
+def test_callable_perturbation_is_called_once_per_site(
+    background, parameter, r, d, order, loop_psi
+):
+    # the site lattice and the term loop both take each term's value at its
+    # site x + h o, so one call per site gives the same quotient as two per term
     pot = _BACKGROUNDS[background](parameter)
     x = r * np.array(d) / np.linalg.norm(d)
     calls = collections.Counter()
@@ -189,9 +190,9 @@ def test_callable_perturbation_is_called_once_per_site(background, parameter, r,
         return _polynomial(z1, z2)
 
     got = cv.scalar_curvature_derivative(pot, f, x, order=order)
-    want = _both_ends_derivative(pot, _polynomial, x, 1e-2, order)
+    want = _both_ends_derivative(loop_psi, pot, _polynomial, x, 1e-2, order)
     assert math.isfinite(want)
-    assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
+    assert got == want
     # one call at each site of the lattice, and none elsewhere
     h = _engine.step(np.array([x]), 1e-2).item()
     sites = collections.Counter()
