@@ -7,6 +7,7 @@ via capsys, so the tests cover exactly what a shell user sees.
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -176,6 +177,54 @@ def test_table3_output_is_byte_stable(capsys, mode):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE3_SHA256[mode]
+
+
+ALL_VERBS_ARGV = [
+    ("resolve", "--p", "7", "--q", "3"),
+    ("resolve", "--p", "6", "--q", "3"),  # invalid pair: exit 1, no stdout
+    ("moduli", "--group", "dprod:l=3,n=5"),
+    ("table", "--which", "1", "--pmax", "6"),
+    ("table", "--which", "3", "--lmax", "20"),
+    ("verify-metric", "--potential", "eguchi-hanson", "--a", "2", "--rmin", "1", "--rmax", "8",
+     "--samples", "6"),
+    # FAIL, naming the worst point
+    ("verify-metric", "--potential", "burns", "--m", "1.5", "--rmin", "0.3", "--rmax", "8",
+     "--samples", "6"),
+    # points 0 and 1 degenerate
+    ("verify-metric", "--potential", "burns", "--m", "1e10", "--rmin", "1", "--rmax", "8",
+     "--samples", "4"),
+    ("decay", "--potential", "eguchi-hanson", "--radii", "2:64:10"),
+    ("decay", "--potential", "flat", "--radii", "2:64:10"),  # no signal
+    ("riemenschneider", "--pmax", "20"),
+]
+
+# a JSON float with 8 or more significant digits: numpy's vector math
+# moves such values with the CPU (turning off its AVX-512 kernels moves
+# the S values in the 5th to 12th digit), so they are masked; echoed
+# inputs, exact zeros and every text line stay pinned
+_LONG_FLOAT = re.compile(r"-?(\d+)\.(\d+)(e[-+]\d+)?")
+
+
+def _mask_long_floats(out: str) -> str:
+    def mask(m):
+        return "<float>" if len((m[1] + m[2]).strip("0")) >= 8 else m[0]
+
+    return _LONG_FLOAT.sub(mask, out)
+
+
+# sha256 of the exit code and stdout of every argv above, in text and in
+# --json mode, computed on the program whose verbs each printed their own
+# output
+ALL_VERBS_SHA256 = "c5f677ec1e4b5722689d77ac1c97fa2ecd60054442d8578a2fce9469465c1b6f"
+
+
+def test_every_verb_output_is_byte_stable(capsys):
+    digest = hashlib.sha256()
+    for argv in ALL_VERBS_ARGV:
+        for mode in ((), ("--json",)):
+            code, out, _ = run(capsys, *argv, *mode)
+            digest.update(f"{code}\n{_mask_long_floats(out)}".encode())
+    assert digest.hexdigest() == ALL_VERBS_SHA256
 
 
 def test_table3_json(capsys):
