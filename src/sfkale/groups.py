@@ -115,7 +115,7 @@ def validate_group(spec: GroupSpec) -> GroupSpec:
             raise ConditionViolationError(name, f"no value for kind {GroupKind(kind).value}")
     for name in family.fields:
         value = getattr(spec, name)
-        if not isinstance(value, int) or value < 1:
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             raise ConditionViolationError(name, "a positive integer")
     for name, holds, condition in family.conditions:
         if not holds(spec):

@@ -46,7 +46,9 @@ __all__ = [
 
 
 def _check_pair(p, q):
-    if not (isinstance(p, int) and isinstance(q, int)):
+    # bool is an int subclass, but True is no singularity order
+    ints = isinstance(p, int) and isinstance(q, int)
+    if not ints or isinstance(p, bool) or isinstance(q, bool):
         raise InvalidPairError(f"p, q must be integers, got ({p!r}, {q!r})")
     if p < 2 or q < 1 or q >= p:
         raise InvalidPairError(f"need 1 <= q < p with p >= 2, got ({p}, {q})")

@@ -172,6 +172,23 @@ def test_validate_rejects_a_field_the_kind_does_not_take(spec, stray):
     assert validate_group(clean) is clean
 
 
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        (GroupSpec(GroupKind.TETRAHEDRAL_PRODUCT, l=True), "l"),
+        (GroupSpec(GroupKind.DIHEDRAL_PRODUCT, l=True, n=5), "l"),
+        (GroupSpec(GroupKind.DIHEDRAL_PRODUCT, l=3, n=True), "n"),
+        (GroupSpec(GroupKind.CYCLIC, p=5, q=True), "q"),
+    ],
+)
+def test_validate_rejects_bools(spec, field):
+    # True == 1 as an int, but format_group_spec would print "l=True",
+    # which parse_group_spec rejects
+    with pytest.raises(ConditionViolationError) as info:
+        validate_group(spec)
+    assert (info.value.field, info.value.condition) == (field, "a positive integer")
+
+
 def test_validate_is_idempotent():
     spec = cyclic_group(7, 3)
     assert validate_group(validate_group(spec)) is spec

@@ -109,6 +109,15 @@ def test_expand_rejects_non_integers():
         lattice_chain(5.0, 2)
 
 
+@pytest.mark.parametrize("p, q", [(5, True), (2, True), (True, 1)])
+def test_expand_rejects_bools(p, q):
+    # bool is an int subclass: hj_expand(5, True) used to carry q=True,
+    # which serialises as JSON true
+    for build in (hj_expand, lattice_chain):
+        with pytest.raises(InvalidPairError, match="must be integers"):
+            build(p, q)
+
+
 def test_embedding_dimension():
     assert embedding_dimension((2,)) == 3
     assert embedding_dimension((3, 2)) == 4

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfkale.errors import UnsupportedParameterError
+from sfkale.errors import ConditionViolationError, UnsupportedParameterError
 from sfkale.hj import HJExpansion, hj_expand
 from sfkale.groups import GroupKind, GroupSpec, parse_group_spec
 from sfkale.moduli import (
@@ -208,6 +208,13 @@ def test_noncyclic_rejects_cyclic_spec():
     for fn in (star_graph, noncyclic_moduli):
         with pytest.raises(ValueError):
             fn(parse_group_spec("cyclic:5,2"))
+
+
+def test_moduli_reject_bools():
+    with pytest.raises(ConditionViolationError):
+        cyclic_moduli(5, True)
+    with pytest.raises(ConditionViolationError):
+        moduli_report(GroupSpec(GroupKind.TETRAHEDRAL_PRODUCT, l=True))
 
 
 def test_moduli_report_dispatch():
