@@ -7,6 +7,10 @@ closes the pipe early, as `sfkale ... | head -1` does.  JSON mode
 always emits exactly one top-level object; floats are printed with 12
 significant digits and exact rationals as "num/den" strings, so output
 is byte-for-byte deterministic for fixed flags.
+
+Each verb's handler returns (payload, text, code): the JSON payload, a
+generator of text lines, formatted only if main prints them, and the
+exit code.  No handler prints; main alone prints and maps errors to codes.
 """
 
 from __future__ import annotations
@@ -34,28 +38,21 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _round_float(x) -> float:
-    return float(f"{float(x):.12g}")
-
-
 def _json_value(x):
     if x is None or isinstance(x, (int, str, bool)):
         return x
     x = float(x)
     if math.isnan(x) or math.isinf(x):
         return None
-    return _round_float(x)
+    return float(f"{x:.12g}")
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+def _ratio_str(a: int, p: int) -> str:
+    g = math.gcd(a, p)
+    return f"{a // g}/{p // g}"
 
 
-def _fraction_str(fr) -> str:
-    return f"{fr.numerator}/{fr.denominator}"
-
-
-def _cmd_resolve(args) -> int:
+def _cmd_resolve(args):
     exp = hj.hj_expand(args.p, args.q)
     chain = hj.lattice_chain(args.p, args.q)
     monomials = hj.invariant_monomials(chain)
@@ -71,9 +68,7 @@ def _cmd_resolve(args) -> int:
         "q": exp.q,
         "coeffs": list(exp.coeffs),
         "dual_coeffs": list(exp.dual_coeffs),
-        "lattice_points": [
-            [_fraction_str(s), _fraction_str(t)] for s, t in chain.points
-        ],
+        "lattice_points": [[_ratio_str(a, exp.p), _ratio_str(b, exp.p)] for a, b in chain.vectors],
         "monomials": [hj.format_monomial(m) for m in monomials.descending],
         "charts": [{"u": list(c.u), "v": list(c.v)} for c in atlas.charts],
         "identities": {
@@ -82,27 +77,26 @@ def _cmd_resolve(args) -> int:
             "cocycle": verdict[cocycle_ok],
         },
     }
-    if args.json:
-        _emit_json(payload)
-    else:
-        print(f"singularity 1/{exp.p}({1},{exp.q})")
-        print(f"  coeffs      [{', '.join(map(str, exp.coeffs))}]")
-        print(f"  dual coeffs [{', '.join(map(str, exp.dual_coeffs))}]")
+
+    def text():
+        yield f"singularity 1/{exp.p}(1,{exp.q})"
+        yield f"  coeffs      [{', '.join(map(str, exp.coeffs))}]"
+        yield f"  dual coeffs [{', '.join(map(str, exp.dual_coeffs))}]"
         pts = "  ".join(f"({a}, {b})" for a, b in payload["lattice_points"])
-        print(f"  chain       {pts}")
-        print(f"  monomials   {'  '.join(payload['monomials'])}")
+        yield f"  chain       {pts}"
+        yield f"  monomials   {'  '.join(payload['monomials'])}"
         for c in atlas.charts:
-            print(f"  chart {c.index}: u = {c.u}, v = {c.v}")
-        ids = payload["identities"]
-        print(
+            yield f"  chart {c.index}: u = {c.u}, v = {c.v}"
+        yield (
             "  identities  riemenschneider:{riemenschneider}  determinant:{determinant}"
-            "  cocycle:{cocycle}".format(**ids)
+            "  cocycle:{cocycle}".format(**payload["identities"])
         )
+
     all_ok = riemenschneider_ok and determinant_ok and cocycle_ok
-    return 0 if all_ok else 2
+    return payload, text(), 0 if all_ok else 2
 
 
-def _cmd_moduli(args) -> int:
+def _cmd_moduli(args):
     spec = parse_group_spec(args.group)
     report = moduli.moduli_report(spec)
     payload = {
@@ -116,65 +110,78 @@ def _cmd_moduli(args) -> int:
         "case": report.case_tag,
         "note": report.formula_note,
     }
-    if args.json:
-        _emit_json(payload)
-    else:
-        print(f"{'group':<14}{payload['group']} (order {payload['group_order']})")
-        print(f"{'case':<14}{payload['case']}")
+
+    def text():
+        yield f"{'group':<14}{payload['group']} (order {payload['group_order']})"
+        yield f"{'case':<14}{payload['case']}"
         for key in ("moduli_dim", "family_dim", "deformations", "curves"):
-            print(f"{key:<14}{payload[key]}")
-        print(f"{'note':<14}{payload['note']}")
-    return 0
+            yield f"{key:<14}{payload[key]}"
+        yield f"{'note':<14}{payload['note']}"
+    return payload, text(), 0
 
 
-def _cmd_table(args) -> int:
-    if args.which == 1:
-        rows = moduli.table1_rows(args.pmax)
-        if args.json:
-            _emit_json({"table": 1, "rows": rows})
-        else:
-            print(f"{'group':<12}{'d':>6}{'m':>6}")
+def _cmd_table(args):
+    rows = moduli.table1_rows(args.pmax) if args.which == 1 else moduli.table3_rows(args.lmax)
+
+    def text():
+        if args.which == 1:
+            yield f"{'group':<12}{'d':>6}{'m':>6}"
             for row in rows:
-                print(f"{row['label']:<12}{row['family_dim']:>6}{row['moduli_dim']:>6}")
-    else:
-        rows = moduli.table3_rows(args.lmax)
-        if args.json:
-            _emit_json({"table": 3, "rows": rows})
+                yield f"{row['label']:<12}{row['family_dim']:>6}{row['moduli_dim']:>6}"
         else:
-            print(f"{'family':<8}{'congruence':<16}{'l':>6}{'m':>6}")
+            yield f"{'family':<8}{'congruence':<16}{'l':>6}{'m':>6}"
             for row in rows:
                 cong = f"{row['residue']} mod {row['modulus']}"
-                print(f"{row['kind']:<8}{cong:<16}{row['l']:>6}{row['moduli_dim']:>6}")
-    return 0
+                yield f"{row['kind']:<8}{cong:<16}{row['l']:>6}{row['moduli_dim']:>6}"
+    return {"table": args.which, "rows": rows}, text(), 0
 
 
-# the numeric verbs import curvature (and with it numpy) themselves, so
-# the exact verbs start without numpy
+# each potential with the flag of its parameter; the numeric verbs import
+# curvature (and with it numpy) themselves, so the exact verbs start
+# without numpy
 _POTENTIALS = {
-    "flat": lambda cv, args: cv.flat(),
-    "eguchi-hanson": lambda cv, args: cv.eguchi_hanson(args.a),
-    "burns": lambda cv, args: cv.burns(args.m),
+    "flat": (None, lambda cv, value: cv.flat()),
+    "eguchi-hanson": ("a", lambda cv, value: cv.eguchi_hanson(value)),
+    "burns": ("m", lambda cv, value: cv.burns(value)),
 }
 
 
 def _add_potential_flags(sub) -> None:
     sub.add_argument("--potential", required=True, choices=sorted(_POTENTIALS))
-    sub.add_argument("--a", type=float, default=1.0, help="eguchi-hanson length scale")
-    sub.add_argument("--m", type=float, default=1.0, help="burns mass parameter")
+    sub.add_argument("--a", type=float, help="eguchi-hanson length scale (default 1)")
+    sub.add_argument("--m", type=float, help="burns mass parameter (default 1)")
     sub.add_argument("--order", type=int, choices=(2, 4), default=4)
     sub.add_argument("--h0", type=float, default=1e-2)
 
 
-def _cmd_verify_metric(args) -> int:
+def _potential(curvature, args):
+    """The potential the flags name, its payload fields and its header line.
+
+    A parameter flag given for another potential is a usage error.
+    """
+    for name, (flag, _) in _POTENTIALS.items():
+        if flag and name != args.potential and getattr(args, flag) is not None:
+            raise ValueError(f"--{flag} applies to --potential {name}, not {args.potential}")
+    flag, make = _POTENTIALS[args.potential]
+    value = getattr(args, flag) if flag else None
+    potential = make(curvature, 1.0 if value is None else value)
+    fields = {"potential": potential.name, "parameter": _json_value(potential.parameter)}
+
+    def header():
+        return f"potential   {potential.name} (parameter {potential.parameter:g})"
+
+    return potential, fields, header
+
+
+def _cmd_verify_metric(args):
     from . import curvature
 
-    potential = _POTENTIALS[args.potential](curvature, args)
+    potential, fields, header = _potential(curvature, args)
     points = curvature.sample_points(args.rmin, args.rmax, args.samples)
     plan = curvature.SamplePlan(points, h0=args.h0, order=args.order)
     report = curvature.verify_scalar_flat(potential, plan, tol=args.tol)
     payload = {
-        "potential": potential.name,
-        "parameter": _json_value(potential.parameter),
+        **fields,
         "rmin": _json_value(args.rmin),
         "rmax": _json_value(args.rmax),
         "samples": args.samples,
@@ -188,24 +195,22 @@ def _cmd_verify_metric(args) -> int:
         "worst_index": report.worst_index,
         "degenerate_indices": list(report.degenerate_indices),
     }
-    if args.json:
-        _emit_json(payload)
-    else:
-        print(f"potential   {potential.name} (parameter {potential.parameter:g})")
-        print(
+
+    def text():
+        yield header()
+        yield (
             f"samples     {args.samples} points, radii [{args.rmin:g}, {args.rmax:g}],"
             f" order {args.order}, h0 {args.h0:g}"
         )
-        print(f"max |S|     {report.max_abs_scalar:.6e} (tolerance {args.tol:g})")
-        radii = plan.radii
+        yield f"max |S|     {report.max_abs_scalar:.6e} (tolerance {args.tol:g})"
         if report.worst_index is not None:
             i = report.worst_index
-            print(f"worst       point {i}, radius {radii[i]:g}")
-        print(f"metric      {'positive definite' if report.metric_positive else 'DEGENERATE'}")
+            yield f"worst       point {i}, radius {plan.radii[i]:g}"
+        yield f"metric      {'positive definite' if report.metric_positive else 'DEGENERATE'}"
         for i in report.degenerate_indices:
-            print(f"degenerate  point {i}, radius {radii[i]:g}")
-        print("PASS" if report.passed else "FAIL")
-    return 0 if report.passed else 2
+            yield f"degenerate  point {i}, radius {plan.radii[i]:g}"
+        yield "PASS" if report.passed else "FAIL"
+    return payload, text(), 0 if report.passed else 2
 
 
 def _parse_radii(text: str):
@@ -220,45 +225,42 @@ def _parse_radii(text: str):
     return np.geomspace(r0, r1, steps)
 
 
-def _cmd_decay(args) -> int:
+def _cmd_decay(args):
     from . import curvature
 
-    potential = _POTENTIALS[args.potential](curvature, args)
+    potential, fields, header = _potential(curvature, args)
     radii = _parse_radii(args.radii)
     est = curvature.decay_order(potential, radii, h0=args.h0, order=args.order)
     payload = {
-        "potential": potential.name,
-        "parameter": _json_value(potential.parameter),
+        **fields,
         "no_signal": est.no_signal,
         "mu": _json_value(est.mu),
         "residual": _json_value(est.residual),
         "radii": [_json_value(r) for r in est.radii],
         "deviations": [_json_value(d) for d in est.deviations],
     }
-    if args.json:
-        _emit_json(payload)
-    else:
-        print(f"potential   {potential.name} (parameter {potential.parameter:g})")
-        print(f"radii       {est.radii[0]:g} .. {est.radii[-1]:g} ({len(est.radii)} samples)")
+
+    def text():
+        yield header()
+        yield f"radii       {est.radii[0]:g} .. {est.radii[-1]:g} ({len(est.radii)} samples)"
         if est.no_signal:
-            print("deviation below noise floor: no decay signal")
+            yield "deviation below noise floor: no decay signal"
         else:
-            print(f"decay order {est.mu:.4f} (fit residual {est.residual:.3e})")
-    return 0
+            yield f"decay order {est.mu:.4f} (fit residual {est.residual:.3e})"
+    return payload, text(), 0
 
 
-def _cmd_riemenschneider(args) -> int:
+def _cmd_riemenschneider(args):
     report = moduli.riemenschneider_sweep(args.pmax)
-    if args.json:
-        _emit_json(report)
-    else:
-        print(f"pmax        {report['pmax']}")
-        print(f"pairs       {report['pairs_checked']}")
+
+    def text():
+        yield f"pmax        {report['pmax']}"
+        yield f"pairs       {report['pairs_checked']}"
         if report["failures"]:
-            print(f"FAIL at {report['first_failure']}")
+            yield f"FAIL at {report['first_failure']}"
         else:
-            print("all identities hold")
-    return 0 if report["failures"] == 0 else 2
+            yield "all identities hold"
+    return report, text(), 0 if report["failures"] == 0 else 2
 
 
 def _build_parser() -> _Parser:
@@ -266,43 +268,37 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("resolve", help="resolution data for a cyclic singularity")
+    def verb(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=func)
+        return p
+
+    p = verb("resolve", _cmd_resolve, "resolution data for a cyclic singularity")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_resolve)
 
-    p = sub.add_parser("moduli", help="moduli dimensions for one group")
+    p = verb("moduli", _cmd_moduli, "moduli dimensions for one group")
     p.add_argument("--group", required=True, help="e.g. cyclic:7,3 or dprod:l=3,n=5")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_moduli)
 
-    p = sub.add_parser("table", help="regenerate a dimension table")
+    p = verb("table", _cmd_table, "regenerate a dimension table")
     p.add_argument("--which", type=int, choices=(1, 3), required=True)
     p.add_argument("--pmax", type=int, default=50)
     p.add_argument("--lmax", type=int, default=100)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_table)
 
-    p = sub.add_parser("verify-metric", help="sample the scalar curvature of a potential")
+    p = verb("verify-metric", _cmd_verify_metric, "sample the scalar curvature of a potential")
     _add_potential_flags(p)
     p.add_argument("--rmin", type=float, required=True)
     p.add_argument("--rmax", type=float, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_verify_metric)
 
-    p = sub.add_parser("decay", help="estimate the metric decay order")
+    p = verb("decay", _cmd_decay, "estimate the metric decay order")
     _add_potential_flags(p)
     p.add_argument("--radii", required=True, help="R0:R1:steps (geometric spacing)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_decay)
 
-    p = sub.add_parser("riemenschneider", help="sweep the dual-expansion identities")
+    p = verb("riemenschneider", _cmd_riemenschneider, "sweep the dual-expansion identities")
     p.add_argument("--pmax", type=int, default=50)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_riemenschneider)
 
     return parser
 
@@ -317,13 +313,14 @@ def _exit_code(exc: SystemExit) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return _exit_code(exc)
-    try:
-        code = args.func(args)
+        args = _build_parser().parse_args(argv)
+        payload, text, code = args.func(args)
+        if args.json:
+            print(json.dumps(payload, indent=2))
+        else:
+            for line in text:
+                print(line)
         sys.stdout.flush()  # a closed pipe raises here, not at shutdown
         return code
     except BrokenPipeError:

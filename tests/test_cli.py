@@ -368,12 +368,31 @@ def test_riemenschneider_text(capsys):
         # h0^2 underflows, so the step is rejected rather than every point degenerate
         ["verify-metric", "--potential", "flat", "--rmin", "1", "--rmax", "8", "--samples", "4",
          "--h0", "1e-300"],
+        # a parameter flag of another potential is a usage error, not ignored
+        ["verify-metric", "--potential", "burns", "--a", "2", "--rmin", "1", "--rmax", "8",
+         "--samples", "4"],
+        ["verify-metric", "--potential", "flat", "--m", "2", "--rmin", "1", "--rmax", "8",
+         "--samples", "4"],
+        ["decay", "--potential", "eguchi-hanson", "--m", "1", "--radii", "2:64:10"],
+        ["decay", "--potential", "burns", "--a", "1", "--radii", "2:64:10"],
     ],
 )
 def test_usage_and_validation_errors_exit_1(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err  # some diagnostic lands on stderr
+
+
+def test_parameter_flag_of_another_potential_is_named(capsys):
+    code, out, err = run(capsys, "verify-metric", "--potential", "burns", "--a", "2",
+                         "--rmin", "1", "--rmax", "8", "--samples", "4")
+    assert (code, out) == (1, "")
+    assert err == "error: --a applies to --potential eguchi-hanson, not burns\n"
+    # each potential's own flag still defaults to 1
+    for potential in ("eguchi-hanson", "burns"):
+        _, payload, _ = run_json(capsys, "decay", "--potential", potential, "--radii", "2:64:10",
+                                 "--json")
+        assert payload["parameter"] == 1.0
 
 
 def test_h0_that_leaves_no_sample_room_exits_1(capsys):
@@ -459,7 +478,9 @@ README_EXAMPLES = _readme_examples()
 
 
 def test_readme_lists_examples():
-    assert [argv[0] for argv, _ in README_EXAMPLES] == ["resolve", "moduli", "decay", "verify-metric"]
+    assert [argv[0] for argv, _ in README_EXAMPLES] == [
+        "resolve", "moduli", "decay", "verify-metric", "table", "riemenschneider"
+    ]
 
 
 @pytest.mark.parametrize(
