@@ -146,7 +146,12 @@ def is_su2(spec: GroupSpec) -> bool:
 
 
 def format_group_spec(spec: GroupSpec) -> str:
-    """Canonical CLI string for a spec, e.g. 'dprod:l=3,n=5'."""
+    """Canonical CLI string for a spec, e.g. 'dprod:l=3,n=5'.
+
+    The spec is validated first (ConditionViolationError otherwise), so
+    parse_group_spec reads every string returned here back to an equal spec.
+    """
+    validate_group(spec)
     if spec.kind == GroupKind.CYCLIC:
         return f"cyclic:{spec.p},{spec.q}"
     fields = ",".join(f"{name}={getattr(spec, name)}" for name in _FAMILIES[spec.kind].fields)

@@ -189,6 +189,22 @@ def test_validate_rejects_bools(spec, field):
     assert (info.value.field, info.value.condition) == (field, "a positive integer")
 
 
+@pytest.mark.parametrize(
+    "spec, field, condition",
+    [
+        (GroupSpec(GroupKind.TETRAHEDRAL_PRODUCT, l=True), "l", "a positive integer"),
+        (GroupSpec(GroupKind.TETRAHEDRAL_PRODUCT, l=0), "l", "a positive integer"),
+        (GroupSpec(GroupKind.CYCLIC, p=6, q=3), "q", "gcd(p, q) = 1"),
+    ],
+)
+def test_format_rejects_a_spec_that_would_not_parse_back(spec, field, condition):
+    # unvalidated, these formatted as "tprod:l=True", "tprod:l=0" and
+    # "cyclic:6,3", and parse_group_spec rejects each of them
+    with pytest.raises(ConditionViolationError) as info:
+        format_group_spec(spec)
+    assert (info.value.field, info.value.condition) == (field, condition)
+
+
 def test_validate_is_idempotent():
     spec = cyclic_group(7, 3)
     assert validate_group(validate_group(spec)) is spec
