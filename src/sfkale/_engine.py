@@ -39,10 +39,19 @@ the lattice's index arrays.  The lattice comes in two forms:
     and 1392 at order 2).  Only a custom_general potential's own S and
     Hessian still take this form.
 
-radial_scalar takes a radial S from 9 (order 4) or 7 values of F along
-t = log u.  Every callable gets its sites as Python lists (u for
-radial, the complex coordinates z1 and z2 for general), handed to
-callable_values, and its values back from one map per pass.
+radial_scalar takes the S of a radial potential from f(t) = F(e^t) at
+the 9 (order 4) or 7 t-sites t + k h, t = log u, h = 4 h0: from a
+custom_radial profile's values there (profile_along_t), or from the
+built-in Eguchi-Hanson and Burns in closed form (builtin_along_t),
+whose terms e^t and c t enter f's derivatives exactly and whose rest is
+differenced without cancelling.  The reduction is numpy over a stack of
+points up to one rounded sum per derivative and point.  Over radii
+0.5-64 the built-ins' worst |S| against the exact 0 is 6.3e-6 (order
+4) and 4.1e-3 (order 2) for Eguchi-Hanson with a in [0.5, 3], at a = 3
+and r = 0.5, and rounding (1e-15) for Burns; the 4-D stencil reads
+9.6 and 1.5e3 at radii 0.5-1.  Every callable gets its sites as Python
+lists (u for radial, the complex coordinates z1 and z2 for general),
+handed to callable_values, and its values back from one map per pass.
 
 Every function works on a stack of n points at once.  sites() lays the
 stencils out as bases (n, B, 4) and steps (n, K, 4): at order 4, B = 53
@@ -347,30 +356,127 @@ _T_WEIGHTS = {
 }
 
 
-def radial_scalar(profile, x, h0: float, order: int, name: str = "custom-radial") -> np.ndarray:
-    """S of Phi = profile(|z|^2) at each point (row) of x, from the profile along t = log |z|^2.
+def _reach(order: int) -> int:
+    """Largest |k| of the t-sites t + k h at this order: 4, or 3 at order 2."""
+    return len(_T_WEIGHTS[order][0][0]) // 2
 
-    With u = |x|^2 and f(t) = profile(e^t), g has the eigenvalues f'/u
-    and f''/u, and S = -2 (G'/f' + G''/f'') with G = log(f' f'') - 2t.
-    The profile is called at u e^(k h), h = 4 h0, for the _T_WEIGHTS of
-    the order, and each sum is rounded once, so a point's S depends on
-    its computed |x| alone.  NaN where f' or f'' is not positive or a
-    profile value is NaN.
+
+@functools.lru_cache(maxsize=16)
+def _t_table(order: int, h0: float):
+    """(weights, exp(k h), expm1(k h), expm1(2 k h)) of the t-sites, h = 4 h0.
+
+    weights row j - 1 holds the weights of d^j f / dt^j for k = 1..reach,
+    over the denominator and h^j, then a 1 for an exact term; the other
+    three run over k = -reach..reach.
     """
-    rows = _T_WEIGHTS[order]
-    reach = len(rows[0][0]) // 2
+    reach = _reach(order)
     h = 4.0 * h0
-    # the weights of k = 1..reach, over the denominator and h^j
-    weights = [[w / (d * h**j) for w in row[reach + 1 :]] for j, (row, d) in enumerate(rows, 1)]
+    weights = [
+        [w / (d * h**j) for w in row[reach + 1 :]] + [1.0]
+        for j, (row, d) in enumerate(_T_WEIGHTS[order], 1)
+    ]
+    k = range(-reach, reach + 1)
+    return (
+        np.array(weights),
+        np.array([math.exp(j * h) for j in k]),
+        np.array([math.expm1(j * h) for j in k]),
+        np.array([math.expm1(2 * j * h) for j in k]),
+    )
+
+
+def profile_along_t(profile, x, h0: float, order: int, name: str) -> np.ndarray:
+    """profile(|x|^2 e^(k h)) for |k| <= reach, h = 4 h0: one row of 2 reach + 1 per point.
+
+    The profile is called once per t-site, in point order and then k order.
+    """
+    reach = _reach(order)
+    h = 4.0 * h0
     sites = [r * r * math.exp(k * h) for r in radii(x) for k in range(-reach, reach + 1)]
+    return callable_values(profile, [sites], name).reshape(len(x), -1)
+
+
+def builtin_along_t(family, par, x, h0: float, order: int):
+    """(values, exact) of Burns or Eguchi-Hanson along t = log |z|^2 at each point (row) of x.
+
+    f(t) = F(e^t) is split into a part whose first four t-derivatives
+    are known exactly, held in exact (n x 4), and a rest whose
+    differences rest(t + k h) - rest(t), h = 4 h0, |k| <= reach, are
+    values.  radial_scalar adds exact inside its sums rather than
+    differencing it.  With u = |x|^2:
+
+      Burns, f = e^t + m t: exact (u + m, u, u, u), values 0.
+      Eguchi-Hanson, f = w + a^2 t - a^2 log(a^2 + w), w = sqrt(a^4 + u^2):
+        where u >= a^2, e^t is split off, exact (u + a^2, u, u, u) and
+          values d(w - u) - L, d(w - u) = -a^4 (dw + du) / ((w_k + u_k)(w + u));
+        inside the bolt, u < a^2, f'' = u^2 / w is small next to u and
+          splitting u off would cancel it, so exact (a^2, 0, 0, 0) and
+          values dw - L;
+        with L = a^2 log1p(dw / (a^2 + w)), du = u expm1(k h) and dw =
+        u^2 expm1(2 k h) / (w_k + w) the changes of u and w.
+
+    No term cancels.  Differencing e^t would leave the t-rows'
+    truncation on it (1.5e-7 / u at order 2) in every S; outside the
+    bolt the rest falls off as a^4 / u instead.  An a^4 that overflows
+    makes every value NaN, so the point reads degenerate.
+    """
+    u = np.array([r * r for r in radii(x)])[:, None]
+    _, exp, expm1, expm1_2 = _t_table(order, h0)
+    if family == BURNS:
+        exact = np.concatenate([u + par, u, u, u], axis=1)
+        return np.zeros((len(u), len(exp))), exact
+    a2 = par * par
+    a4 = a2 * a2
+    far = u >= a2
+    flat = np.where(far, u, 0.0)
+    exact = np.concatenate([flat + a2, flat, flat, flat], axis=1)
+    w = np.sqrt(a4 + u * u)
+    uk = u * exp
+    wk = np.sqrt(a4 + uk * uk)
+    dw = u * u * expm1_2
+    dw /= wk + w
+    # d(w - u), in the place of du
+    du = u * expm1
+    du += dw
+    du *= -a4
+    uk += wk
+    uk *= w + u
+    du /= uk
+    values = np.where(far, du, dw)
+    dw /= a2 + w
+    np.log1p(dw, out=dw)
+    dw *= a2
+    values -= dw
+    return values, exact
+
+
+def radial_scalar(values, h0: float, order: int, exact=None) -> np.ndarray:
+    """S of a radial potential at each row of values, taken along t = log |z|^2.
+
+    values holds f(t + k h), h = 4 h0, for |k| <= reach: profile_along_t's
+    rows, or builtin_along_t's differences of the part of f it does not
+    know exactly, with exact (n x 4) the first four t-derivatives of the
+    part it does.  f(k) - f(-k) carries the odd derivatives
+    and f(k) + f(-k) - 2 f(0) the even ones, through the _T_WEIGHTS of
+    the order; each derivative is one rounded sum, with its exact term
+    inside.  g has the eigenvalues f'/u and f''/u, and S = -2 (G'/f' +
+    G''/f'') with G = log(f' f'') - 2t.  A point's S depends on its row
+    alone; NaN where f' or f'' is not positive or a value is NaN.
+    """
+    reach = _reach(order)
+    up, down = values[:, reach + 1 :], values[:, reach - 1 :: -1]
+    # terms[i, j - 1] sums to d^j f / dt^j at point i
+    terms = np.empty((len(values), 4, reach + 1))
+    odd, even = terms[:, 0, :reach], terms[:, 1, :reach]
+    np.subtract(up, down, out=odd)
+    np.add(up, down, out=even)
+    even -= 2.0 * values[:, reach : reach + 1]
+    terms[:, 2:, :reach] = terms[:, :2, :reach]
+    terms[:, :, reach] = 0.0 if exact is None else exact
+    terms *= _t_table(order, h0)[0]
     out = []
-    for f in callable_values(profile, [sites], name).reshape(len(x), -1).tolist():
-        # f(k) - f(-k) carries the odd derivatives, f(k) + f(-k) - 2 f(0) the even
-        up, down, two_f0 = f[reach + 1 :], f[reach - 1 :: -1], 2.0 * f[reach]
-        pairs = [list(map(operator.sub, up, down)), [a + b - two_f0 for a, b in zip(up, down)]]
-        terms = (map(operator.mul, w, p) for w, p in zip(weights, pairs * 2))
+    for f in terms.tolist():
         try:
-            f1, f2, f3, f4 = map(math.fsum, terms)
+            f1, f2, f3, f4 = map(math.fsum, f)
         except (OverflowError, ValueError):
             # fsum raises for a sum that overflows, or for inf - inf
             f1 = f2 = f3 = f4 = math.nan

@@ -5,8 +5,13 @@ Exit codes: 0 success, 1 usage or validation error, 2 mathematical
 verification failure, 141 (128 + SIGPIPE) when the reader of stdout
 closes the pipe early, as `sfkale ... | head -1` does.  JSON mode
 always emits exactly one top-level object; floats are printed with 12
-significant digits and exact rationals as "num/den" strings, so output
-is byte-for-byte deterministic for fixed flags.
+significant digits and exact rationals as "num/den" strings.  The
+exact verbs (resolve, moduli, table, riemenschneider) are byte-for-byte
+reproducible for fixed flags.  The numeric verbs (verify-metric, decay)
+are not across machines: their JSON floats with 8 or more significant
+digits move with the CPU kernels numpy picks (tests/test_cli.py masks
+them in its all-verbs digest), while their text lines, printed with 7
+or fewer, held on the inputs that digest pins.
 
 Each verb's handler returns (payload, text, code): the JSON payload, a
 generator of text lines, formatted only if main prints them, and the

@@ -6,17 +6,22 @@ coordinates, and the scalar curvature from a second, nested stencil
 applied to log det g.  Each point has its own radius-scaled step h =
 h0 * (1 + |z|); there is no grid.
 
-A custom_radial potential's scalar curvature is taken from its profile
-along t = log |z|^2 (_engine.radial_scalar); its Hessians, deviations
-and derivatives use the 4-D stencils like every other potential.
+The scalar curvature of the radial Eguchi-Hanson, Burns and
+custom_radial potentials (_ALONG_T) is taken along t = log |z|^2
+(_engine.radial_scalar): from 9 values of f(t) = F(e^t) per point at
+order 4, 7 at order 2, where the 4-D stencil differences Phi over 53 x
+48 terms (29 x 24).  Flat keeps the 4-D stencil, on which its
+differences are exact.  Hessians, deviations and derivatives use the
+4-D stencils for every potential.
 
 The engine takes a stack of points in one pass, laid out as (points,
 bases, steps).  Multi-point calls (verify_scalar_flat, and
 metric_deviations, which the decay fits and weighted norms use) walk
-their points in chunks of about _CHUNK_TERMS stencil terms: 4 scalar
-curvature points at order 4, 14 at order 2, 213 or 426 Hessians.  A
-single-point call passes one row through the same code, and no value
-depends on which chunk its point fell in.  numpy's float warnings are
+their points in chunks of about _CHUNK_TERMS terms: 4 scalar curvature
+points at order 4, 14 at order 2, 213 or 426 Hessians, and 1137 or
+1462 points along t, one term per t-site.  A single-point call passes
+one row through the same code, and no value depends on which chunk its
+point fell in.  numpy's float warnings are
 off for the whole of each public call, a custom potential's included:
 the points they would flag come back NaN and count as degenerate.
 """
@@ -43,7 +48,15 @@ class Potential:
     """A real-valued Kahler potential on C^2 minus the origin.
 
     Built-in families (family set, fn None) get numpy-evaluated
-    potential differences in a stable closed form.  custom_radial
+    potential differences in a stable closed form.  Eguchi-Hanson and
+    Burns take their scalar curvature along t = log |z|^2 from 9 (order
+    4) or 7 closed-form values per point, with the exact terms e^t and
+    c t of f(t) = F(e^t) entering its derivatives undifferenced.  In an
+    order-4 sweep of 256 points (CPU time on a 2-vCPU VM) a point costs
+    3-5 us of Eguchi-Hanson and 2-4 us of Burns, against 60-110 and
+    30-60 us on the 4-D stencil; the worst |S| over radii 0.5-64 is
+    6.3e-6 for Eguchi-Hanson with a <= 3 and rounding (1e-15) for
+    Burns.  Flat keeps the 4-D stencil.  custom_radial
     potentials (family RADIAL) carry their profile fn(u) -> Phi of
     u = |z|^2, which the engine calls once per distinct stencil site:
     49 calls per Hessian at order 4 and 25 at order 2.  Their scalar
@@ -118,9 +131,16 @@ def custom_general(fn: Callable[[complex, complex], float]) -> Potential:
 _CHUNK_TERMS = 10240
 
 
+# the potentials whose scalar curvature is taken along t = log |z|^2
+_ALONG_T = frozenset({_engine.EGUCHI_HANSON, _engine.BURNS, _engine.RADIAL})
+
+
 @functools.cache
-def _chunk_points(order: int, curvature: bool) -> int:
-    """Points per engine pass for the scalar curvature or the Hessian stencil."""
+def _chunk_points(order: int, curvature: bool, along_t: bool = False) -> int:
+    """Points per engine pass for S along t, S on the 4-D stencil, or the Hessian."""
+    if along_t:
+        # one term per t-site
+        return _CHUNK_TERMS // len(_engine._T_WEIGHTS[order][0][0])
     stencil = _engine.STENCILS[order]
     terms = len(stencil.steps) * (len(stencil.bases) if curvature else 1)
     return max(1, _CHUNK_TERMS // terms)
@@ -136,19 +156,31 @@ def _psi(potential: Potential, x, h, order: int, curvature: bool) -> np.ndarray:
     return _engine.lattice_psi(potential.fn, x, h, lattice, radial, potential.name)
 
 
+def _scalar_along_t(potential: Potential, x, h0: float, order: int) -> np.ndarray:
+    """S at each point (row) of x of a potential in _ALONG_T, from its values along t = log |z|^2."""
+    if potential.fn is None:
+        values, exact = _engine.builtin_along_t(
+            potential.family, potential.parameter, x, h0, order
+        )
+        return _engine.radial_scalar(values, h0, order, exact)
+    values = _engine.profile_along_t(potential.fn, x, h0, order, potential.name)
+    return _engine.radial_scalar(values, h0, order)
+
+
 def _evaluate(potential: Potential, x, h0: float, order: int, curvature: bool) -> np.ndarray:
     """S (curvature) or (g11, g22, Re g12, Im g12) at each point (row) of x, a chunk per pass.
 
     NaN where the metric degenerates; numpy's float warnings are off
     for the whole call.
     """
-    size = _chunk_points(order, curvature)
+    along_t = curvature and potential.family in _ALONG_T
+    size = _chunk_points(order, curvature, along_t)
     out = []
     with np.errstate(all="ignore"):
         for i in range(0, len(x), size):
             chunk = x[i : i + size]
-            if curvature and potential.family == _engine.RADIAL:
-                out.append(_engine.radial_scalar(potential.fn, chunk, h0, order, potential.name))
+            if along_t:
+                out.append(_scalar_along_t(potential, chunk, h0, order))
                 continue
             h = _engine.step(chunk, h0)
             psi = _psi(potential, chunk, h, order, curvature)
@@ -391,9 +423,12 @@ def scalar_curvature_derivative(
     sides share its values; so is a custom_radial background.  A
     custom_general background is called at both ends of every term
     (5088 or 1392 sites), as for its own S.  Either way each term's
-    value is taken at its site x + h o.  The S of a custom_radial
-    background here may differ from scalar_curvature's, which is taken
-    along t = log |z|^2, by the stencil's truncation error.
+    value is taken at its site x + h o.  The S of an Eguchi-Hanson,
+    Burns or custom_radial background here may differ from
+    scalar_curvature's, which is taken along t = log |z|^2, by the 4-D
+    stencil's truncation error: for Eguchi-Hanson (a = 1) at order 4
+    about 1e-5 at radii 1-8 and 2e-2 at 0.5-1, where scalar_curvature
+    reads 1e-8 and 5e-7.
     DegenerateMetricError names the side, +t or -t, whose metric
     degenerates.
     """

@@ -187,12 +187,17 @@ ALL_VERBS_ARGV = [
     ("table", "--which", "3", "--lmax", "20"),
     ("verify-metric", "--potential", "eguchi-hanson", "--a", "2", "--rmin", "1", "--rmax", "8",
      "--samples", "6"),
-    # FAIL, naming the worst point
+    # Burns' S is taken from its exact t-derivatives: both pass, at any m
     ("verify-metric", "--potential", "burns", "--m", "1.5", "--rmin", "0.3", "--rmax", "8",
      "--samples", "6"),
-    # points 0 and 1 degenerate
     ("verify-metric", "--potential", "burns", "--m", "1e10", "--rmin", "1", "--rmax", "8",
      "--samples", "4"),
+    # FAIL, naming the worst point
+    ("verify-metric", "--potential", "eguchi-hanson", "--a", "2.5", "--order", "2", "--rmin",
+     "0.3", "--rmax", "8", "--samples", "6"),
+    # every point degenerate: a^4 overflows
+    ("verify-metric", "--potential", "eguchi-hanson", "--a", "1e100", "--rmin", "1", "--rmax",
+     "8", "--samples", "4"),
     ("decay", "--potential", "eguchi-hanson", "--radii", "2:64:10"),
     ("decay", "--potential", "flat", "--radii", "2:64:10"),  # no signal
     ("riemenschneider", "--pmax", "20"),
@@ -213,9 +218,9 @@ def _mask_long_floats(out: str) -> str:
 
 
 # sha256 of the exit code and stdout of every argv above, in text and in
-# --json mode, computed on the program whose verbs each printed their own
-# output
-ALL_VERBS_SHA256 = "c5f677ec1e4b5722689d77ac1c97fa2ecd60054442d8578a2fce9469465c1b6f"
+# --json mode, computed with the Eguchi-Hanson and Burns S taken along t =
+# log |z|^2; the same with numpy's AVX-512 and AVX2 kernels turned off
+ALL_VERBS_SHA256 = "83d4b43bac0c7a04e92739511bf2fbb3e478f75d1c5e8b38b179b6fa39da8834"
 
 
 def test_every_verb_output_is_byte_stable(capsys):
@@ -281,10 +286,10 @@ def test_verify_metric_impossible_tolerance_fails(capsys):
 
 
 def test_verify_metric_locates_the_worst_point(capsys):
-    # Burns is exactly scalar-flat, so max |S| here is stencil error, and
-    # it sits at the innermost radius
-    argv = ["verify-metric", "--potential", "burns", "--m", "1.5", "--rmin", "0.3",
-            "--rmax", "8", "--samples", "16"]
+    # Eguchi-Hanson is exactly scalar-flat, so max |S| here is stencil error,
+    # and it sits at the innermost radius, inside the bolt r < a
+    argv = ["verify-metric", "--potential", "eguchi-hanson", "--a", "2.5", "--order", "2",
+            "--rmin", "0.3", "--rmax", "8", "--samples", "16"]
     code, payload, _ = run_json(capsys, *argv, "--json")
     assert code == 2
     values = payload["scalar_values"]

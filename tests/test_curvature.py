@@ -10,8 +10,10 @@ S = -2 (G'/f' + G''/f'') with G = log(f' f'') - 2t.
 """
 
 import collections
+import hashlib
 import inspect
 import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -179,8 +181,10 @@ def _random_points(seed, n):
 @pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("kind", sorted(_KINDS))
 def test_chunked_sweep_matches_single_points(kind, order, seed):
+    # the plans straddle the chunk boundaries of the path the kind takes: S
+    # along t for Eguchi-Hanson, Burns and custom-radial, the 4-D stencil else
     pot = _KINDS[kind]
-    sizes = _plan_sizes(cv._chunk_points(order, curvature=True))
+    sizes = _plan_sizes(cv._chunk_points(order, True, pot.family in cv._ALONG_T))
     pts = _random_points(seed, max(sizes))
     single = np.array([cv.scalar_curvature(pot, x, order=order) for x in pts])
     for n in sizes:
@@ -215,10 +219,12 @@ def test_degenerate_points_stay_local():
     # share their chunks with good points
     pot = cv.custom_radial(lambda u: u - u * u / 20.0)
     radii = np.array([1.0, 3.2, 1.2, 1.4, 1.1, 3.6, 1.5, 3.9, 1.3, 1.25, 3.0])
+    # repeated past one chunk of S along t, the path custom_radial takes
+    radii = np.tile(radii, cv._chunk_points(4, True, along_t=True) // len(radii) + 2)
     pts = radii[:, None] * _directions(np.random.default_rng(7), len(radii))
     bad = np.flatnonzero(radii > 2.5)
     good = np.flatnonzero(radii < 2.5)
-    assert cv._chunk_points(4, curvature=True) < len(radii)
+    assert cv._chunk_points(4, True, along_t=True) < len(radii)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = cv.verify_scalar_flat(pot, cv.SamplePlan(pts))
@@ -292,8 +298,8 @@ def test_potential_parameters_must_be_finite_and_positive(bad):
 
 
 def test_accepted_inputs_leak_no_numpy_warnings():
-    # at m = 1e300 the Burns term overflows, and so does the custom profile's
-    # value.  The engine's NaN must reach the caller as a degenerate point,
+    # at a = 1e100 the Eguchi-Hanson a^4 overflows, and so does the custom
+    # profile's value.  The engine's NaN must reach the caller as a degenerate point,
     # with no RuntimeWarning on the way.  At h0 = 1e-300, h * h would
     # underflow to 0 in the reduction, so such a step is rejected up front
     plan = cv.SamplePlan(cv.sample_points(1, 8, 4))
@@ -303,7 +309,7 @@ def test_accepted_inputs_leak_no_numpy_warnings():
             cv.SamplePlan(plan.points, h0=1e-300)
         with pytest.raises(ValueError, match="h0 = 1e-300 is too small"):
             cv.hermitian_hessian(FL, (1.3, 0.4 + 0.2j), h0=1e-300)
-        heavy = cv.verify_scalar_flat(cv.burns(1e300), plan)
+        heavy = cv.verify_scalar_flat(cv.eguchi_hanson(1e100), plan)
         overflowing = cv.custom_radial(lambda u: 1e308 * u)
         huge = cv.verify_scalar_flat(overflowing, plan)
         with pytest.raises(DegenerateMetricError):
@@ -725,10 +731,10 @@ def test_profile_calls_per_point(order, radial, general):
         (cv.custom_radial(profile), radial),
         (cv.custom_general(lambda z1, z2: profile(abs(z1) ** 2 + abs(z2) ** 2)), general),
     )
-    n_s = cv._chunk_points(order, curvature=True) + 1
     n_g = cv._chunk_points(order, curvature=False) + 1
-    plan = cv.SamplePlan(cv.sample_points(1, 4, n_s), order=order)
     for pot, (s_calls, g_calls, d_calls) in pots:
+        n_s = cv._chunk_points(order, True, pot.family in cv._ALONG_T) + 1
+        plan = cv.SamplePlan(cv.sample_points(1, 4, n_s), order=order)
         calls.clear()
         cv.scalar_curvature(pot, POINTS[0], order=order)
         assert len(calls) == s_calls, pot.name
@@ -849,6 +855,89 @@ def test_radial_scalar_curvature_is_unitary_invariant(r, d, angles, order):
     else:
         assert s_u == cv.scalar_curvature(pot, (r_u, 0.0, 0.0, 0.0), order=order)
         assert abs(s_u - s) <= CUSTOM_NOISE_FLOOR * max(1.0, abs(s))
+
+
+# worst |S| of Eguchi-Hanson (a in [0.5, 3]) and Burns (m in [0.2, 3]) along t
+# over radii 0.5-64, about 3 times the measured one: 6.3e-6 and 4.1e-3 for
+# Eguchi-Hanson at orders 4 and 2 (at a = 3, r = 0.5, inside the bolt), 1.1e-15
+# for Burns at both, whose S is taken from its exact derivatives
+_BUILTIN_ALONG_T_TOLERANCES = {
+    ("eguchi-hanson", 4): 2e-5,
+    ("eguchi-hanson", 2): 1.2e-2,
+    ("burns", 4): 4e-15,
+    ("burns", 2): 4e-15,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(("eguchi-hanson", "burns")),
+    par=st.floats(0.0, 1.0),
+    r=st.floats(0.5, 64.0),
+    d=st.lists(_unit, min_size=4, max_size=4).filter(lambda d: np.linalg.norm(d) > 0.1),
+    order=st.sampled_from((2, 4)),
+)
+def test_builtin_scalar_curvature_along_t_is_near_zero(kind, par, r, d, order):
+    if kind == "eguchi-hanson":
+        pot = cv.eguchi_hanson(0.5 + 2.5 * par)
+    else:
+        pot = cv.burns(0.2 + 2.8 * par)
+    x = r * np.array(d) / np.linalg.norm(d)
+    assert abs(cv.scalar_curvature(pot, x, order=order)) <= _BUILTIN_ALONG_T_TOLERANCES[kind, order]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    d=st.lists(st.floats(-8.0, 8.0), min_size=4, max_size=4).filter(
+        lambda d: np.linalg.norm(d) > 0.6
+    ),
+    order=st.sampled_from((2, 4)),
+)
+@pytest.mark.parametrize("pot", [EH, BU, cv.eguchi_hanson(2.5)], ids=["eh1", "burns", "eh2.5"])
+def test_builtin_scalar_curvature_along_t_depends_on_the_computed_radius(pot, d, order):
+    # z -> (i z1, -z2) permutes and negates the squares |x|^2 adds, so both
+    # points have the same computed radius, and their S is the same double
+    x0, x1, x2, x3 = d
+    x, y = np.array([d, [-x1, x0, -x2, -x3]])
+    (r_x, r_y) = _engine.radii(np.array([x, y]))
+    assert r_x == r_y
+    assert cv.scalar_curvature(pot, x, order=order) == cv.scalar_curvature(pot, y, order=order)
+
+
+def test_heavy_parameters_along_t():
+    # Burns' m t joins f' as an exact slope, so m = 1e10 or 1e300 costs S no
+    # digits (differenced, m = 1e10 read |S| = 0.1 at r = 1 from the rounding
+    # of f'''); an Eguchi-Hanson a^4 that overflows reads degenerate
+    plan = cv.SamplePlan(cv.sample_points(0.5, 64, 24))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in (1e10, 1e300):
+            for order in (2, 4):
+                report = cv.verify_scalar_flat(cv.burns(m), cv.SamplePlan(plan.points, order=order))
+                assert report.passed and report.max_abs_scalar < 1e-14, (m, order)
+        report = cv.verify_scalar_flat(cv.eguchi_hanson(1e100), plan)
+    assert not report.passed and report.degenerate_indices == tuple(range(24))
+
+
+# sha256 of custom_radial's S over a seeded sweep at orders 2 and 4, as the
+# values were before the built-in potentials shared its reduction along t
+CUSTOM_RADIAL_S_SHA256 = "b6579902a43752fe60212b21a5c965767937631c7a3879a96a65c295f287c416"
+
+
+def test_custom_radial_scalar_curvature_is_bitwise_stable():
+    # the points and the profile take Python float arithmetic alone
+    rng = random.Random(20160517)
+    pts = []
+    while len(pts) < 300:
+        x = [rng.uniform(-6.0, 6.0) for _ in range(4)]
+        if sum(c * c for c in x) >= 0.25:
+            pts.append(x)
+    pot = cv.custom_radial(lambda u: u + 0.2 * u * u + 0.4 * math.log(u))
+    digest = hashlib.sha256()
+    for order in (2, 4):
+        s = cv.verify_scalar_flat(pot, cv.SamplePlan(np.array(pts), order=order)).scalar_values
+        digest.update(s.tobytes())
+    assert digest.hexdigest() == CUSTOM_RADIAL_S_SHA256
 
 
 # ---------------------------------------------------------------- pullbacks
