@@ -9,9 +9,9 @@ significant digits and exact rationals as "num/den" strings.  The
 exact verbs (resolve, moduli, table, riemenschneider) are byte-for-byte
 reproducible for fixed flags.  The numeric verbs (verify-metric, decay)
 are not across machines: their JSON floats with 8 or more significant
-digits move with the CPU kernels numpy picks (tests/test_cli.py masks
-them in its all-verbs digest), while their text lines, printed with 7
-or fewer, held on the inputs that digest pins.
+digits move with the CPU kernels numpy picks, so tests/test_cli.py
+masks them in its all-verbs digest; their text lines, with 7
+significant digits or fewer, read the same under every kernel tried.
 
 Each verb's handler returns (payload, text, code): the JSON payload, a
 generator of text lines, formatted only if main prints them, and the

@@ -21,9 +21,9 @@ their points in chunks of about _CHUNK_TERMS terms: 4 scalar curvature
 points at order 4, 14 at order 2, 213 or 426 Hessians, and 1137 or
 1462 points along t, one term per t-site.  A single-point call passes
 one row through the same code, and no value depends on which chunk its
-point fell in.  numpy's float warnings are
-off for the whole of each public call, a custom potential's included:
-the points they would flag come back NaN and count as degenerate.
+point fell in.  numpy's float warnings are off for the whole of each
+public call, a custom potential's included: the points they would flag
+come back NaN and count as degenerate.
 """
 
 from __future__ import annotations
@@ -51,12 +51,12 @@ class Potential:
     potential differences in a stable closed form.  Eguchi-Hanson and
     Burns take their scalar curvature along t = log |z|^2 from 9 (order
     4) or 7 closed-form values per point, with the exact terms e^t and
-    c t of f(t) = F(e^t) entering its derivatives undifferenced.  In an
-    order-4 sweep of 256 points (CPU time on a 2-vCPU VM) a point costs
-    3-5 us of Eguchi-Hanson and 2-4 us of Burns, against 60-110 and
-    30-60 us on the 4-D stencil; the worst |S| over radii 0.5-64 is
-    6.3e-6 for Eguchi-Hanson with a <= 3 and rounding (1e-15) for
-    Burns.  Flat keeps the 4-D stencil.  custom_radial
+    c t of f(t) = F(e^t) entering its derivatives undifferenced.  In
+    perfbench's metric_sweep (256-point order-4 plans) a point costs
+    about 5.4 us of Eguchi-Hanson and 3.7 us of Burns, against 87 and
+    49 us on the 4-D stencil; the worst |S| over radii 0.5-64 is 6.3e-6
+    for Eguchi-Hanson with a <= 3 and rounding (1e-15) for Burns.  Flat
+    keeps the 4-D stencil.  custom_radial
     potentials (family RADIAL) carry their profile fn(u) -> Phi of
     u = |z|^2, which the engine calls once per distinct stencil site:
     49 calls per Hessian at order 4 and 25 at order 2.  Their scalar

@@ -10,11 +10,13 @@ S = -2 (G'/f' + G''/f'') with G = log(f' f'') - 2t.
 """
 
 import collections
+import decimal
 import hashlib
 import inspect
 import math
 import random
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -299,9 +301,10 @@ def test_potential_parameters_must_be_finite_and_positive(bad):
 
 def test_accepted_inputs_leak_no_numpy_warnings():
     # at a = 1e100 the Eguchi-Hanson a^4 overflows, and so does the custom
-    # profile's value.  The engine's NaN must reach the caller as a degenerate point,
-    # with no RuntimeWarning on the way.  At h0 = 1e-300, h * h would
-    # underflow to 0 in the reduction, so such a step is rejected up front
+    # profile's value.  The engine's NaN must reach the caller as a
+    # degenerate point, with no RuntimeWarning on the way.  At h0 = 1e-300,
+    # h * h would underflow to 0 in the reduction, so such a step is
+    # rejected up front
     plan = cv.SamplePlan(cv.sample_points(1, 8, 4))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -902,6 +905,43 @@ def test_builtin_scalar_curvature_along_t_depends_on_the_computed_radius(pot, d,
     (r_x, r_y) = _engine.radii(np.array([x, y]))
     assert r_x == r_y
     assert cv.scalar_curvature(pot, x, order=order) == cv.scalar_curvature(pot, y, order=order)
+
+
+def _eguchi_hanson_rest_differences(a, u, h, reach):
+    # rest(t + k h) - rest(t) of f = w + a^2 t - a^2 log(a^2 + w) in 60-digit
+    # decimals, rest being f less a^2 t, and less e^t too outside the bolt
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        a2, u = Decimal(a) ** 2, Decimal(u)
+
+        def rest(k):
+            uk = u * (k * Decimal(h)).exp()
+            wk = (a2 * a2 + uk * uk).sqrt()
+            return wk - (uk if u >= a2 else 0) - a2 * (a2 + wk).ln()
+
+        return [float(rest(k) - rest(0)) for k in range(-reach, reach + 1)]
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.5])
+def test_eguchi_hanson_differences_along_t_cancel_nothing(a, order):
+    # every difference builtin_along_t forms lies within a few ulps of its
+    # exact value (measured 4.4e-16 relative at worst), inside the bolt (u <
+    # a^2) and outside, near the origin and far out; each row's derivatives
+    # of the split-off e^t + a^2 t are exact
+    radii = [0.3, 0.9 * a, 1.1 * a, 3.0, 40.0]
+    x = np.array([[r, 0.0, 0.0, 0.0] for r in radii])
+    h0 = 0.01
+    reach = _engine._reach(order)
+    with np.errstate(all="raise"):
+        values, exact = _engine.builtin_along_t(_engine.EGUCHI_HANSON, a, x, h0, order)
+    for r, row, (e1, e2, e3, e4) in zip(radii, values.tolist(), exact.tolist()):
+        u = r * r
+        want = _eguchi_hanson_rest_differences(a, u, 4 * h0, reach)
+        for got, exact_value in zip(row, want):
+            assert abs(got - exact_value) <= 1.3e-15 * abs(exact_value), (r, row, want)
+        flat = u if u >= a * a else 0.0
+        assert (e1, e2, e3, e4) == (flat + a * a, flat, flat, flat)
 
 
 def test_heavy_parameters_along_t():
