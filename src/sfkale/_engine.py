@@ -23,12 +23,13 @@ The inner stencil consumes psi rather than Phi.  The weights sum to
 zero, so both forms agree exactly, but psi avoids cancelling the large
 common value of Phi across the stencil: for the built-in families it is
 computed stably (du = 2 x.d + |d|^2 is exact for the flat potential,
-and log1p / sqrt-difference forms handle the rest), so the flat scalar
-curvature comes out near machine zero instead of h^-4-amplified
-rounding.  Custom potentials keep the plain difference Phi(x + d) -
-Phi(x), with one call path: lattice_psi calls the callable at the sites
-x + h o of a site lattice and differences psi from those values through
-the lattice's index arrays.  The lattice comes in two forms:
+and log1p / sqrt-difference forms handle the rest), so a flat
+background's scalar curvature on this stencil, as the curvature
+derivative takes it, comes out near machine zero instead of
+h^-4-amplified rounding.  Custom potentials keep the plain difference
+Phi(x + d) - Phi(x), with one call path: lattice_psi calls the callable
+at the sites x + h o of a site lattice and differences psi from those
+values through the lattice's index arrays.  The lattice comes in two forms:
 
   distinct: each site once (49 per Hessian and 673 per 4-D scalar
     curvature at order 4, 25 and 169 at order 2).  This serves a radial
@@ -42,16 +43,18 @@ the lattice's index arrays.  The lattice comes in two forms:
 radial_scalar takes the S of a radial potential from f(t) = F(e^t) at
 the 9 (order 4) or 7 t-sites t + k h, t = log u, h = 4 h0: from a
 custom_radial profile's values there (profile_along_t), or from the
-built-in Eguchi-Hanson and Burns in closed form (builtin_along_t),
-whose terms e^t and c t enter f's derivatives exactly and whose rest is
-differenced without cancelling.  The reduction is numpy over a stack of
-points up to one rounded sum per derivative and point.  Over radii
-0.5-64 the built-ins' worst |S| against the exact 0 is 6.3e-6 (order
-4) and 4.1e-3 (order 2) for Eguchi-Hanson with a in [0.5, 3], at a = 3
-and r = 0.5, and rounding (1e-15) for Burns; the 4-D stencil reads
-9.6 and 1.5e3 at radii 0.5-1.  Every callable gets its sites as Python
-lists (u for radial, the complex coordinates z1 and z2 for general),
-handed to callable_values, and its values back from one map per pass.
+built-ins in closed form (builtin_along_t), whose terms e^t and c t
+enter f's derivatives exactly and whose rest is differenced without
+cancelling; flat is Burns with m = 0, all exact.  The reduction is
+numpy over a stack of points up to one rounded sum per derivative and
+point.  Over radii 0.5-64 the built-ins' worst |S| against the exact
+0 is 6.3e-6 (order 4) and 4.1e-3 (order 2) for Eguchi-Hanson with a
+in [0.5, 3], at a = 3 and r = 0.5, rounding (1e-15) for Burns and
+exactly 0 for flat; the 4-D stencil reads 9.6 and 1.5e3 for
+Eguchi-Hanson at radii 0.5-1, and up to 6e-12 for flat.  Every
+callable gets its sites as Python lists (u for radial, the complex
+coordinates z1 and z2 for general), handed to callable_values, and its
+values back from one map per pass.
 
 Every function works on a stack of n points at once.  sites() lays the
 stencils out as bases (n, B, 4) and steps (n, K, 4): at order 4, B = 53
@@ -396,7 +399,7 @@ def profile_along_t(profile, x, h0: float, order: int, name: str) -> np.ndarray:
 
 
 def builtin_along_t(family, par, x, h0: float, order: int):
-    """(values, exact) of Burns or Eguchi-Hanson along t = log |z|^2 at each point (row) of x.
+    """(values, exact) of a built-in potential along t = log |z|^2 at each point (row) of x.
 
     f(t) = F(e^t) is split into a part whose first four t-derivatives
     are known exactly, held in exact (n x 4), and a rest whose
@@ -404,7 +407,8 @@ def builtin_along_t(family, par, x, h0: float, order: int):
     values.  radial_scalar adds exact inside its sums rather than
     differencing it.  With u = |x|^2:
 
-      Burns, f = e^t + m t: exact (u + m, u, u, u), values 0.
+      Burns, f = e^t + m t: exact (u + m, u, u, u), values 0; flat is
+        Burns with m = 0 (its par), f = e^t, exact (u, u, u, u).
       Eguchi-Hanson, f = w + a^2 t - a^2 log(a^2 + w), w = sqrt(a^4 + u^2):
         where u >= a^2, e^t is split off, exact (u + a^2, u, u, u) and
           values d(w - u) - L, d(w - u) = -a^4 (dw + du) / ((w_k + u_k)(w + u));
@@ -414,14 +418,15 @@ def builtin_along_t(family, par, x, h0: float, order: int):
         with L = a^2 log1p(dw / (a^2 + w)), du = u expm1(k h) and dw =
         u^2 expm1(2 k h) / (w_k + w) the changes of u and w.
 
-    No term cancels.  Differencing e^t would leave the t-rows'
-    truncation on it (1.5e-7 / u at order 2) in every S; outside the
-    bolt the rest falls off as a^4 / u instead.  An a^4 that overflows
-    makes every value NaN, so the point reads degenerate.
+    No term cancels, and flat's S comes out exactly 0.  Differencing e^t
+    would leave the t-rows' truncation on it (1.5e-7 / u at order 2) in
+    every S; outside the bolt the rest falls off as a^4 / u instead.  An
+    a^4 that overflows makes every value NaN, so the point reads
+    degenerate.
     """
     u = np.array([r * r for r in radii(x)])[:, None]
     _, exp, expm1, expm1_2 = _t_table(order, h0)
-    if family == BURNS:
+    if family != EGUCHI_HANSON:
         exact = np.concatenate([u + par, u, u, u], axis=1)
         return np.zeros((len(u), len(exp))), exact
     a2 = par * par
@@ -460,7 +465,8 @@ def radial_scalar(values, h0: float, order: int, exact=None) -> np.ndarray:
     the order; each derivative is one rounded sum, with its exact term
     inside.  g has the eigenvalues f'/u and f''/u, and S = -2 (G'/f' +
     G''/f'') with G = log(f' f'') - 2t.  A point's S depends on its row
-    alone; NaN where f' or f'' is not positive or a value is NaN.
+    alone; NaN where f' or f'' is not positive or a value is NaN, and
+    +0.0 where it is exactly zero.
     """
     reach = _reach(order)
     up, down = values[:, reach + 1 :], values[:, reach - 1 :: -1]
@@ -483,7 +489,8 @@ def radial_scalar(values, h0: float, order: int, exact=None) -> np.ndarray:
         if not (f1 > 0.0 and f2 > 0.0):
             f1 = f2 = math.nan  # g is not positive definite
         a, b = f2 / f1, f3 / f2
-        out.append(-2.0 * ((a + b - 2.0) / f1 + (f3 / f1 - a * a + f4 / f2 - b * b) / f2))
+        # + 0.0 turns an exact -0.0 (flat's -2 * 0.0) into 0.0 and moves no other value
+        out.append(-2.0 * ((a + b - 2.0) / f1 + (f3 / f1 - a * a + f4 / f2 - b * b) / f2) + 0.0)
     return np.array(out)
 
 

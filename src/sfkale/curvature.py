@@ -6,12 +6,13 @@ coordinates, and the scalar curvature from a second, nested stencil
 applied to log det g.  Each point has its own radius-scaled step h =
 h0 * (1 + |z|); there is no grid.
 
-The scalar curvature of the radial Eguchi-Hanson, Burns and
-custom_radial potentials (_ALONG_T) is taken along t = log |z|^2
-(_engine.radial_scalar): from 9 values of f(t) = F(e^t) per point at
-order 4, 7 at order 2, where the 4-D stencil differences Phi over 53 x
-48 terms (29 x 24).  Flat keeps the 4-D stencil, on which its
-differences are exact.  Hessians, deviations and derivatives use the
+The scalar curvature of every radial potential, the built-ins and
+custom_radial, is taken along t = log |z|^2 (_engine.radial_scalar):
+from 9 values of f(t) = F(e^t) per point at order 4, 7 at order 2,
+where the 4-D stencil differences Phi over 53 x 48 terms (29 x 24).
+Flat goes along t as Burns with m = 0, f = e^t, whose derivatives are
+all exact, so its S is exactly 0.  Only a custom_general potential's S
+takes the 4-D stencil.  Hessians, deviations and derivatives use the
 4-D stencils for every potential.
 
 The engine takes a stack of points in one pass, laid out as (points,
@@ -48,20 +49,21 @@ class Potential:
     """A real-valued Kahler potential on C^2 minus the origin.
 
     Built-in families (family set, fn None) get numpy-evaluated
-    potential differences in a stable closed form.  Eguchi-Hanson and
-    Burns take their scalar curvature along t = log |z|^2 from 9 (order
-    4) or 7 closed-form values per point, with the exact terms e^t and
-    c t of f(t) = F(e^t) entering its derivatives undifferenced.  In
-    perfbench's metric_sweep (256-point order-4 plans) a point costs
-    about 5.4 us of Eguchi-Hanson and 3.7 us of Burns, against 87 and
-    49 us on the 4-D stencil; the worst |S| over radii 0.5-64 is 6.3e-6
-    for Eguchi-Hanson with a <= 3 and rounding (1e-15) for Burns.  Flat
-    keeps the 4-D stencil.  custom_radial
-    potentials (family RADIAL) carry their profile fn(u) -> Phi of
-    u = |z|^2, which the engine calls once per distinct stencil site:
-    49 calls per Hessian at order 4 and 25 at order 2.  Their scalar
-    curvature is taken from the profile along t = log u: 9 calls per
-    point at order 4, 7 at order 2.  custom_general potentials (family
+    potential differences in a stable closed form for their Hessians
+    and curvature derivatives.  All three take their scalar curvature
+    along t = log |z|^2 from 9 (order 4) or 7 closed-form values per
+    point, with the exact terms e^t and c t of f(t) = F(e^t) entering
+    its derivatives undifferenced; flat is Burns with m = 0, all
+    exact, and reads S = 0.0 exactly.  In perfbench's metric_sweep
+    (256-point order-4 plans) a point costs about 4.5 us of flat, 4.3
+    us of Eguchi-Hanson and 3.6 us of Burns, against 29, 87 and 49 us
+    on the 4-D stencil; the worst |S| over radii 0.5-64 is 6.3e-6 for
+    Eguchi-Hanson with a <= 3 and rounding (1e-15) for Burns.
+    custom_radial potentials (family RADIAL) carry their profile fn(u)
+    -> Phi of u = |z|^2, which the engine calls once per distinct
+    stencil site: 49 calls per Hessian at order 4 and 25 at order 2.
+    Their scalar curvature is taken from the profile along t = log u:
+    9 calls per point at order 4, 7 at order 2.  custom_general potentials (family
     None) carry the user's fn(z1, z2) -> Phi itself.  Both kinds are
     called on a site lattice: custom_general, for its own S and
     Hessian, on the one that lists both ends of every stencil term,
@@ -131,10 +133,6 @@ def custom_general(fn: Callable[[complex, complex], float]) -> Potential:
 _CHUNK_TERMS = 10240
 
 
-# the potentials whose scalar curvature is taken along t = log |z|^2
-_ALONG_T = frozenset({_engine.EGUCHI_HANSON, _engine.BURNS, _engine.RADIAL})
-
-
 @functools.cache
 def _chunk_points(order: int, curvature: bool, along_t: bool = False) -> int:
     """Points per engine pass for S along t, S on the 4-D stencil, or the Hessian."""
@@ -157,7 +155,7 @@ def _psi(potential: Potential, x, h, order: int, curvature: bool) -> np.ndarray:
 
 
 def _scalar_along_t(potential: Potential, x, h0: float, order: int) -> np.ndarray:
-    """S at each point (row) of x of a potential in _ALONG_T, from its values along t = log |z|^2."""
+    """S at each point (row) of x of a radial potential, from its values along t = log |z|^2."""
     if potential.fn is None:
         values, exact = _engine.builtin_along_t(
             potential.family, potential.parameter, x, h0, order
@@ -173,7 +171,7 @@ def _evaluate(potential: Potential, x, h0: float, order: int, curvature: bool) -
     NaN where the metric degenerates; numpy's float warnings are off
     for the whole call.
     """
-    along_t = curvature and potential.family in _ALONG_T
+    along_t = curvature and potential.family is not None
     size = _chunk_points(order, curvature, along_t)
     out = []
     with np.errstate(all="ignore"):
@@ -423,12 +421,13 @@ def scalar_curvature_derivative(
     sides share its values; so is a custom_radial background.  A
     custom_general background is called at both ends of every term
     (5088 or 1392 sites), as for its own S.  Either way each term's
-    value is taken at its site x + h o.  The S of an Eguchi-Hanson,
-    Burns or custom_radial background here may differ from
-    scalar_curvature's, which is taken along t = log |z|^2, by the 4-D
-    stencil's truncation error: for Eguchi-Hanson (a = 1) at order 4
-    about 1e-5 at radii 1-8 and 2e-2 at 0.5-1, where scalar_curvature
-    reads 1e-8 and 5e-7.
+    value is taken at its site x + h o.  The S of a flat,
+    Eguchi-Hanson, Burns or custom_radial background here may differ
+    from scalar_curvature's, which is taken along t = log |z|^2, by the
+    4-D stencil's error: for Eguchi-Hanson (a = 1) at order 4 about
+    1e-5 at radii 1-8 and 2e-2 at 0.5-1, where scalar_curvature reads
+    1e-8 and 5e-7; for flat up to 6e-12 of rounding at order 2, where
+    scalar_curvature reads exactly 0.
     DegenerateMetricError names the side, +t or -t, whose metric
     degenerates.
     """

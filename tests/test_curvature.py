@@ -112,6 +112,40 @@ def test_flat_scalar_curvature_sweep_order2():
     assert cv.verify_scalar_flat(FL, plan, tol=1e-8).max_abs_scalar < 1e-10
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    log_r=st.floats(math.log(0.3), math.log(1e6)),
+    d=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+        lambda d: np.linalg.norm(d) > 0.1
+    ),
+    h0=st.floats(1e-4, 0.02),
+    order=st.sampled_from((2, 4)),
+)
+def test_flat_scalar_curvature_is_exactly_positive_zero(log_r, d, h0, order):
+    # flat is Burns with m = 0 along t: f = e^t is all exact, nothing is
+    # differenced, and S comes out +0.0 rather than -2 * 0.0 = -0.0
+    x = math.exp(log_r) * np.array(d) / np.linalg.norm(d)
+    s = cv.scalar_curvature(FL, x, h0=h0, order=order)
+    (swept,) = cv.verify_scalar_flat(FL, cv.SamplePlan([x], h0=h0, order=order)).scalar_values
+    for value in (s, float(swept)):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_builtin_scalar_curvature_skips_the_4d_stencil(monkeypatch, order):
+    # every built-in takes its S along t: neither the built-in potential
+    # differences nor the 4-D reduction may run
+    def fail(*args, **kwargs):
+        raise AssertionError("4-D stencil used for a built-in scalar curvature")
+
+    monkeypatch.setattr(_engine, "builtin_psi", fail)
+    monkeypatch.setattr(_engine, "scalar_curvature", fail)
+    plan = cv.SamplePlan(cv.sample_points(0.5, 64, 12), order=order)
+    for pot in (FL, EH, BU):
+        assert math.isfinite(cv.scalar_curvature(pot, POINTS[0], order=order))
+        assert cv.verify_scalar_flat(pot, plan).metric_positive, pot.name
+
+
 @pytest.mark.parametrize("pot", [EH, BU], ids=["eguchi-hanson", "burns"])
 def test_builtin_scalar_flat_sweep(pot):
     plan = cv.SamplePlan(cv.sample_points(1, 8, 32))
@@ -184,9 +218,9 @@ def _random_points(seed, n):
 @pytest.mark.parametrize("kind", sorted(_KINDS))
 def test_chunked_sweep_matches_single_points(kind, order, seed):
     # the plans straddle the chunk boundaries of the path the kind takes: S
-    # along t for Eguchi-Hanson, Burns and custom-radial, the 4-D stencil else
+    # along t for every radial kind, the 4-D stencil for custom-general
     pot = _KINDS[kind]
-    sizes = _plan_sizes(cv._chunk_points(order, True, pot.family in cv._ALONG_T))
+    sizes = _plan_sizes(cv._chunk_points(order, True, pot.family is not None))
     pts = _random_points(seed, max(sizes))
     single = np.array([cv.scalar_curvature(pot, x, order=order) for x in pts])
     for n in sizes:
@@ -736,7 +770,7 @@ def test_profile_calls_per_point(order, radial, general):
     )
     n_g = cv._chunk_points(order, curvature=False) + 1
     for pot, (s_calls, g_calls, d_calls) in pots:
-        n_s = cv._chunk_points(order, True, pot.family in cv._ALONG_T) + 1
+        n_s = cv._chunk_points(order, True, pot.family is not None) + 1
         plan = cv.SamplePlan(cv.sample_points(1, 4, n_s), order=order)
         calls.clear()
         cv.scalar_curvature(pot, POINTS[0], order=order)
