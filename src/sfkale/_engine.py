@@ -45,11 +45,13 @@ the 9 (order 4) or 7 t-sites t + k h, t = log u, h = 4 h0: from a
 custom_radial profile's values there (profile_along_t), or from the
 built-ins in closed form (builtin_along_t), whose terms e^t and c t
 enter f's derivatives exactly and whose rest is differenced without
-cancelling; flat is Burns with m = 0, all exact.  The reduction is
-numpy over a stack of points up to one rounded sum per derivative and
-point.  Over radii 0.5-64 the built-ins' worst |S| against the exact
-0 is 6.3e-6 (order 4) and 4.1e-3 (order 2) for Eguchi-Hanson with a
-in [0.5, 3], at a = 3 and r = 0.5, rounding (1e-15) for Burns and
+cancelling; flat is Burns with m = 0, all exact.  Each derivative is
+one compensated sum (_sum2), over whole columns of a stack of points,
+or over each row's Python floats when a call brings only a few rows;
+both take the same IEEE operations, so they give the same bits.  Over
+radii 0.5-64 the built-ins' worst |S| against the exact 0 is 6.3e-6
+(order 4) and 4.1e-3 (order 2) for Eguchi-Hanson with a in [0.5, 3],
+at a = 3 and r = 0.5, rounding (1e-15) for Burns and
 exactly 0 for flat; the 4-D stencil reads 9.6 and 1.5e3 for
 Eguchi-Hanson at radii 0.5-1, and up to 6e-12 for flat.  Every
 callable gets its sites as Python lists (u for radial, the complex
@@ -195,9 +197,26 @@ def site_lattice(order: int, curvature: bool, distinct: bool = True) -> SiteLatt
     return SiteLattice(np.asfortranarray(offsets), index[0], index[1])
 
 
+# below this many points (rows) norms and radial_scalar take Python floats,
+# whose operations cost less than numpy's per-call overhead on a few rows
+_ROW_LOOP_POINTS = 5
+
+
 def radii(x) -> list[float]:
     """|x| of every point (row) of x, as Python floats."""
     return [math.sqrt(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3) for x0, x1, x2, x3 in x.tolist()]
+
+
+def norms(x) -> np.ndarray:
+    """radii(x) as an array, from whole columns when x has many rows.
+
+    The squares are added left to right either way, so the two give the
+    same bits; below _ROW_LOOP_POINTS rows Python floats take them faster.
+    """
+    if len(x) < _ROW_LOOP_POINTS:
+        return np.array(radii(x))
+    y = x * x
+    return np.sqrt(y[:, 0] + y[:, 1] + y[:, 2] + y[:, 3])
 
 
 def step(x, h0: float) -> np.ndarray:
@@ -366,21 +385,24 @@ def _reach(order: int) -> int:
 
 @functools.lru_cache(maxsize=16)
 def _t_table(order: int, h0: float):
-    """(weights, exp(k h), expm1(k h), expm1(2 k h)) of the t-sites, h = 4 h0.
+    """(rows, weights, exp(k h), expm1(k h), expm1(2 k h)) of the t-sites, h = 4 h0.
 
-    weights row j - 1 holds the weights of d^j f / dt^j for k = 1..reach,
-    over the denominator and h^j, then a 1 for an exact term; the other
-    three run over k = -reach..reach.
+    rows[j - 1] holds the weights of d^j f / dt^j for k = 1..reach, over
+    the denominator and h^j, then a 1 for an exact term, as Python
+    floats; weights holds them as an array laid out (reach + 1, 4, 1),
+    as radial_scalar lays out its terms.  The other three run over k =
+    -reach..reach.
     """
     reach = _reach(order)
     h = 4.0 * h0
-    weights = [
+    rows = [
         [w / (d * h**j) for w in row[reach + 1 :]] + [1.0]
         for j, (row, d) in enumerate(_T_WEIGHTS[order], 1)
     ]
     k = range(-reach, reach + 1)
     return (
-        np.array(weights),
+        rows,
+        np.array(rows).T[:, :, None],
         np.array([math.exp(j * h) for j in k]),
         np.array([math.expm1(j * h) for j in k]),
         np.array([math.expm1(2 * j * h) for j in k]),
@@ -392,10 +414,9 @@ def profile_along_t(profile, x, h0: float, order: int, name: str) -> np.ndarray:
 
     The profile is called once per t-site, in point order and then k order.
     """
-    reach = _reach(order)
-    h = 4.0 * h0
-    sites = [r * r * math.exp(k * h) for r in radii(x) for k in range(-reach, reach + 1)]
-    return callable_values(profile, [sites], name).reshape(len(x), -1)
+    r = norms(x)
+    sites = np.multiply.outer(r * r, _t_table(order, h0)[2])
+    return callable_values(profile, [sites.ravel().tolist()], name).reshape(sites.shape)
 
 
 def builtin_along_t(family, par, x, h0: float, order: int):
@@ -424,8 +445,9 @@ def builtin_along_t(family, par, x, h0: float, order: int):
     a^4 that overflows makes every value NaN, so the point reads
     degenerate.
     """
-    u = np.array([r * r for r in radii(x)])[:, None]
-    _, exp, expm1, expm1_2 = _t_table(order, h0)
+    r = norms(x)
+    u = (r * r)[:, None]
+    exp, expm1, expm1_2 = _t_table(order, h0)[2:]
     if family != EGUCHI_HANSON:
         exact = np.concatenate([u + par, u, u, u], axis=1)
         return np.zeros((len(u), len(exp))), exact
@@ -454,44 +476,91 @@ def builtin_along_t(family, par, x, h0: float, order: int):
     return values, exact
 
 
+def _sum2(terms):
+    """terms[0] + terms[1] + ..., compensated: Sum2 of Ogita, Rump and Oishi.
+
+    (SIAM J. Sci. Comput. 26, 2005.)  The partial sums run left to
+    right; each add's exact error comes from Knuth's TwoSum, the errors
+    are added in order, and their total is added to the last partial sum
+    once: as accurate as summing in twice the working precision and
+    rounding once.  terms is a list of floats, or an array whose first
+    axis runs over the terms; the two take the same IEEE operations
+    element by element.  On an array the loop adds whole slabs, which
+    took a sixth of the time of np.add.accumulate along the first axis
+    (that walks each element's terms in its inner loop).  An inf among
+    the terms or the partial sums (an overflow) makes the sum NaN; an
+    overflow of the final add alone makes it inf.
+    """
+    s = terms[0]
+    err = None
+    for b in terms[1:]:
+        t = s + b
+        z = t - s
+        e = (s - (t - z)) + (b - z)
+        err = e if err is None else err + e
+        s = t
+    return s + err
+
+
+def _scalar(f1, f2, f3, f4):
+    """S = -2 (G'/f' + G''/f'') from f's first four t-derivatives; elementwise on arrays."""
+    a, b = f2 / f1, f3 / f2
+    # + 0.0 turns an exact -0.0 (flat's -2 * 0.0) into 0.0 and moves no other value
+    return -2.0 * ((a + b - 2.0) / f1 + (f3 / f1 - a * a + f4 / f2 - b * b) / f2) + 0.0
+
+
 def radial_scalar(values, h0: float, order: int, exact=None) -> np.ndarray:
     """S of a radial potential at each row of values, taken along t = log |z|^2.
 
-    values holds f(t + k h), h = 4 h0, for |k| <= reach: profile_along_t's
-    rows, or builtin_along_t's differences of the part of f it does not
-    know exactly, with exact (n x 4) the first four t-derivatives of the
-    part it does.  f(k) - f(-k) carries the odd derivatives
-    and f(k) + f(-k) - 2 f(0) the even ones, through the _T_WEIGHTS of
-    the order; each derivative is one rounded sum, with its exact term
-    inside.  g has the eigenvalues f'/u and f''/u, and S = -2 (G'/f' +
-    G''/f'') with G = log(f' f'') - 2t.  A point's S depends on its row
-    alone; NaN where f' or f'' is not positive or a value is NaN, and
-    +0.0 where it is exactly zero.
+    values holds f(t + k h), h = 4 h0, for |k| <= reach:
+    profile_along_t's rows, or builtin_along_t's differences of the part
+    of f it does not know exactly, with exact (n x 4) the first four
+    t-derivatives of the part it does.  f(k) - f(-k) carries the odd
+    derivatives and f(k) + f(-k) - 2 f(0) the even ones, through the
+    _T_WEIGHTS of the order.  Each derivative is _sum2 of its reach
+    weighted terms, k = 1 up, and then its exact term: a compensated
+    sum, which on every row of the built-ins and profiles tried gave the
+    bits of the correctly rounded sum, math.fsum's.  The terms are laid
+    out (reach + 1, 4, n), so the sums take whole (4, n) slabs at once.
+    Below _ROW_LOOP_POINTS rows the terms, _sum2 and the S formula run
+    on each row's Python floats instead, with the same IEEE operations
+    in the same order, so a point's S does not depend on how many rows
+    came with it.  g has the eigenvalues f'/u and f''/u, and S = -2
+    (G'/f' + G''/f'') with G = log(f' f'') - 2t.  NaN where f' or f'' is
+    not positive or a derivative is not finite (its sum overflowed or
+    held a NaN or an inf), and +0.0 where S is exactly zero.
     """
     reach = _reach(order)
-    up, down = values[:, reach + 1 :], values[:, reach - 1 :: -1]
-    # terms[i, j - 1] sums to d^j f / dt^j at point i
-    terms = np.empty((len(values), 4, reach + 1))
-    odd, even = terms[:, 0, :reach], terms[:, 1, :reach]
+    rows, weights = _t_table(order, h0)[:2]
+    if len(values) < _ROW_LOOP_POINTS:
+        out = []
+        exact_rows = [[0.0] * 4] * len(values) if exact is None else exact.tolist()
+        for v, e in zip(values.tolist(), exact_rows):
+            c = 2.0 * v[reach]
+            up, down = v[reach + 1 :], v[reach - 1 :: -1]
+            odd = list(map(operator.sub, up, down))
+            even = [s - c for s in map(operator.add, up, down)]
+            f = [
+                _sum2(list(map(operator.mul, diffs + [exact_j], row)))
+                for diffs, exact_j, row in zip((odd, even, odd, even), e, rows)
+            ]
+            ok = f[0] > 0.0 and f[1] > 0.0 and all(map(math.isfinite, f))
+            out.append(_scalar(*f) if ok else math.nan)
+        return np.array(out)
+    columns = values.T
+    up, down = columns[reach + 1 :], columns[reach - 1 :: -1]
+    # terms[k - 1, j - 1] is term k of d^j f / dt^j at each point; terms[reach] the exact one
+    terms = np.empty((reach + 1, 4, len(values)))
+    odd, even = terms[:reach, 0], terms[:reach, 1]
     np.subtract(up, down, out=odd)
     np.add(up, down, out=even)
-    even -= 2.0 * values[:, reach : reach + 1]
-    terms[:, 2:, :reach] = terms[:, :2, :reach]
-    terms[:, :, reach] = 0.0 if exact is None else exact
-    terms *= _t_table(order, h0)[0]
-    out = []
-    for f in terms.tolist():
-        try:
-            f1, f2, f3, f4 = map(math.fsum, f)
-        except (OverflowError, ValueError):
-            # fsum raises for a sum that overflows, or for inf - inf
-            f1 = f2 = f3 = f4 = math.nan
-        if not (f1 > 0.0 and f2 > 0.0):
-            f1 = f2 = math.nan  # g is not positive definite
-        a, b = f2 / f1, f3 / f2
-        # + 0.0 turns an exact -0.0 (flat's -2 * 0.0) into 0.0 and moves no other value
-        out.append(-2.0 * ((a + b - 2.0) / f1 + (f3 / f1 - a * a + f4 / f2 - b * b) / f2) + 0.0)
-    return np.array(out)
+    even -= 2.0 * columns[reach]
+    terms[:reach, 2:] = terms[:reach, :2]
+    terms[reach] = 0.0 if exact is None else exact.T
+    terms *= weights
+    f = _sum2(terms)
+    ok = (f[0] > 0.0) & (f[1] > 0.0) & np.isfinite(f).all(axis=0)
+    return np.where(ok, _scalar(*f), np.nan)
 
 
 def _reduce(values, stencil: Stencil, h):

@@ -20,11 +20,15 @@ bases, steps).  Multi-point calls (verify_scalar_flat, and
 metric_deviations, which the decay fits and weighted norms use) walk
 their points in chunks of about _CHUNK_TERMS terms: 4 scalar curvature
 points at order 4, 14 at order 2, 213 or 426 Hessians, and 1137 or
-1462 points along t, one term per t-site.  A single-point call passes
-one row through the same code, and no value depends on which chunk its
-point fell in.  numpy's float warnings are off for the whole of each
-public call, a custom potential's included: the points they would flag
-come back NaN and count as degenerate.
+1462 points along t, one term per t-site.  A single-point call is a
+stack of one row.  Along t, radial_scalar sums a few rows over Python
+floats, with the same operations in the same order as on a chunk's
+whole columns; elsewhere one row takes the chunk's numpy code.  So no
+value depends on which chunk its point fell in.  The single-point
+entries refuse the origin, where no potential is defined.  numpy's
+float warnings are off for the whole of each public call, a custom
+potential's included: the points they would flag come back NaN and
+count as degenerate.
 """
 
 from __future__ import annotations
@@ -55,8 +59,8 @@ class Potential:
     point, with the exact terms e^t and c t of f(t) = F(e^t) entering
     its derivatives undifferenced; flat is Burns with m = 0, all
     exact, and reads S = 0.0 exactly.  In perfbench's metric_sweep
-    (256-point order-4 plans) a point costs about 4.5 us of flat, 4.3
-    us of Eguchi-Hanson and 3.6 us of Burns, against 29, 87 and 49 us
+    (256-point order-4 plans) a point costs about 1.4 us of flat, 1.4
+    us of Eguchi-Hanson and 0.9 us of Burns, against 29, 87 and 49 us
     on the 4-D stencil; the worst |S| over radii 0.5-64 is 6.3e-6 for
     Eguchi-Hanson with a <= 3 and rounding (1e-15) for Burns.
     custom_radial potentials (family RADIAL) carry their profile fn(u)
@@ -216,6 +220,18 @@ def _coords(z) -> tuple[float, float, float, float]:
     return x
 
 
+def _point(z) -> np.ndarray:
+    """z as a one-row (1, 4) stack for the single-point entries; the origin is refused.
+
+    Every potential lives on C^2 minus the origin, so a point there is a
+    wrong argument, not a degenerate metric.
+    """
+    x = _coords(z)
+    if not any(x):
+        raise ValueError(f"point {z!r} is the origin of C^2, where no potential is defined")
+    return np.array([x])
+
+
 def _coords_array(points) -> np.ndarray:
     arr = np.asarray(points)
     if arr.ndim != 2 or arr.shape[0] == 0:
@@ -335,7 +351,7 @@ def hermitian_hessian(potential: Potential, z, h0: float = 1e-2, order: int = 4)
     positive definite.
     """
     _check_stencil(h0, order)
-    x = np.array([_coords(z)])
+    x = _point(z)
     g11, g22, gr, gi = _evaluate(potential, x, h0, order, curvature=False)[0].tolist()
     det = g11 * g22 - gr * gr - gi * gi
     if not (math.isfinite(det) and det > 0.0 and g11 > 0.0 and g22 > 0.0):
@@ -348,7 +364,7 @@ def hermitian_hessian(potential: Potential, z, h0: float = 1e-2, order: int = 4)
 def scalar_curvature(potential: Potential, z, h0: float = 1e-2, order: int = 4) -> float:
     """Scalar curvature S = -2 tr(g^-1 Hess log det g) at z."""
     _check_stencil(h0, order)
-    x = np.array([_coords(z)])
+    x = _point(z)
     s = float(_evaluate(potential, x, h0, order, curvature=True)[0])
     if math.isnan(s):
         raise DegenerateMetricError(
@@ -436,7 +452,7 @@ def scalar_curvature_derivative(
         raise ValueError(f"perturbation scale t must be finite and positive, got {t}")
     if not isinstance(perturbation, Potential):
         perturbation = custom_general(perturbation)
-    x = np.array([_coords(z)])
+    x = _point(z)
     h = _engine.step(x, h0)
     # the background keeps its stable differences; the perturbation's
     # enter scaled by t, so their own rounding is harmless, and a callable
