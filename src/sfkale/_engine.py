@@ -47,7 +47,7 @@ built-ins in closed form (builtin_along_t), whose terms e^t and c t
 enter f's derivatives exactly and whose rest is differenced without
 cancelling; flat is Burns with m = 0, all exact.  Each derivative is
 one compensated sum (_sum2), over whole columns of a stack of points,
-or over each row's Python floats when a call brings only a few rows;
+or over each row's Python floats when a chunk holds only a few rows;
 both take the same IEEE operations, so they give the same bits.  Over
 radii 0.5-64 the built-ins' worst |S| against the exact 0 is 6.3e-6
 (order 4) and 4.1e-3 (order 2) for Eguchi-Hanson with a in [0.5, 3],
@@ -197,8 +197,8 @@ def site_lattice(order: int, curvature: bool, distinct: bool = True) -> SiteLatt
     return SiteLattice(np.asfortranarray(offsets), index[0], index[1])
 
 
-# below this many points (rows) norms and radial_scalar take Python floats,
-# whose operations cost less than numpy's per-call overhead on a few rows
+# below this many points (rows) radial_scalar takes Python floats, whose
+# operations cost less than numpy's per-call overhead on a few rows
 _ROW_LOOP_POINTS = 5
 
 
@@ -208,13 +208,11 @@ def radii(x) -> list[float]:
 
 
 def norms(x) -> np.ndarray:
-    """radii(x) as an array, from whole columns when x has many rows.
+    """radii(x) as an array, from whole columns.
 
-    The squares are added left to right either way, so the two give the
-    same bits; below _ROW_LOOP_POINTS rows Python floats take them faster.
+    The squares are added left to right, as radii adds them, so the two
+    give the same bits.
     """
-    if len(x) < _ROW_LOOP_POINTS:
-        return np.array(radii(x))
     y = x * x
     return np.sqrt(y[:, 0] + y[:, 1] + y[:, 2] + y[:, 3])
 

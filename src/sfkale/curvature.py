@@ -224,7 +224,10 @@ def _point(z) -> np.ndarray:
     """z as a one-row (1, 4) stack for the single-point entries; the origin is refused.
 
     Every potential lives on C^2 minus the origin, so a point there is a
-    wrong argument, not a degenerate metric.
+    wrong argument, not a degenerate metric.  Only the origin itself is
+    refused: a point whose stencil reaches across the origin (|x| within
+    a few h of it) is not checked here, as SamplePlan's 10h rule checks
+    a plan's points, and its values are not to be trusted.
     """
     x = _coords(z)
     if not any(x):
