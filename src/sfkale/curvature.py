@@ -25,10 +25,12 @@ stack of one row.  Along t, radial_scalar sums a few rows over Python
 floats, with the same operations in the same order as on a chunk's
 whole columns; elsewhere one row takes the chunk's numpy code.  So no
 value depends on which chunk its point fell in.  The single-point
-entries refuse the origin, where no potential is defined.  numpy's
-float warnings are off for the whole of each public call, a custom
-potential's included: the points they would flag come back NaN and
-count as degenerate.
+entries refuse a point whose stencil could reach the origin, where no
+potential is defined: one within 4 sqrt(2) h of it at order 4, 2
+sqrt(2) h at order 2.  SamplePlan keeps a plan's points 10h away.
+numpy's float warnings are off for the whole of each public call, a
+custom potential's included: the points they would flag come back NaN
+and count as degenerate.
 """
 
 from __future__ import annotations
@@ -104,9 +106,16 @@ def flat() -> Potential:
 
 
 def eguchi_hanson(a: float = 1.0) -> Potential:
-    """Ricci-flat ALE potential with length-scale parameter a > 0."""
+    """Ricci-flat ALE potential with length-scale parameter a > 0.
+
+    The potential reads a^4 = (a^2)^2 at every point, so an a whose a^4
+    overflows a float (a above about 1.16e77) raises ValueError.
+    """
     if not (math.isfinite(a) and a > 0):
         raise ValueError(f"eguchi-hanson parameter a must be finite and positive, got {a}")
+    a2 = float(a) * float(a)
+    if math.isinf(a2 * a2):
+        raise ValueError(f"eguchi-hanson parameter a = {a} is too large: a^4 overflows a float")
     return Potential(name="eguchi-hanson", family=_engine.EGUCHI_HANSON, parameter=float(a))
 
 
@@ -220,18 +229,34 @@ def _coords(z) -> tuple[float, float, float, float]:
     return x
 
 
-def _point(z) -> np.ndarray:
-    """z as a one-row (1, 4) stack for the single-point entries; the origin is refused.
+# the farthest site of the scalar curvature stencil from its point, in
+# steps h: site_lattice's largest offset, (4, 4) at order 4 and (2, 2) at
+# order 2; the Hessian's reaches half as far
+_REACH = {2: 2.0 * math.sqrt(2.0), 4: 4.0 * math.sqrt(2.0)}
 
-    Every potential lives on C^2 minus the origin, so a point there is a
-    wrong argument, not a degenerate metric.  Only the origin itself is
-    refused: a point whose stencil reaches across the origin (|x| within
-    a few h of it) is not checked here, as SamplePlan's 10h rule checks
-    a plan's points, and its values are not to be trusted.
+
+def _point(z, h0: float, order: int) -> np.ndarray:
+    """z as a one-row (1, 4) stack for the single-point entries, off the stencil's reach.
+
+    Every potential lives on C^2 minus the origin, and a stencil that
+    reaches it reads a wrong metric with no error (Burns' g11 read 5.6e4
+    at (1e-3, 0), against an exact 1).  So a point within _REACH[order]
+    steps h = h0 (1 + |z|) of the origin, where a stencil site could land
+    on it, is a wrong argument, not a degenerate metric, and raises
+    ValueError naming the point and its radius; the origin itself is one
+    such point.  SamplePlan keeps a plan's points 10h away; that margin
+    would refuse points that single calls use, such as |z| = 1.29 at
+    h0 = 0.08, 7.0h from the origin, in the order-2 convergence ladder.
     """
     x = _coords(z)
-    if not any(x):
-        raise ValueError(f"point {z!r} is the origin of C^2, where no potential is defined")
+    x0, x1, x2, x3 = x
+    r = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3)
+    reach = _REACH[order] * h0 * (1.0 + r)
+    if r <= reach:
+        raise ValueError(
+            f"point {z!r} at radius {r:.4g} lies within the order-{order} stencil's reach"
+            f" {reach:.4g} of the origin of C^2, where no potential is defined"
+        )
     return np.array([x])
 
 
@@ -354,7 +379,7 @@ def hermitian_hessian(potential: Potential, z, h0: float = 1e-2, order: int = 4)
     positive definite.
     """
     _check_stencil(h0, order)
-    x = _point(z)
+    x = _point(z, h0, order)
     g11, g22, gr, gi = _evaluate(potential, x, h0, order, curvature=False)[0].tolist()
     det = g11 * g22 - gr * gr - gi * gi
     if not (math.isfinite(det) and det > 0.0 and g11 > 0.0 and g22 > 0.0):
@@ -367,7 +392,7 @@ def hermitian_hessian(potential: Potential, z, h0: float = 1e-2, order: int = 4)
 def scalar_curvature(potential: Potential, z, h0: float = 1e-2, order: int = 4) -> float:
     """Scalar curvature S = -2 tr(g^-1 Hess log det g) at z."""
     _check_stencil(h0, order)
-    x = _point(z)
+    x = _point(z, h0, order)
     s = float(_evaluate(potential, x, h0, order, curvature=True)[0])
     if math.isnan(s):
         raise DegenerateMetricError(
@@ -455,7 +480,7 @@ def scalar_curvature_derivative(
         raise ValueError(f"perturbation scale t must be finite and positive, got {t}")
     if not isinstance(perturbation, Potential):
         perturbation = custom_general(perturbation)
-    x = _point(z)
+    x = _point(z, h0, order)
     h = _engine.step(x, h0)
     # the background keeps its stable differences; the perturbation's
     # enter scaled by t, so their own rounding is harmless, and a callable

@@ -13,7 +13,9 @@ its recursion in ints and seeds them on the chain it returns, and any
 other chain (one built by hand or by dataclasses.replace) derives them
 from its points on first use.  invariant_monomials is their public
 view, and the chart atlas and every identity are built and checked
-from them.
+from them.  A chart is a named tuple Chart(index, u, v): it compares
+equal to the plain tuple (index, u, v), the identity checks unpack it
+as one, and it is changed with _replace.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
+from typing import NamedTuple
 
 from .errors import InvalidPairError
 
@@ -233,13 +236,14 @@ def invariant_monomials(chain: LatticeChain) -> MonomialChain:
     return MonomialChain(p=chain.p, q=chain.q, exponents=chain.vectors)
 
 
-@dataclass(frozen=True)
-class Chart:
-    """One affine chart of the resolution cover.
+class Chart(NamedTuple):
+    """One affine chart of the resolution cover, as the named tuple (index, u, v).
 
     u and v are (x, y) exponent vectors of the two coordinate
     monomials.  Against the integer vectors w = p*c of the chart's chain
-    points, u.w_i = 0 and u.w_{i+1} = p; v does the opposite.
+    points, u.w_i = 0 and u.w_{i+1} = p; v does the opposite.  A chart
+    compares equal to the plain tuple (index, u, v), unpacks as one, and
+    is changed with _replace.
     """
 
     index: int
@@ -268,10 +272,11 @@ def chart_atlas(chain: LatticeChain) -> ChartAtlas:
     chain point off the lattice (1/p) Z^2.
     """
     w = chain.vectors
-    charts = tuple(
-        Chart(index=i, u=(b0, -a0), v=(-b1, a1))
+    make = Chart._make
+    charts = tuple([
+        make((i, (b0, -a0), (-b1, a1)))
         for i, ((a0, b0), (a1, b1)) in enumerate(zip(w, w[1:]))
-    )
+    ])
     return ChartAtlas(p=chain.p, q=chain.q, charts=charts, chain_coeffs=chain.chain_coeffs)
 
 
@@ -286,15 +291,19 @@ def determinant_identity_holds(chain: LatticeChain) -> bool:
 
 
 def monomial_relation_holds(chain: LatticeChain) -> bool:
-    """u_{i-1} * u_{i+1} = u_i^kappa_i as exact exponent identities."""
+    """u_{i-1} * u_{i+1} = u_i^kappa_i as exact exponent identities.
+
+    Coefficients past the chain's m interior points are not read.  Too
+    few coefficients raise IndexError, unless a relation they do cover
+    fails first.
+    """
     exps = chain.vectors
     kappa = chain.chain_coeffs
-    for i in range(1, len(exps) - 1):
-        ax, ay = exps[i - 1]
-        bx, by = exps[i]
-        cx, cy = exps[i + 1]
-        if (ax + cx, ay + cy) != (kappa[i - 1] * bx, kappa[i - 1] * by):
+    for k, (ax, ay), (bx, by), (cx, cy) in zip(kappa, exps, exps[1:], exps[2:]):
+        if ax + cx != k * bx or ay + cy != k * by:
             return False
+    if len(kappa) < len(exps) - 2:
+        raise IndexError(f"{len(kappa)} chain coefficients for {len(exps) - 2} interior points")
     return True
 
 
@@ -313,13 +322,14 @@ def transition_cocycle_holds(atlas: ChartAtlas) -> bool:
     for every chart and the composite T_m ... T_1 A_0 = A_m.
     """
     charts = atlas.charts
-    (ux, uy), (vx, vy) = charts[0].u, charts[0].v
-    if len(atlas.chain_coeffs) != len(charts) - 1 or ux * vy - uy * vx != atlas.p:
+    kappa = atlas.chain_coeffs
+    _, (ux, uy), (vx, vy) = charts[0]
+    if len(kappa) != len(charts) - 1 or ux * vy - uy * vx != atlas.p:
         return False
-    for k, a, b in zip(atlas.chain_coeffs, charts, charts[1:]):
-        (ux, uy), (vx, vy) = a.u, a.v
-        if b.u != (-vx, -vy) or b.v != (ux + k * vx, uy + k * vy):
+    for k, (_, u, v) in zip(kappa, charts[1:]):
+        if u != (-vx, -vy) or v != (ux + k * vx, uy + k * vy):
             return False
+        (ux, uy), (vx, vy) = u, v
     return True
 
 

@@ -17,7 +17,7 @@ from itertools import product
 from math import gcd
 from typing import NamedTuple
 
-from .errors import ConditionViolationError, UnsupportedParameterError
+from .errors import ConditionViolationError, InvalidPairError, UnsupportedParameterError
 from .groups import _FAMILIES, GroupKind, GroupSpec, _star, cyclic_group, validate_group
 from .hj import HJExpansion, _expand, embedding_dimension, hj_expand
 
@@ -104,10 +104,16 @@ def cyclic_moduli(p: int, q: int) -> ModuliDimensions:
     3k - 3); q = 1 is the line-bundle family (m = 2 at p = 3, else
     2p - 5); everything else uses m = j + k - 2, which
     riemenschneider_identities_hold checks against the equivalent form
-    2e + 3k - 8.
+    2e + 3k - 8.  A pair hj_expand accepts is exactly one validate_group
+    accepts, so the spec is built from the checked pair; a rejected one
+    raises ConditionViolationError, as cyclic_group does.
     """
-    spec = cyclic_group(p, q)
-    exp = hj_expand(p, q)
+    try:
+        exp = hj_expand(p, q)
+    except InvalidPairError:
+        cyclic_group(p, q)  # raises ConditionViolationError, naming the field and its condition
+        raise
+    spec = GroupSpec(kind=GroupKind.CYCLIC, p=p, q=q)
     string = _string_of(exp)
     j = deformation_dimension(string)
     k = string.k
@@ -218,7 +224,11 @@ def noncyclic_moduli(spec: GroupSpec) -> ModuliDimensions:
 
 
 def moduli_report(spec: GroupSpec) -> ModuliDimensions:
-    """Single entry point: validate, then dispatch on the group kind."""
+    """Single entry point: validate, then dispatch on the group kind.
+
+    A cyclic spec is validated here once; cyclic_moduli's own check of
+    the pair is hj_expand's.
+    """
     validate_group(spec)
     if spec.kind == GroupKind.CYCLIC:
         return cyclic_moduli(spec.p, spec.q)

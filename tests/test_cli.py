@@ -195,7 +195,7 @@ ALL_VERBS_ARGV = [
     # FAIL, naming the worst point
     ("verify-metric", "--potential", "eguchi-hanson", "--a", "2.5", "--order", "2", "--rmin",
      "0.3", "--rmax", "8", "--samples", "6"),
-    # every point degenerate: a^4 overflows
+    # refused, exit 1 and no stdout: a^4 overflows a float
     ("verify-metric", "--potential", "eguchi-hanson", "--a", "1e100", "--rmin", "1", "--rmax",
      "8", "--samples", "4"),
     ("decay", "--potential", "eguchi-hanson", "--radii", "2:64:10"),
@@ -220,7 +220,7 @@ def _mask_long_floats(out: str) -> str:
 # sha256 of the exit code and stdout of every argv above, in text and in
 # --json mode, computed with the Eguchi-Hanson and Burns S taken along t =
 # log |z|^2; the same with numpy's AVX-512 and AVX2 kernels turned off
-ALL_VERBS_SHA256 = "83d4b43bac0c7a04e92739511bf2fbb3e478f75d1c5e8b38b179b6fa39da8834"
+ALL_VERBS_SHA256 = "2e0b2e31145dc0ed5f73f405b1a5b87a9fb92f60bb9f37017cc7adf063954143"
 
 
 def test_every_verb_output_is_byte_stable(capsys):
@@ -405,6 +405,13 @@ def test_h0_that_leaves_no_sample_room_exits_1(capsys):
                        "--rmin", "2", "--rmax", "50", "--samples", "4")
     assert code == 1
     assert "h0 = 0.1" in err
+
+
+def test_eguchi_hanson_a_whose_a4_overflows_exits_1(capsys):
+    code, out, err = run(capsys, "verify-metric", "--potential", "eguchi-hanson", "--a", "1e100",
+                         "--rmin", "1", "--rmax", "8", "--samples", "4")
+    assert (code, out) == (1, "")
+    assert "a = 1e+100 is too large: a^4 overflows a float" in err
 
 
 def test_invalid_pair_diagnostic(capsys):

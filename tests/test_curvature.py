@@ -325,6 +325,22 @@ def test_potential_constructors():
         cv.eguchi_hanson(0.0)
 
 
+@pytest.mark.parametrize("a", [1.2e77, 1e100, 1e300])
+def test_eguchi_hanson_parameter_whose_a4_overflows_is_refused(a):
+    # such an a was accepted, and every point then read NaN or degenerate
+    with pytest.raises(ValueError, match=r"a\^4 overflows a float") as exc:
+        cv.eguchi_hanson(a)
+    assert f"parameter a = {a} is too large" in str(exc.value)
+
+
+def test_eguchi_hanson_parameter_below_the_overflow_is_accepted():
+    # a^4 is still a float here; how well S resolves so deep a bolt is
+    # another question
+    for a in (1e77, 1.15e77):
+        assert cv.eguchi_hanson(a).parameter == a
+        assert math.isfinite((a * a) * (a * a))
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0, 0.0])
 def test_potential_parameters_must_be_finite_and_positive(bad):
     # an infinite parameter built a potential whose every sample degenerated
@@ -335,11 +351,10 @@ def test_potential_parameters_must_be_finite_and_positive(bad):
 
 
 def test_accepted_inputs_leak_no_numpy_warnings():
-    # at a = 1e100 the Eguchi-Hanson a^4 overflows, and so does the custom
-    # profile's value.  The engine's NaN must reach the caller as a
-    # degenerate point, with no RuntimeWarning on the way.  At h0 = 1e-300,
-    # h * h would underflow to 0 in the reduction, so such a step is
-    # rejected up front
+    # the custom profile's value overflows.  The engine's NaN must reach
+    # the caller as a degenerate point, with no RuntimeWarning on the way.
+    # At h0 = 1e-300, h * h would underflow to 0 in the reduction, so such
+    # a step is rejected up front
     plan = cv.SamplePlan(cv.sample_points(1, 8, 4))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -347,13 +362,11 @@ def test_accepted_inputs_leak_no_numpy_warnings():
             cv.SamplePlan(plan.points, h0=1e-300)
         with pytest.raises(ValueError, match="h0 = 1e-300 is too small"):
             cv.hermitian_hessian(FL, (1.3, 0.4 + 0.2j), h0=1e-300)
-        heavy = cv.verify_scalar_flat(cv.eguchi_hanson(1e100), plan)
         overflowing = cv.custom_radial(lambda u: 1e308 * u)
         huge = cv.verify_scalar_flat(overflowing, plan)
         with pytest.raises(DegenerateMetricError):
             cv.hermitian_hessian(overflowing, (1.3, 0.4 + 0.2j))
-    for report in (heavy, huge):
-        assert not report.passed and report.degenerate_indices == (0, 1, 2, 3)
+    assert not huge.passed and huge.degenerate_indices == (0, 1, 2, 3)
     # the caller's error state is left as it was
     assert np.geterr()["invalid"] == "warn"
 
@@ -457,18 +470,67 @@ def test_nonfinite_points_rejected_with_their_index():
             cv.hermitian_hessian(EH, z)
 
 
+def _single_point_entries(z, h0=1e-2, order=4):
+    return (
+        lambda: cv.scalar_curvature(FL, z, h0=h0, order=order),
+        lambda: cv.hermitian_hessian(FL, z, h0=h0, order=order),
+        lambda: cv.scalar_curvature_derivative(FL, BU, z, h0=h0, order=order),
+    )
+
+
 @pytest.mark.parametrize("z", [(0, 0), (0j, -0j), (0.0, -0.0, 0.0, 0.0)])
 def test_single_point_entries_refuse_the_origin(z):
     # every potential lives on C^2 minus the origin: the point is named as
     # the fault, where S along t read f' = 0 there and blamed the metric
-    entries = (
-        lambda: cv.scalar_curvature(FL, z),
-        lambda: cv.hermitian_hessian(FL, z),
-        lambda: cv.scalar_curvature_derivative(FL, BU, z),
-    )
-    for entry in entries:
-        with pytest.raises(ValueError, match=r"is the origin of C\^2"):
+    for entry in _single_point_entries(z):
+        with pytest.raises(ValueError, match=r"at radius 0 lies within .* of the origin of C\^2"):
             entry()
+
+
+@pytest.mark.parametrize("z", [(1e-3, 0), (0.02, 0), (0, 0.05j), (0.03, 0.0, 0.0, -0.04)])
+def test_single_point_entries_refuse_a_stencil_that_reaches_the_origin(z):
+    # hermitian_hessian(burns(1.0), (1e-3, 0)) read g11 = 5.6e4, where the
+    # exact value is 1: h = 0.01 spans the origin ten times over
+    r = math.sqrt(sum(c * c for c in cv._coords(z)))
+    for entry in _single_point_entries(z):
+        with pytest.raises(ValueError, match=rf"point .* at radius {r:.4g} lies within the order-4"):
+            entry()
+    with pytest.raises(ValueError, match="stencil's reach"):
+        cv.hermitian_hessian(BU, z)
+    g = cv.hermitian_hessian(BU, (0.2, 0))  # 0.2 lies beyond the reach 4 sqrt(2) h = 0.068
+    assert g[0, 0].real == pytest.approx(1.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_single_point_reach_is_the_stencils_farthest_site(order):
+    offsets = _engine.site_lattice(order, True).offsets
+    assert cv._REACH[order] == np.sqrt((offsets * offsets).sum(axis=1)).max()
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=st.floats(0.0, 2.0), h0=st.floats(1e-3, 0.099), axis=st.integers(0, 3),
+       order=st.sampled_from((2, 4)))
+def test_single_point_is_refused_exactly_when_a_site_could_reach_the_origin(r, h0, axis, order):
+    x = [0.0] * 4
+    x[axis] = r
+    h = h0 * (1.0 + r)
+    refused = r <= cv._REACH[order] * h
+    for entry in _single_point_entries(x, h0, order)[:2]:
+        try:
+            entry()
+            assert not refused, (r, h0, order)
+        except ValueError:
+            assert refused, (r, h0, order)
+    if not refused:
+        # every site of the scalar curvature stencil is off the origin
+        sites = np.array(x) + h * _engine.site_lattice(order, True).offsets
+        assert (np.abs(sites).max(axis=1) > 0).all()
+    # a plan's 10h margin is the wider one: what it takes, a single call takes
+    try:
+        cv.SamplePlan([x], h0=h0, order=order)
+        assert not refused
+    except ValueError:
+        pass
 
 
 # ----------------------------------------------------------- weighted norms
@@ -740,8 +802,11 @@ _unit = st.floats(-1.0, 1.0)
 @settings(max_examples=60, deadline=None)
 @given(
     b=st.lists(_unit, min_size=8, max_size=8),
-    # any point but the origin, which the single-point entries refuse
-    x=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4).filter(any),
+    # outside the ball of radius 1.5, which keeps the stencil off the
+    # origin at every h0 <= 0.1, as the single-point entries require
+    x=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4).filter(
+        lambda x: sum(c * c for c in x) > 2.25
+    ),
     h0=st.floats(5e-3, 0.1),
     order=st.sampled_from((2, 4)),
 )
@@ -997,7 +1062,7 @@ def test_eguchi_hanson_differences_along_t_cancel_nothing(a, order):
 def test_heavy_parameters_along_t():
     # Burns' m t joins f' as an exact slope, so m = 1e10 or 1e300 costs S no
     # digits (differenced, m = 1e10 read |S| = 0.1 at r = 1 from the rounding
-    # of f'''); an Eguchi-Hanson a^4 that overflows reads degenerate
+    # of f''')
     plan = cv.SamplePlan(cv.sample_points(0.5, 64, 24))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1005,8 +1070,6 @@ def test_heavy_parameters_along_t():
             for order in (2, 4):
                 report = cv.verify_scalar_flat(cv.burns(m), cv.SamplePlan(plan.points, order=order))
                 assert report.passed and report.max_abs_scalar < 1e-14, (m, order)
-        report = cv.verify_scalar_flat(cv.eguchi_hanson(1e100), plan)
-    assert not report.passed and report.degenerate_indices == tuple(range(24))
 
 
 # sha256 of custom_radial's S over a seeded sweep at orders 2 and 4, as the

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from sfkale.errors import InvalidPairError
 from sfkale.groups import cyclic_group
 from sfkale.hj import (
+    Chart,
     _expand,
     chart_atlas,
     determinant_identity_holds,
@@ -316,8 +317,7 @@ def test_integer_steps_agree_with_matrix_products(pair, data):
     chart = atlas.charts[index]
     du = data.draw(st.tuples(_offset, _offset))
     dv = data.draw(st.tuples(_offset, _offset))
-    changed = dataclasses.replace(
-        chart,
+    changed = chart._replace(
         u=(chart.u[0] + du[0], chart.u[1] + du[1]),
         v=(chart.v[0] + dv[0], chart.v[1] + dv[1]),
     )
@@ -325,6 +325,42 @@ def test_integer_steps_agree_with_matrix_products(pair, data):
     broken = dataclasses.replace(atlas, charts=charts)
     assert transition_cocycle_holds(broken) == _cocycle_by_matrix_products(broken)
     assert transition_cocycle_holds(broken) == (du == dv == (0, 0))
+
+
+_pairs_to_ten_thousand = st.integers(2, 10**4).flatmap(
+    lambda p: st.tuples(st.just(p), st.integers(1, p - 1))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=_pairs_to_ten_thousand, data=st.data())
+def test_charts_are_named_tuples_that_pair_with_their_chain(pair, data):
+    p, q = pair
+    assume(gcd(p, q) == 1)
+    chain = lattice_chain(p, q)
+    atlas = chart_atlas(chain)
+    w = chain.vectors
+    assert len(atlas.charts) == len(w) - 1
+    for i, chart in enumerate(atlas.charts):
+        index, u, v = chart
+        assert type(chart) is Chart and index == chart.index == i
+        assert chart == (i, chart.u, chart.v) and (u, v) == (chart.u, chart.v)
+        assert [_dot(u, w[i]), _dot(u, w[i + 1]), _dot(v, w[i]), _dot(v, w[i + 1])] == [0, p, p, 0]
+    assert transition_cocycle_holds(atlas) and _cocycle_by_matrix_products(atlas)
+    # one chart changed through _replace, perhaps by nothing, or the
+    # charts cut or lengthened by one: the unpacked integer steps and the
+    # matrix products give one verdict
+    index = data.draw(st.integers(0, len(atlas.charts) - 1))
+    chart = atlas.charts[index]
+    (ux, uy), (vx, vy) = chart.u, chart.v
+    du = data.draw(st.tuples(_offset, _offset))
+    dv = data.draw(st.tuples(_offset, _offset))
+    changed = chart._replace(u=(ux + du[0], uy + du[1]), v=(vx + dv[0], vy + dv[1]))
+    assert type(changed) is Chart and changed.index == index
+    charts = (*atlas.charts[:index], changed, *atlas.charts[index + 1 :])
+    for charts in (charts, charts[:-1], (*charts, changed)):
+        broken = dataclasses.replace(atlas, charts=charts)
+        assert transition_cocycle_holds(broken) == _cocycle_by_matrix_products(broken)
 
 
 # ------------------------------------------------------------ broken chains
@@ -355,6 +391,40 @@ def test_monomial_relation_rejects_a_changed_coefficient(p, q):
         assert not monomial_relation_holds(dataclasses.replace(chain, chain_coeffs=changed)), i
 
 
+def _relation_by_index(chain):
+    """Reference: the relations read by index, one step i at a time."""
+    exps, kappa = chain.vectors, chain.chain_coeffs
+    for i in range(1, len(exps) - 1):
+        ax, ay = exps[i - 1]
+        bx, by = exps[i]
+        cx, cy = exps[i + 1]
+        if (ax + cx, ay + cy) != (kappa[i - 1] * bx, kappa[i - 1] * by):
+            return False
+    return True
+
+
+def _outcome(check, chain):
+    try:
+        return check(chain)
+    except IndexError:
+        return IndexError
+
+
+@pytest.mark.parametrize("p, q", BROKEN + [(2, 1), (97, 35)])
+def test_monomial_relation_keeps_its_verdict_on_wrong_length_coefficients(p, q):
+    chain = lattice_chain(p, q)
+    kappa = chain.chain_coeffs
+    wrong = [kappa[:n] for n in range(len(kappa))]  # too few
+    wrong += [kappa + (2,), kappa + (99, 1)]  # too many: the extras are not read
+    wrong += [(kappa[0] + 1, *kappa[1:n]) for n in range(1, len(kappa))]  # too few, one wrong
+    for coeffs in wrong:
+        cut = dataclasses.replace(chain, chain_coeffs=coeffs)
+        assert _outcome(monomial_relation_holds, cut) == _outcome(_relation_by_index, cut), coeffs
+    assert monomial_relation_holds(dataclasses.replace(chain, chain_coeffs=kappa + (2,)))
+    with pytest.raises(IndexError, match=f"{len(kappa) - 1} chain coefficients for {len(kappa)}"):
+        monomial_relation_holds(dataclasses.replace(chain, chain_coeffs=kappa[:-1]))
+
+
 @pytest.mark.parametrize("p, q", BROKEN)
 def test_cocycle_rejects_a_changed_chart(p, q):
     # every step is checked, so an interior chart, which neither end chart
@@ -365,7 +435,7 @@ def test_cocycle_rejects_a_changed_chart(p, q):
         for u, v in (((5, 5), (99, 99)), ((ux + 1, uy), chart.v), ((ux, uy + 1), chart.v),
                      (chart.u, (vx + 1, vy)), (chart.u, (vx, vy + 1))):
             charts = list(atlas.charts)
-            charts[index] = dataclasses.replace(chart, u=u, v=v)
+            charts[index] = chart._replace(u=u, v=v)
             broken = dataclasses.replace(atlas, charts=tuple(charts))
             assert not transition_cocycle_holds(broken), (index, u, v)
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from sfkale.errors import ConditionViolationError, UnsupportedParameterError
 from sfkale.hj import HJExpansion, hj_expand
-from sfkale.groups import GroupKind, GroupSpec, parse_group_spec
+from sfkale.groups import GroupKind, GroupSpec, cyclic_group, parse_group_spec
 from sfkale.moduli import (
     CASE_CYCLIC_GENERIC,
     CASE_CYCLIC_Q1,
@@ -215,6 +215,36 @@ def test_moduli_reject_bools():
         cyclic_moduli(5, True)
     with pytest.raises(ConditionViolationError):
         moduli_report(GroupSpec(GroupKind.TETRAHEDRAL_PRODUCT, l=True))
+
+
+BAD_PAIRS = [(5, True), (True, 1), (False, 1), (5, 5), (5, 7), (6, 4), (9, 3), (2, 2), (1, 1),
+             (5, 0), (5, -1), (-5, 2), (5.0, 2), (5, 2.0), ("5", 2), (None, 2)]
+
+
+@pytest.mark.parametrize("p, q", BAD_PAIRS)
+def test_cyclic_moduli_rejects_what_cyclic_group_rejects(p, q):
+    # cyclic_moduli builds its spec from the pair hj_expand checked; a pair
+    # it rejects still raises cyclic_group's error, field and condition
+    with pytest.raises(ConditionViolationError) as want:
+        cyclic_group(p, q)
+    with pytest.raises(ConditionViolationError) as got:
+        cyclic_moduli(p, q)
+    with pytest.raises(ConditionViolationError) as reported:
+        moduli_report(GroupSpec(GroupKind.CYCLIC, p=p, q=q))
+    for exc in (got.value, reported.value):
+        assert type(exc) is ConditionViolationError
+        assert (exc.field, exc.condition) == (want.value.field, want.value.condition)
+
+
+def test_cyclic_report_carries_the_validated_spec():
+    for p in range(2, 40):
+        for q in range(1, p):
+            if gcd(p, q) == 1:
+                spec = cyclic_group(p, q)
+                assert cyclic_moduli(p, q).group == spec
+                assert moduli_report(spec).group == spec
+    # a kind given as its plain string is still the cyclic kind
+    assert moduli_report(GroupSpec("cyclic", p=5, q=2)) == cyclic_moduli(5, 2)
 
 
 def test_moduli_report_dispatch():
