@@ -287,7 +287,11 @@ def determinant_identity_holds(chain: LatticeChain) -> bool:
     by p^2.  Raises ValueError for a chain point off the lattice (1/p) Z^2.
     """
     w = chain.vectors
-    return all(b0 * a1 - b1 * a0 == chain.p for (a0, b0), (a1, b1) in zip(w, w[1:]))
+    p = chain.p
+    for (a0, b0), (a1, b1) in zip(w, w[1:]):
+        if b0 * a1 - b1 * a0 != p:
+            return False
+    return True
 
 
 def monomial_relation_holds(chain: LatticeChain) -> bool:
