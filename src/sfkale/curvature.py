@@ -230,8 +230,8 @@ def _coords(z) -> tuple[float, float, float, float]:
 
 
 # the farthest site of the scalar curvature stencil from its point, in
-# steps h: site_lattice's largest offset, (4, 4) at order 4 and (2, 2) at
-# order 2; the Hessian's reaches half as far
+# steps h: site_lattice's largest offset, 4 steps along two axes at order
+# 4 and 2 at order 2; the Hessian's reaches half as far
 _REACH = {2: 2.0 * math.sqrt(2.0), 4: 4.0 * math.sqrt(2.0)}
 
 
@@ -239,14 +239,15 @@ def _point(z, h0: float, order: int) -> np.ndarray:
     """z as a one-row (1, 4) stack for the single-point entries, off the stencil's reach.
 
     Every potential lives on C^2 minus the origin, and a stencil that
-    reaches it reads a wrong metric with no error (Burns' g11 read 5.6e4
-    at (1e-3, 0), against an exact 1).  So a point within _REACH[order]
-    steps h = h0 (1 + |z|) of the origin, where a stencil site could land
-    on it, is a wrong argument, not a degenerate metric, and raises
-    ValueError naming the point and its radius; the origin itself is one
-    such point.  SamplePlan keeps a plan's points 10h away; that margin
-    would refuse points that single calls use, such as |z| = 1.29 at
-    h0 = 0.08, 7.0h from the origin, in the order-2 convergence ladder.
+    reaches it gives a wrong metric with no error (Burns' g11 at
+    (1e-3, 0), h = 0.01, comes out 5.6e4 against an exact 1).  So a
+    point within _REACH[order] steps h = h0 (1 + |z|) of the origin,
+    where a stencil site could land on it, is a wrong argument, not a
+    degenerate metric, and raises ValueError naming the point and its
+    radius; the origin itself is one such point.  SamplePlan keeps a
+    plan's points 10h away; that margin would refuse points that single
+    calls use, such as |z| = 1.29 at h0 = 0.08, 7.0h from the origin, in
+    the order-2 convergence ladder.
     """
     x = _coords(z)
     x0, x1, x2, x3 = x
