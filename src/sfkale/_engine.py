@@ -19,17 +19,14 @@ Each mirror pair is added before its weight multiplies it: the two psi
 values nearly cancel, so their sum is exact, and only the O(h^2) result
 meets the rounding of the weight.
 
-The inner stencil consumes psi rather than Phi.  The weights sum to
-zero, so both forms agree exactly, but psi avoids cancelling the large
-common value of Phi across the stencil: for the built-in families it is
-computed stably (du = 2 x.d + |d|^2 is exact for the flat potential,
-and log1p / sqrt-difference forms handle the rest), so a flat
-background's scalar curvature on this stencil, as the curvature
-derivative takes it, comes out near machine zero instead of
-h^-4-amplified rounding.  Custom potentials keep the plain difference
-Phi(x + d) - Phi(x), with one call path: lattice_psi calls the callable
-at the sites x + h o of a site lattice and differences psi from those
-values through the lattice's index arrays.  The lattice comes in two forms:
+The built-ins are U(2)-invariant, Phi = F(|z|^2), so builtin_metric
+gives their g in closed form at any point, with no step and no
+stencil: g = F' I + F'' conj(z) z^T.  Only callable potentials take
+the inner stencil, on psi rather than Phi: the weights sum to zero, so
+both forms agree exactly, but psi keeps the common value of Phi out of
+the weighted sum.  lattice_psi calls the callable at the sites x + h o
+of a site lattice and differences psi from those values through the
+lattice's index arrays.  The lattice comes in two forms:
 
   distinct: each site once (49 per Hessian and 673 per 4-D scalar
     curvature at order 4, 25 and 169 at order 2).  This serves a radial
@@ -51,21 +48,19 @@ or over each row's Python floats when a chunk holds only a few rows;
 both take the same IEEE operations, so they give the same bits.  Over
 radii 0.5-64 the built-ins' worst |S| against the exact 0 is 6.3e-6
 (order 4) and 4.1e-3 (order 2) for Eguchi-Hanson with a in [0.5, 3],
-at a = 3 and r = 0.5, rounding (1e-15) for Burns and
-exactly 0 for flat; the 4-D stencil reads 9.6 and 1.5e3 for
-Eguchi-Hanson at radii 0.5-1, and up to 6e-12 for flat.  Every
-callable gets its sites as Python lists (u for radial, the complex
-coordinates z1 and z2 for general), handed to callable_values, and its
-values back from one map per pass.
+at a = 3 and r = 0.5, rounding (1e-15) for Burns and exactly 0 for
+flat.  Every callable gets its sites as Python lists (u for radial,
+the complex coordinates z1 and z2 for general), handed to
+callable_values, and its values back from one map per pass.
 
-Every function works on a stack of n points at once.  sites() lays the
-stencils out as bases (n, B, 4) and steps (n, K, 4): at order 4, B = 53
-bases (the point, its 48 outer sites and 4 zero offsets for the center
-terms) and K = 48 steps; at order 2, 29 and 24; the Hessian alone has
-B = 1.  psi is (n, B, K), and the reduction divides each point by its
-own h^2.  How many points share a stack is the caller's choice
-(curvature chunks them); each point's values are the same whatever its
-neighbours.
+Every function works on a stack of n points at once.  The scalar
+curvature stencil around a point x has the bases x + h b, b in
+Stencil.bases: at order 4, B = 53 bases (the point, its 48 outer sites
+and 4 zero offsets for the center terms), each with K = 48 steps; at
+order 2, 29 and 24; the Hessian alone has B = 1.  psi is (n, B, K), g
+is (n, B, 4), and the reductions divide each point by its own h^2.
+How many points share a stack is the caller's choice (curvature chunks
+them); each point's values are the same whatever its neighbours.
 
 Degenerate metrics surface as NaN at the points they touch; callers
 turn that into an error or a failed report.  The engine leaves numpy's
@@ -108,8 +103,7 @@ class Stencil(NamedTuple):
     """Offsets (in steps h) and component weights of one stencil order.
 
     steps lists the k offsets o of the mirror pairs, then their mirrors
-    -o; step_norms holds |o|^2 of each (1, 2, 4 or 8), so |h o|^2 is
-    exactly h^2 |o|^2.  pair_weights (k x 4) weighs each pair.
+    -o.  pair_weights (k x 4) weighs each pair.
     center_weights holds one row per pure second derivative for its
     zero-offset term, which only the outer stencil evaluates (psi
     vanishes there).  bases are the outer sites: the center itself,
@@ -117,7 +111,6 @@ class Stencil(NamedTuple):
     """
 
     steps: np.ndarray
-    step_norms: np.ndarray
     pair_weights: np.ndarray
     center_weights: np.ndarray
     bases: np.ndarray
@@ -147,7 +140,6 @@ def _stencil(order: int) -> Stencil:
     steps = pairs + [[-c for c in o] for o in pairs]
     return Stencil(
         steps=np.array(steps),
-        step_norms=np.array([sum(c * c for c in o) for o in steps]),
         pair_weights=np.array(pair_weights),
         center_weights=np.array(center_weights),
         bases=np.array([[0.0] * 4] + steps + [[0.0] * 4] * len(center_weights)),
@@ -227,21 +219,6 @@ def step(x, h0: float) -> np.ndarray:
     return np.array([h0 * (1.0 + r) for r in radii(x)])[:, None, None]
 
 
-def sites(x, h, order: int, curvature: bool):
-    """(bases, steps) of the stencils around the points x; psi is wanted at each pair.
-
-    x is (n, 4) and h holds each point's step, shaped as step() returns
-    it.  The Hessian needs psi at the point only; the scalar curvature
-    needs it at the point and at every outer site x + h o, which come
-    first and after.  Returns bases (n, B, 4) and steps (n, K, 4).
-    """
-    stencil = STENCILS[order]
-    steps = h * stencil.steps
-    if not curvature:
-        return x[:, None, :], steps
-    return x[:, None, :] + h * stencil.bases, steps
-
-
 def builtin_potential(family, par, x0, x1, x2, x3):
     # u = |z|^2 in real coordinates (x0, x1, x2, x3) = (Re z1, Im z1, Re z2, Im z2)
     u = x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3
@@ -255,47 +232,43 @@ def builtin_potential(family, par, x0, x1, x2, x3):
     return u + par * math.log(u)
 
 
-def builtin_psi(family, par, x, h, order: int, curvature: bool):
-    """Phi(b + d) - Phi(b) over the stencils around the points x, without cancelling large terms.
+def builtin_metric(family, par, x) -> np.ndarray:
+    """(g11, g22, Re g12, Im g12) of a built-in potential at every point of x (..., 4).
 
-    psi is (n, B, K), laid out as sites() lays out the bases b and the
-    steps d.  The (n, B, K) temporaries are updated in place, so a pass
-    holds at most four.
+    For Phi = F(u), u = |z|^2, g = F' I + F'' conj(z) z^T.  With lam =
+    F' + u F'' (g's eigenvalue along conj(z)) and b = -F'', that is g11 =
+    lam + b |z2|^2, g22 = lam + b |z1|^2 and g12 = -b conj(z1) z2, and
+    no term cancels, since lam > 0 and b >= 0 for every built-in:
+
+      Burns, F = u + m log u: lam = 1, b = m / u^2; flat is Burns with m = 0;
+      Eguchi-Hanson, F' = w / u with w = sqrt(a^4 + u^2): lam = u / w,
+        b = a^4 / (w u^2).
+
+    NaN at the origin, where no potential is defined.
     """
-    bases, steps = sites(x, h, order, curvature)
-    # du = 2 b.d + |d|^2, the exact change of u = |z|^2
-    du = bases @ steps.transpose(0, 2, 1)
-    du *= 2.0
-    du += h * h * STENCILS[order].step_norms
-    if family == FLAT:
-        return du
-    u = (bases * bases).sum(axis=2)[:, :, None]
-    a2 = par * par
-    log_term = du / u
-    # a base at the origin, or a site at or beyond the log singularity
-    bad = (u <= 0.0) | (log_term <= -1.0)
-    np.log1p(log_term, out=log_term)
-    log_term *= a2 if family == EGUCHI_HANSON else par
+    y = x * x
+    minus = -x[..., 2:]
+    # (|z2|^2, |z1|^2, -Re, -Im of conj(z1) z2), then scaled by b
+    g = np.empty(x.shape)
+    np.add(y[..., 2], y[..., 3], out=g[..., 0])
+    np.add(y[..., 0], y[..., 1], out=g[..., 1])
+    c = x[..., :2] * minus
+    np.add(c[..., 0], c[..., 1], out=g[..., 2])
+    c = x[..., :2] * minus[..., ::-1]
+    np.subtract(c[..., 0], c[..., 1], out=g[..., 3])
+    u = g[..., 0] + g[..., 1]
     if family == EGUCHI_HANSON:
-        # dw = du (us + u) / (ws + w), the change of w = sqrt(a^4 + u^2)
-        w = np.sqrt(a2 * a2 + u * u)
-        us = u + du
-        ws = us * us
-        ws += a2 * a2
-        np.sqrt(ws, out=ws)
-        ws += w
-        us += u
-        dw = np.multiply(du, us, out=us)
-        dw /= ws
-        psi = np.add(dw, log_term, out=ws)
-        dw /= a2 + w
-        np.log1p(dw, out=dw)
-        dw *= a2
-        psi -= dw
+        a2 = par * par
+        a4 = a2 * a2
+        w = np.sqrt(a4 + u * u)
+        lam = (u / w)[..., None]
+        b = a4 / (w * u * u)
     else:
-        psi = np.add(du, log_term, out=log_term)
-    psi[bad] = np.nan
-    return psi
+        lam = 1.0
+        b = par / (u * u)
+    g *= b[..., None]
+    g[..., :2] += lam
+    return g
 
 
 def callable_values(fn, columns, name: str) -> np.ndarray:
@@ -331,7 +304,7 @@ def _not_real(name: str, columns, i: int, exc: TypeError) -> TypeError:
 
 
 def lattice_psi(fn, x, h, lattice: SiteLattice, radial: bool, name: str):
-    """psi of a callable potential over the stencils around the points x, as sites() lays it out.
+    """psi of a callable potential over the stencils around the points x: (n, B, K).
 
     fn is called once per site x + h o of the lattice around each point,
     in lattice order: with u = |z|^2 when radial (Phi = fn(u)), else
@@ -581,15 +554,14 @@ def hessian(psi, h, order: int) -> np.ndarray:
     return _reduce(psi, STENCILS[order], h)
 
 
-def scalar_curvature(psi, h, order: int) -> np.ndarray:
-    """S = -2 tr(g^-1 Hess log det g) at each point's first base, from psi over all its bases.
+def scalar_curvature(g, h, order: int) -> np.ndarray:
+    """S = -2 tr(g^-1 Hess log det g) at each point's first base, from g (n, B, 4) at all its bases.
 
     NaN at the points whose metric is not positive definite somewhere on
     their stencil; the other points keep their values.  The factor 2
     fixes the real scalar curvature normalization.
     """
     stencil = STENCILS[order]
-    g = _reduce(psi, stencil, h)
     g11, g22, gr, gi = g[..., 0], g[..., 1], g[..., 2], g[..., 3]
     det = g11 * g22 - gr * gr - gi * gi
     # det > 0 and g11 > 0 force g22 > 0

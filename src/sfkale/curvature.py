@@ -1,10 +1,11 @@
 """Kahler potentials on C^2 and finite-difference curvature checks.
 
-A potential is sampled at scattered points; the Hermitian metric g_ij =
-d2 Phi / dz_i dzbar_j comes from central differences in the four real
-coordinates, and the scalar curvature from a second, nested stencil
-applied to log det g.  Each point has its own radius-scaled step h =
-h0 * (1 + |z|); there is no grid.
+A potential is sampled at scattered points.  A built-in's Hermitian
+metric g_ij = d2 Phi / dz_i dzbar_j is closed form
+(_engine.builtin_metric); a callable's comes from central differences
+in the four real coordinates, and the 4-D scalar curvature from a
+second, nested stencil applied to log det g.  Each point has its own
+radius-scaled step h = h0 * (1 + |z|); there is no grid.
 
 The scalar curvature of every radial potential, the built-ins and
 custom_radial, is taken along t = log |z|^2 (_engine.radial_scalar):
@@ -12,15 +13,18 @@ from 9 values of f(t) = F(e^t) per point at order 4, 7 at order 2,
 where the 4-D stencil differences Phi over 53 x 48 terms (29 x 24).
 Flat goes along t as Burns with m = 0, f = e^t, whose derivatives are
 all exact, so its S is exactly 0.  Only a custom_general potential's S
-takes the 4-D stencil.  Hessians, deviations and derivatives use the
-4-D stencils for every potential.
+takes the 4-D stencil, and only a custom potential's Hessian the inner
+one: a built-in's, and so its deviations and decay fit, is the closed
+form at the point, whatever h0 and order.  The curvature derivative
+takes the 4-D stencil for every background, since a perturbation need
+not be radial.
 
 The engine takes a stack of points in one pass, laid out as (points,
 bases, steps).  Multi-point calls (verify_scalar_flat, and
 metric_deviations, which the decay fits and weighted norms use) walk
 their points in chunks of about _CHUNK_TERMS terms: 4 scalar curvature
-points at order 4, 14 at order 2, 213 or 426 Hessians, and 1137 or
-1462 points along t, one term per t-site.  A single-point call is a
+points at order 4, 14 at order 2, 213 or 426 custom Hessians, and 1137
+or 1462 points along t, one term per t-site.  A single-point call is a
 stack of one row.  Along t, radial_scalar sums a few rows over Python
 floats, with the same operations in the same order as on a chunk's
 whole columns; elsewhere one row takes the chunk's numpy code.  So no
@@ -54,9 +58,9 @@ NO_SIGNAL_THRESHOLD = 1e-12
 class Potential:
     """A real-valued Kahler potential on C^2 minus the origin.
 
-    Built-in families (family set, fn None) get numpy-evaluated
-    potential differences in a stable closed form for their Hessians
-    and curvature derivatives.  All three take their scalar curvature
+    Built-in families (family set, fn None) have their metric g = F' I
+    + F'' conj(z) z^T in a closed form that cancels nothing, so their
+    Hessians need no stencil.  All three take their scalar curvature
     along t = log |z|^2 from 9 (order 4) or 7 closed-form values per
     point, with the exact terms e^t and c t of f(t) = F(e^t) entering
     its derivatives undifferenced; flat is Burns with m = 0, all
@@ -157,14 +161,24 @@ def _chunk_points(order: int, curvature: bool, along_t: bool = False) -> int:
     return max(1, _CHUNK_TERMS // terms)
 
 
-def _psi(potential: Potential, x, h, order: int, curvature: bool) -> np.ndarray:
-    """Phi(b + d) - Phi(b) for every base b and step d of the stencils around the points x."""
-    if potential.fn is None:
-        return _engine.builtin_psi(potential.family, potential.parameter, x, h, order, curvature)
+def _psi(potential: Potential, x, h, order: int, curvature: bool, distinct=None) -> np.ndarray:
+    """Phi(b + d) - Phi(b) of a callable for every base b and step d of the stencils around x.
+
+    The callable is called once per distinct site when distinct, by
+    default only for custom_radial: perfbench's census pins
+    custom_general's own calls at both ends of every term (ROADMAP 7).
+    """
     radial = potential.family == _engine.RADIAL
-    # perfbench's census pins custom_general's own calls at both ends of every term (ROADMAP 7)
-    lattice = _engine.site_lattice(order, curvature, distinct=radial)
+    lattice = _engine.site_lattice(order, curvature, radial if distinct is None else distinct)
     return _engine.lattice_psi(potential.fn, x, h, lattice, radial, potential.name)
+
+
+def _stencil_metric(potential: Potential, x, h, order: int, distinct=None) -> np.ndarray:
+    """g (n, B, 4) at each base of the scalar curvature stencils around x, closed form or by psi."""
+    if potential.fn is None:
+        bases = x[:, None, :] + h * _engine.STENCILS[order].bases
+        return _engine.builtin_metric(potential.family, potential.parameter, bases)
+    return _engine.hessian(_psi(potential, x, h, order, True, distinct), h, order)
 
 
 def _scalar_along_t(potential: Potential, x, h0: float, order: int) -> np.ndarray:
@@ -184,21 +198,24 @@ def _evaluate(potential: Potential, x, h0: float, order: int, curvature: bool) -
     NaN where the metric degenerates; numpy's float warnings are off
     for the whole call.
     """
-    along_t = curvature and potential.family is not None
-    size = _chunk_points(order, curvature, along_t)
-    out = []
     with np.errstate(all="ignore"):
+        if potential.fn is None and not curvature:
+            # closed form: no stencil, no step, one pass
+            return _engine.builtin_metric(potential.family, potential.parameter, x)
+        along_t = curvature and potential.family is not None
+        size = _chunk_points(order, curvature, along_t)
+        out = []
         for i in range(0, len(x), size):
             chunk = x[i : i + size]
             if along_t:
                 out.append(_scalar_along_t(potential, chunk, h0, order))
                 continue
             h = _engine.step(chunk, h0)
-            psi = _psi(potential, chunk, h, order, curvature)
             if curvature:
-                out.append(_engine.scalar_curvature(psi, h, order))
+                g = _stencil_metric(potential, chunk, h, order)
+                out.append(_engine.scalar_curvature(g, h, order))
             else:
-                out.append(_engine.hessian(psi, h, order)[:, 0])
+                out.append(_engine.hessian(_psi(potential, chunk, h, order, False), h, order)[:, 0])
     # a single-point call has one chunk, and skips the copy
     return out[0] if len(out) == 1 else np.concatenate(out)
 
@@ -459,20 +476,21 @@ def scalar_curvature_derivative(
     scalar curvature operator applied to f.  The perturbation may be a
     Potential or a callable f(z1, z2) -> real.
 
-    Both S are differenced on the 4-D stencil at z, since the
-    perturbation need not be radial.  A callable perturbation, plain,
-    custom_general or custom_radial, is called once at each of the 673
-    (order 4) or 169 (order 2) distinct sites of the stencil, and both
-    sides share its values; so is a custom_radial background.  A
-    custom_general background is called at both ends of every term
-    (5088 or 1392 sites), as for its own S.  Either way each term's
-    value is taken at its site x + h o.  The S of a flat,
-    Eguchi-Hanson, Burns or custom_radial background here may differ
-    from scalar_curvature's, which is taken along t = log |z|^2, by the
-    4-D stencil's error: for Eguchi-Hanson (a = 1) at order 4 about
-    1e-5 at radii 1-8 and 2e-2 at 0.5-1, where scalar_curvature reads
-    1e-8 and 5e-7; for flat up to 6e-12 of rounding at order 2, where
-    scalar_curvature reads exactly 0.
+    Both S are taken on the 4-D stencil at z, since the perturbation
+    need not be radial, from g_bg +- t g_f at the stencil's bases.  A
+    built-in's g there, background or perturbation, is closed form.  A
+    callable perturbation, plain, custom_general or custom_radial, is
+    called once at each of the 673 (order 4) or 169 (order 2) distinct
+    sites of the stencil, and both sides share its values; so is a
+    custom_radial background.  A custom_general background is called at
+    both ends of every term (5088 or 1392 sites), as for its own S.
+    Either way each term's value is taken at its site x + h o.  The S
+    of a background here may differ from scalar_curvature's, which is
+    taken along t = log |z|^2, by the outer stencil's error on log det
+    g: for Burns (m = 1) about 5e-7 at radii 1-8 and 2e-5 at 0.5-1 at
+    order 4 (4e-4 and 7e-3 at order 2), where scalar_curvature reads
+    rounding; for Eguchi-Hanson (a = 1), whose det g is 1, rounding up
+    to 5e-11 at both orders; for flat exactly 0.
     DegenerateMetricError names the side, +t or -t, whose metric
     degenerates.
     """
@@ -483,20 +501,15 @@ def scalar_curvature_derivative(
         perturbation = custom_general(perturbation)
     x = _point(z, h0, order)
     h = _engine.step(x, h0)
-    # the background keeps its stable differences; the perturbation's
-    # enter scaled by t, so their own rounding is harmless, and a callable
-    # is called once per site of the lattice
+    # both metrics at every base of the stencil; a callable perturbation is
+    # called once per site, and its g enters scaled by t
     with np.errstate(all="ignore"):
-        base = _psi(background, x, h, order, curvature=True)
-        if perturbation.fn is None:
-            shift = _psi(perturbation, x, h, order, curvature=True)
-        else:
-            radial = perturbation.family == _engine.RADIAL
-            lattice = _engine.site_lattice(order, True)
-            shift = _engine.lattice_psi(perturbation.fn, x, h, lattice, radial, perturbation.name)
+        g = _stencil_metric(background, x, h, order)
+        shift = _stencil_metric(perturbation, x, h, order, distinct=True)
         shift *= t
-        s_plus = float(_engine.scalar_curvature(base + shift, h, order)[0])
-        s_minus = float(_engine.scalar_curvature(base - shift, h, order)[0])
+        # both sides in one stack of two points
+        both = np.concatenate((g + shift, g - shift))
+        s_plus, s_minus = _engine.scalar_curvature(both, h, order).tolist()
     sides = [side for side, s in (("+t", s_plus), ("-t", s_minus)) if math.isnan(s)]
     if sides:
         raise DegenerateMetricError(

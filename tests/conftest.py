@@ -30,7 +30,7 @@ def _loop_psi(fn, x, h, order, curvature):
 
     The term of base o_b and step o_s around the point x with step h is
     fn(x + h (o_b + o_s)) - fn(x + h o_b), each site in Python floats.
-    Returns (n, B, K), as _engine.sites() lays the terms out.
+    Returns (n, B, K), as _engine.lattice_psi lays the terms out.
     """
     stencil = _engine.STENCILS[order]
     bases = stencil.bases if curvature else stencil.bases[:1]

@@ -134,17 +134,20 @@ def test_flat_scalar_curvature_is_exactly_positive_zero(log_r, d, h0, order):
 
 @pytest.mark.parametrize("order", [2, 4])
 def test_builtin_scalar_curvature_skips_the_4d_stencil(monkeypatch, order):
-    # every built-in takes its S along t: neither the built-in potential
-    # differences nor the 4-D reduction may run
+    # every built-in takes its S along t and its g in closed form: neither
+    # a psi over the site lattice nor the 4-D reduction may run
     def fail(*args, **kwargs):
-        raise AssertionError("4-D stencil used for a built-in scalar curvature")
+        raise AssertionError("4-D stencil used for a built-in potential")
 
-    monkeypatch.setattr(_engine, "builtin_psi", fail)
+    monkeypatch.setattr(_engine, "lattice_psi", fail)
     monkeypatch.setattr(_engine, "scalar_curvature", fail)
     plan = cv.SamplePlan(cv.sample_points(0.5, 64, 12), order=order)
     for pot in (FL, EH, BU):
         assert math.isfinite(cv.scalar_curvature(pot, POINTS[0], order=order))
         assert cv.verify_scalar_flat(pot, plan).metric_positive, pot.name
+        assert cv.hermitian_hessian(pot, POINTS[0], order=order)[0, 0].real > 0.0
+        assert np.isfinite(cv.metric_deviations(pot, plan.points, order=order)).all()
+        assert cv.decay_order(pot, np.geomspace(2, 64, 10), order=order).radii.shape == (10,)
 
 
 @pytest.mark.parametrize("pot", [EH, BU], ids=["eguchi-hanson", "burns"])
@@ -682,26 +685,6 @@ def test_t_weights_meet_their_moment_conditions(order):
         for i in range(len(row)):
             moment = sum(Fraction(w * k**i, denominator) for k, w in enumerate(row, -reach))
             assert moment == (math.factorial(j) if i == j else 0), (j, i)
-
-
-@pytest.mark.parametrize(
-    "pot", [FL, EH, BU, cv.eguchi_hanson(2.5)], ids=["flat", "eh", "burns", "eh2.5"]
-)
-@pytest.mark.parametrize("order", [2, 4])
-def test_builtin_psi_matches_scalar_loop(pot, order, loop_psi):
-    # the numpy closed forms against plain differences of the potential itself,
-    # whose own rounding is a few ulps of Phi at the site; all points in one pass
-    x = np.array([cv._coords(z) for z in POINTS])
-    h = _engine.step(x, 0.05)
-    fast = _engine.builtin_psi(pot.family, pot.parameter, x, h, order, curvature=True)
-    loop = loop_psi(
-        lambda z1, z2: _engine.builtin_potential(
-            pot.family, pot.parameter, z1.real, z1.imag, z2.real, z2.imag
-        ),
-        x, h, order, curvature=True,
-    )
-    scale = np.array([abs(pot(*z)) + 1.0 for z in POINTS])[:, None, None]
-    assert np.all(np.abs(fast - loop) < 64 * np.finfo(float).eps * scale)
 
 
 def _not_radial(z1, z2):
