@@ -19,39 +19,34 @@ Each mirror pair is added before its weight multiplies it: the two psi
 values nearly cancel, so their sum is exact, and only the O(h^2) result
 meets the rounding of the weight.
 
-The built-ins are U(2)-invariant, Phi = F(|z|^2), so builtin_metric
-gives their g in closed form at any point, with no step and no
-stencil: g = F' I + F'' conj(z) z^T.  Only callable potentials take
-the inner stencil, on psi rather than Phi: the weights sum to zero, so
-both forms agree exactly, but psi keeps the common value of Phi out of
-the weighted sum.  lattice_psi calls the callable at the sites x + h o
-of a site lattice and differences psi from those values through the
-lattice's index arrays.  The lattice comes in two forms:
+A radial potential, Phi = F(|z|^2), takes no 4-D stencil: metric
+assembles g = F' I + F'' conj(z) z^T from lam = F' + |z|^2 F'' and b =
+-F'', closed form for the built-ins (builtin_metric) and taken along t
+for a custom_radial profile (radial_metric).  Only custom_general
+potentials take the inner stencil, on psi rather than Phi: the weights
+sum to zero, so both forms agree exactly, but psi keeps the common value
+of Phi out of the weighted sum.  lattice_psi calls the callable at the
+sites x + h o of a site lattice and differences psi from those values
+through the lattice's index arrays.  Lattices come in two forms:
 
   distinct: each site once (49 per Hessian and 673 per 4-D scalar
-    curvature at order 4, 25 and 169 at order 2).  This serves a radial
-    F(|z|^2) everywhere, and any callable perturbation of a scalar
-    curvature derivative, radial or general;
+    curvature at order 4, 25 and 169 at order 2), for a perturbation
+    of a scalar curvature derivative;
   not distinct: both ends of every term, duplicates included, 2 B K
     sites (96 per Hessian and 5088 per scalar curvature at order 4, 48
-    and 1392 at order 2).  Only a custom_general potential's own S and
-    Hessian still take this form.
+    and 1392 at order 2), for a custom_general potential's own S and
+    Hessian.
 
-radial_scalar takes the S of a radial potential from f(t) = F(e^t) at
+t_derivatives takes f(t) = F(e^t)'s first four derivatives from f at
 the 9 (order 4) or 7 t-sites t + k h, t = log u, h = 4 h0: from a
 custom_radial profile's values there (profile_along_t), or from the
 built-ins in closed form (builtin_along_t), whose terms e^t and c t
 enter f's derivatives exactly and whose rest is differenced without
-cancelling; flat is Burns with m = 0, all exact.  Each derivative is
-one compensated sum (_sum2), over whole columns of a stack of points,
-or over each row's Python floats when a chunk holds only a few rows;
-both take the same IEEE operations, so they give the same bits.  Over
-radii 0.5-64 the built-ins' worst |S| against the exact 0 is 6.3e-6
-(order 4) and 4.1e-3 (order 2) for Eguchi-Hanson with a in [0.5, 3],
-at a = 3 and r = 0.5, rounding (1e-15) for Burns and exactly 0 for
-flat.  Every callable gets its sites as Python lists (u for radial,
-the complex coordinates z1 and z2 for general), handed to
-callable_values, and its values back from one map per pass.
+cancelling; flat is Burns with m = 0, all exact.  radial_scalar takes S
+from all four, radial_metric g from f' and f''.  Each derivative is one
+compensated sum (_sum2), over whole columns of a stack of points, or
+over each row's Python floats when a chunk holds only a few rows; both
+take the same IEEE operations, so they give the same bits.
 
 Every function works on a stack of n points at once.  The scalar
 curvature stencil around a point x has the bases x + h b, b in
@@ -80,7 +75,7 @@ import numpy as np
 FLAT = 0
 EGUCHI_HANSON = 1
 BURNS = 2
-# custom potential F(|z|^2): g over the site lattice, S along t = log |z|^2
+# custom potential F(|z|^2): g and S along t = log |z|^2
 RADIAL = 3
 
 # one-axis second derivative: offset -> weight (times 1/h^2); symmetric,
@@ -189,7 +184,7 @@ def site_lattice(order: int, curvature: bool, distinct: bool = True) -> SiteLatt
     return SiteLattice(np.asfortranarray(offsets), index[0], index[1])
 
 
-# below this many points (rows) radial_scalar takes Python floats, whose
+# below this many points (rows) t_derivatives takes Python floats, whose
 # operations cost less than numpy's per-call overhead on a few rows
 _ROW_LOOP_POINTS = 5
 
@@ -232,19 +227,12 @@ def builtin_potential(family, par, x0, x1, x2, x3):
     return u + par * math.log(u)
 
 
-def builtin_metric(family, par, x) -> np.ndarray:
-    """(g11, g22, Re g12, Im g12) of a built-in potential at every point of x (..., 4).
+def metric(x, eigen) -> np.ndarray:
+    """(g11, g22, Re g12, Im g12) of a radial potential F(u) at every point of x (..., 4).
 
-    For Phi = F(u), u = |z|^2, g = F' I + F'' conj(z) z^T.  With lam =
-    F' + u F'' (g's eigenvalue along conj(z)) and b = -F'', that is g11 =
-    lam + b |z2|^2, g22 = lam + b |z1|^2 and g12 = -b conj(z1) z2, and
-    no term cancels, since lam > 0 and b >= 0 for every built-in:
-
-      Burns, F = u + m log u: lam = 1, b = m / u^2; flat is Burns with m = 0;
-      Eguchi-Hanson, F' = w / u with w = sqrt(a^4 + u^2): lam = u / w,
-        b = a^4 / (w u^2).
-
-    NaN at the origin, where no potential is defined.
+    g = F' I + F'' conj(z) z^T is lam + b |z2|^2, lam + b |z1|^2 and -b
+    conj(z1) z2, where eigen(u), elementwise on u = |z|^2 shaped (..., 1),
+    gives g's eigenvalue along conj(z), lam = F' + u F'', and b = -F''.
     """
     y = x * x
     minus = -x[..., 2:]
@@ -256,19 +244,28 @@ def builtin_metric(family, par, x) -> np.ndarray:
     np.add(c[..., 0], c[..., 1], out=g[..., 2])
     c = x[..., :2] * minus[..., ::-1]
     np.subtract(c[..., 0], c[..., 1], out=g[..., 3])
-    u = g[..., 0] + g[..., 1]
-    if family == EGUCHI_HANSON:
+    lam, b = eigen(g[..., :1] + g[..., 1:2])
+    g *= b
+    g[..., :2] += lam
+    return g
+
+
+def builtin_metric(family, par, x) -> np.ndarray:
+    """metric of a built-in potential in closed form, where no term cancels: lam > 0, b >= 0.
+
+    Burns, F = u + m log u, has lam = 1 and b = m / u^2, and flat is Burns
+    with m = 0; Eguchi-Hanson, F' = w / u with w = sqrt(a^4 + u^2), has
+    lam = u / w and b = a^4 / (w u^2).  NaN at the origin.
+    """
+    def eigen(u):
+        if family != EGUCHI_HANSON:
+            return 1.0, par / (u * u)
         a2 = par * par
         a4 = a2 * a2
         w = np.sqrt(a4 + u * u)
-        lam = (u / w)[..., None]
-        b = a4 / (w * u * u)
-    else:
-        lam = 1.0
-        b = par / (u * u)
-    g *= b[..., None]
-    g[..., :2] += lam
-    return g
+        return u / w, a4 / (w * u * u)
+
+    return metric(x, eigen)
 
 
 def callable_values(fn, columns, name: str) -> np.ndarray:
@@ -303,28 +300,19 @@ def _not_real(name: str, columns, i: int, exc: TypeError) -> TypeError:
     return TypeError(f"{name}: fn({args}) is not a real number ({exc})")
 
 
-def lattice_psi(fn, x, h, lattice: SiteLattice, radial: bool, name: str):
-    """psi of a callable potential over the stencils around the points x: (n, B, K).
+def lattice_psi(fn, x, h, lattice: SiteLattice, name: str):
+    """psi of a custom_general potential over the stencils around the points x: (n, B, K).
 
-    fn is called once per site x + h o of the lattice around each point,
-    in lattice order: with u = |z|^2 when radial (Phi = fn(u)), else
-    with the complex coordinates (z1, z2).
+    fn is called with the complex coordinates (z1, z2) once per site x
+    + h o of the lattice around each point, in lattice order.
     """
     y = x[:, :, None] + h * lattice.offsets.T
-    if radial:
-        # column adds, since numpy sums a short last axis slowly; the order
-        # of the adds is the one .sum() would take
-        y *= y
-        u = y[:, 0] + y[:, 1] + y[:, 2] + y[:, 3]
-        columns = [u.ravel().tolist()]
-    else:
-        z = np.empty((2,) + y[:, 0].shape, complex)
-        # real and imaginary parts are written directly: complex arithmetic
-        # such as a + 1j*b would turn a -0.0 into 0.0
-        for j, part in enumerate((z[0].real, z[0].imag, z[1].real, z[1].imag)):
-            part[...] = y[:, j]
-        columns = z.reshape(2, -1).tolist()
-    phi = callable_values(fn, columns, name).reshape(y[:, 0].shape)
+    z = np.empty((2,) + y[:, 0].shape, complex)
+    # real and imaginary parts are written directly: complex arithmetic
+    # such as a + 1j*b would turn a -0.0 into 0.0
+    for j, part in enumerate((z[0].real, z[0].imag, z[1].real, z[1].imag)):
+        part[...] = y[:, j]
+    phi = callable_values(fn, z.reshape(2, -1).tolist(), name).reshape(y[:, 0].shape)
     psi = np.take(phi, lattice.terms, axis=1)
     psi -= np.take(phi, lattice.bases, axis=1)
     return psi
@@ -480,10 +468,10 @@ def _scalar(f1, f2, f3, f4):
     return -2.0 * ((a + b - 2.0) / f1 + (f3 / f1 - a * a + f4 / f2 - b * b) / f2) + 0.0
 
 
-def radial_scalar(values, h0: float, order: int, exact=None) -> np.ndarray:
-    """S of a radial potential at each row of values, taken along t = log |z|^2.
+def t_derivatives(values, h0: float, order: int, exact=None):
+    """The first four t-derivatives of f at each row of values, (4, n).
 
-    values holds f(t + k h), h = 4 h0, for |k| <= reach:
+    values holds f(t + k h), t = log |z|^2, h = 4 h0, for |k| <= reach:
     profile_along_t's rows, or builtin_along_t's differences of the part
     of f it does not know exactly, with exact (n x 4) the first four
     t-derivatives of the part it does.  f(k) - f(-k) carries the odd
@@ -493,13 +481,10 @@ def radial_scalar(values, h0: float, order: int, exact=None) -> np.ndarray:
     sum, which on every row of the built-ins and profiles tried gave the
     bits of the correctly rounded sum, math.fsum's.  The terms are laid
     out (reach + 1, 4, n), so the sums take whole (4, n) slabs at once.
-    Below _ROW_LOOP_POINTS rows the terms, _sum2 and the S formula run
-    on each row's Python floats instead, with the same IEEE operations
-    in the same order, so a point's S does not depend on how many rows
-    came with it.  g has the eigenvalues f'/u and f''/u, and S = -2
-    (G'/f' + G''/f'') with G = log(f' f'') - 2t.  NaN where f' or f'' is
-    not positive or a derivative is not finite (its sum overflowed or
-    held a NaN or an inf), and +0.0 where S is exactly zero.
+    Below _ROW_LOOP_POINTS rows the terms and _sum2 run on each row's
+    Python floats instead, with the same IEEE operations in the same
+    order, so a point's derivatives do not depend on how many rows came
+    with it; they come back as four tuples of floats, not an array.
     """
     reach = _reach(order)
     rows, weights = _t_table(order, h0)[:2]
@@ -511,13 +496,11 @@ def radial_scalar(values, h0: float, order: int, exact=None) -> np.ndarray:
             up, down = v[reach + 1 :], v[reach - 1 :: -1]
             odd = list(map(operator.sub, up, down))
             even = [s - c for s in map(operator.add, up, down)]
-            f = [
+            out.append([
                 _sum2(list(map(operator.mul, diffs + [exact_j], row)))
                 for diffs, exact_j, row in zip((odd, even, odd, even), e, rows)
-            ]
-            ok = f[0] > 0.0 and f[1] > 0.0 and all(map(math.isfinite, f))
-            out.append(_scalar(*f) if ok else math.nan)
-        return np.array(out)
+            ])
+        return list(zip(*out))
     columns = values.T
     up, down = columns[reach + 1 :], columns[reach - 1 :: -1]
     # terms[k - 1, j - 1] is term k of d^j f / dt^j at each point; terms[reach] the exact one
@@ -529,9 +512,29 @@ def radial_scalar(values, h0: float, order: int, exact=None) -> np.ndarray:
     terms[:reach, 2:] = terms[:reach, :2]
     terms[reach] = 0.0 if exact is None else exact.T
     terms *= weights
-    f = _sum2(terms)
+    return _sum2(terms)
+
+
+def radial_scalar(values, h0: float, order: int, exact=None) -> np.ndarray:
+    """S of a radial potential at each row of values, taken along t = log |z|^2.
+
+    values and exact are t_derivatives'.  S = -2 (G'/f' + G''/f''), G =
+    log(f' f'') - 2t, over Python floats for a few rows: NaN where f' or
+    f'' is not positive or a derivative is not finite, +0.0 for S = 0.
+    """
+    f = t_derivatives(values, h0, order, exact)
+    if len(values) < _ROW_LOOP_POINTS:
+        return np.array([_scalar(*d) if d[0] > 0.0 and d[1] > 0.0 and all(map(math.isfinite, d))
+                         else math.nan for d in zip(*f)])
     ok = (f[0] > 0.0) & (f[1] > 0.0) & np.isfinite(f).all(axis=0)
     return np.where(ok, _scalar(*f), np.nan)
+
+
+def radial_metric(values, x, h0: float, order: int) -> np.ndarray:
+    """metric of a custom_radial profile at each point (row) of x, from its values along t."""
+    # g's eigenvalues are f''/u along conj(z) and f'/u across it
+    f1, f2 = np.asarray(t_derivatives(values, h0, order)[:2])[..., None]
+    return metric(x, lambda u: (f2 / u, (f1 - f2) / (u * u)))
 
 
 def _reduce(values, stencil: Stencil, h):

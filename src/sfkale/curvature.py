@@ -1,40 +1,37 @@
 """Kahler potentials on C^2 and finite-difference curvature checks.
 
-A potential is sampled at scattered points.  A built-in's Hermitian
-metric g_ij = d2 Phi / dz_i dzbar_j is closed form
-(_engine.builtin_metric); a callable's comes from central differences
-in the four real coordinates, and the 4-D scalar curvature from a
-second, nested stencil applied to log det g.  Each point has its own
-radius-scaled step h = h0 * (1 + |z|); there is no grid.
-
-The scalar curvature of every radial potential, the built-ins and
-custom_radial, is taken along t = log |z|^2 (_engine.radial_scalar):
-from 9 values of f(t) = F(e^t) per point at order 4, 7 at order 2,
-where the 4-D stencil differences Phi over 53 x 48 terms (29 x 24).
-Flat goes along t as Burns with m = 0, f = e^t, whose derivatives are
-all exact, so its S is exactly 0.  Only a custom_general potential's S
-takes the 4-D stencil, and only a custom potential's Hessian the inner
-one: a built-in's, and so its deviations and decay fit, is the closed
-form at the point, whatever h0 and order.  The curvature derivative
-takes the 4-D stencil for every background, since a perturbation need
-not be radial.
+A potential is sampled at scattered points.  Radial or general is the
+one decision.  A radial potential F(|z|^2), a built-in or custom_radial,
+takes no 4-D stencil (_radial): a built-in's Hermitian metric g_ij = d2
+Phi / dz_i dzbar_j is closed form, and its S, and a custom_radial
+profile's S and g, are taken along t = log |z|^2 from 9 values of f(t)
+= F(e^t) per point at order 4, 7 at order 2.  Flat goes along t as
+Burns with m = 0, f = e^t, whose derivatives are all exact, so its S
+is exactly 0.  A custom_general potential's g comes from central
+differences in the four real coordinates, and its S from a second,
+nested stencil applied to log det g, 53 x 48 terms (29 x 24).  Each
+point has its own radius-scaled step h = h0 * (1 + |z|); there is no
+grid.  The curvature derivative takes the 4-D stencil for every
+background, since a perturbation need not be radial, with a radial g
+taken at each of its bases as at a point.
 
 The engine takes a stack of points in one pass, laid out as (points,
 bases, steps).  Multi-point calls (verify_scalar_flat, and
 metric_deviations, which the decay fits and weighted norms use) walk
 their points in chunks of about _CHUNK_TERMS terms: 4 scalar curvature
-points at order 4, 14 at order 2, 213 or 426 custom Hessians, and 1137
-or 1462 points along t, one term per t-site.  A single-point call is a
-stack of one row.  Along t, radial_scalar sums a few rows over Python
+points at order 4, 14 at order 2, 213 or 426 custom_general Hessians,
+and 1137 or 1462 radial points, one term per t-site.  A single-point
+call is a stack of one row.  Along t, a few rows are summed over Python
 floats, with the same operations in the same order as on a chunk's
 whole columns; elsewhere one row takes the chunk's numpy code.  So no
 value depends on which chunk its point fell in.  The single-point
 entries refuse a point whose stencil could reach the origin, where no
 potential is defined: one within 4 sqrt(2) h of it at order 4, 2
-sqrt(2) h at order 2.  SamplePlan keeps a plan's points 10h away.
-numpy's float warnings are off for the whole of each public call, a
-custom potential's included: the points they would flag come back NaN
-and count as degenerate.
+sqrt(2) h at order 2, custom_radial's Hessian included; a built-in's
+Hessian, closed form with no stencil, refuses only the origin.
+SamplePlan keeps a plan's points 10h away.  numpy's float warnings are
+off for the whole of each public call, a custom potential's included:
+the points they would flag come back NaN and count as degenerate.
 """
 
 from __future__ import annotations
@@ -58,34 +55,22 @@ NO_SIGNAL_THRESHOLD = 1e-12
 class Potential:
     """A real-valued Kahler potential on C^2 minus the origin.
 
-    Built-in families (family set, fn None) have their metric g = F' I
-    + F'' conj(z) z^T in a closed form that cancels nothing, so their
-    Hessians need no stencil.  All three take their scalar curvature
-    along t = log |z|^2 from 9 (order 4) or 7 closed-form values per
-    point, with the exact terms e^t and c t of f(t) = F(e^t) entering
-    its derivatives undifferenced; flat is Burns with m = 0, all
-    exact, and reads S = 0.0 exactly.  In perfbench's metric_sweep
-    (256-point order-4 plans) a point costs about 1.4 us of flat, 1.4
-    us of Eguchi-Hanson and 0.9 us of Burns, against 29, 87 and 49 us
-    on the 4-D stencil; the worst |S| over radii 0.5-64 is 6.3e-6 for
-    Eguchi-Hanson with a <= 3 and rounding (1e-15) for Burns.
+    Built-in families (family set, fn None) have their metric g in a
+    closed form that cancels nothing, and their S along t = log |z|^2
+    from closed-form values (README gives costs and errors).
     custom_radial potentials (family RADIAL) carry their profile fn(u)
-    -> Phi of u = |z|^2, which the engine calls once per distinct
-    stencil site: 49 calls per Hessian at order 4 and 25 at order 2.
-    Their scalar curvature is taken from the profile along t = log u:
-    9 calls per point at order 4, 7 at order 2.  custom_general potentials (family
-    None) carry the user's fn(z1, z2) -> Phi itself.  Both kinds are
-    called on a site lattice: custom_general, for its own S and
-    Hessian, on the one that lists both ends of every stencil term,
-    5088 calls per scalar curvature and 96 per Hessian at order 4, 1392
-    and 48 at order 2.  As the perturbation of
-    scalar_curvature_derivative, either kind is called once per distinct
-    site: 673 calls per side at order 4, 169 at order 2.
-    Either kind's values go through one map per engine pass, and a
-    value that is not a real number raises TypeError naming the
-    potential and the site.  Use the module constructors (flat,
-    eguchi_hanson, burns, custom_radial, custom_general) rather than
-    instantiating directly.
+    -> Phi of u = |z|^2, and take S and g along t = log u: 9 calls per
+    point at order 4, 7 at order 2.
+    custom_general potentials (family None) carry the user's fn(z1, z2)
+    -> Phi itself, called on a site lattice: for its own S and Hessian
+    at both ends of every stencil term, 5088 and 96 calls at order 4,
+    1392 and 48 at order 2; as the perturbation of
+    scalar_curvature_derivative once per distinct site, 673 calls per
+    side at order 4, 169 at order 2.  Either kind's values go through
+    one map per engine pass, and a value that is not a real number
+    raises TypeError naming the potential and the site.  Use the module
+    constructors (flat, eguchi_hanson, burns, custom_radial,
+    custom_general) rather than instantiating directly.
     """
 
     name: str
@@ -152,7 +137,7 @@ _CHUNK_TERMS = 10240
 
 @functools.cache
 def _chunk_points(order: int, curvature: bool, along_t: bool = False) -> int:
-    """Points per engine pass for S along t, S on the 4-D stencil, or the Hessian."""
+    """Points per engine pass along t (radial), for S on the 4-D stencil, or for the Hessian."""
     if along_t:
         # one term per t-site
         return _CHUNK_TERMS // len(_engine._T_WEIGHTS[order][0][0])
@@ -161,35 +146,45 @@ def _chunk_points(order: int, curvature: bool, along_t: bool = False) -> int:
     return max(1, _CHUNK_TERMS // terms)
 
 
-def _psi(potential: Potential, x, h, order: int, curvature: bool, distinct=None) -> np.ndarray:
-    """Phi(b + d) - Phi(b) of a callable for every base b and step d of the stencils around x.
+def _psi(potential: Potential, x, h, order: int, curvature: bool, distinct: bool) -> np.ndarray:
+    """Phi(b + d) - Phi(b) of a custom_general potential for every base b and step d around x.
 
-    The callable is called once per distinct site when distinct, by
-    default only for custom_radial: perfbench's census pins
-    custom_general's own calls at both ends of every term (ROADMAP 7).
+    Called once per distinct site, or at both ends of every term, as
+    perfbench's census pins for custom_general's own S and Hessian.
     """
-    radial = potential.family == _engine.RADIAL
-    lattice = _engine.site_lattice(order, curvature, radial if distinct is None else distinct)
-    return _engine.lattice_psi(potential.fn, x, h, lattice, radial, potential.name)
+    lattice = _engine.site_lattice(order, curvature, distinct)
+    return _engine.lattice_psi(potential.fn, x, h, lattice, potential.name)
 
 
-def _stencil_metric(potential: Potential, x, h, order: int, distinct=None) -> np.ndarray:
-    """g (n, B, 4) at each base of the scalar curvature stencils around x, closed form or by psi."""
+def _radial(potential: Potential, x, h0: float, order: int, curvature: bool) -> np.ndarray:
+    """S (curvature) or g at each point (row) of x of a radial potential, with no 4-D stencil."""
     if potential.fn is None:
-        bases = x[:, None, :] + h * _engine.STENCILS[order].bases
-        return _engine.builtin_metric(potential.family, potential.parameter, bases)
-    return _engine.hessian(_psi(potential, x, h, order, True, distinct), h, order)
-
-
-def _scalar_along_t(potential: Potential, x, h0: float, order: int) -> np.ndarray:
-    """S at each point (row) of x of a radial potential, from its values along t = log |z|^2."""
-    if potential.fn is None:
-        values, exact = _engine.builtin_along_t(
-            potential.family, potential.parameter, x, h0, order
-        )
+        if not curvature:
+            return _engine.builtin_metric(potential.family, potential.parameter, x)
+        values, exact = _engine.builtin_along_t(potential.family, potential.parameter, x, h0, order)
         return _engine.radial_scalar(values, h0, order, exact)
     values = _engine.profile_along_t(potential.fn, x, h0, order, potential.name)
-    return _engine.radial_scalar(values, h0, order)
+    if curvature:
+        return _engine.radial_scalar(values, h0, order)
+    return _engine.radial_metric(values, x, h0, order)
+
+
+def _stencil_metric(potential: Potential, x, h, h0: float, order: int, distinct: bool):
+    """g (n, B, 4) at each base of the 4-D stencils around x: radial as at a point, else by psi."""
+    if potential.family is None:
+        return _engine.hessian(_psi(potential, x, h, order, True, distinct), h, order)
+    stencil = _engine.STENCILS[order]
+    # the bases past the center and its steps repeat the center: g is taken once there
+    bases = x[:, None, :] + h * stencil.bases[: len(stencil.steps) + 1]
+    g = _radial(potential, bases.reshape(-1, 4), h0, order, False).reshape(bases.shape)
+    return np.concatenate((g, np.repeat(g[:, :1], len(stencil.center_weights), axis=1)), axis=1)
+
+
+def _general(potential: Potential, x, h0: float, order: int, curvature: bool) -> np.ndarray:
+    """S (curvature) or g at each point (row) of x of a custom_general potential, by stencils."""
+    h = _engine.step(x, h0)
+    g = _engine.hessian(_psi(potential, x, h, order, curvature, distinct=False), h, order)
+    return _engine.scalar_curvature(g, h, order) if curvature else g[:, 0]
 
 
 def _evaluate(potential: Potential, x, h0: float, order: int, curvature: bool) -> np.ndarray:
@@ -198,26 +193,14 @@ def _evaluate(potential: Potential, x, h0: float, order: int, curvature: bool) -
     NaN where the metric degenerates; numpy's float warnings are off
     for the whole call.
     """
+    radial = potential.family is not None
+    evaluate, size = (_radial if radial else _general), _chunk_points(order, curvature, radial)
     with np.errstate(all="ignore"):
-        if potential.fn is None and not curvature:
-            # closed form: no stencil, no step, one pass
-            return _engine.builtin_metric(potential.family, potential.parameter, x)
-        along_t = curvature and potential.family is not None
-        size = _chunk_points(order, curvature, along_t)
-        out = []
-        for i in range(0, len(x), size):
-            chunk = x[i : i + size]
-            if along_t:
-                out.append(_scalar_along_t(potential, chunk, h0, order))
-                continue
-            h = _engine.step(chunk, h0)
-            if curvature:
-                g = _stencil_metric(potential, chunk, h, order)
-                out.append(_engine.scalar_curvature(g, h, order))
-            else:
-                out.append(_engine.hessian(_psi(potential, chunk, h, order, False), h, order)[:, 0])
-    # a single-point call has one chunk, and skips the copy
-    return out[0] if len(out) == 1 else np.concatenate(out)
+        if len(x) <= size:
+            # one chunk, as for a single-point call: no slice and no copy
+            return evaluate(potential, x, h0, order, curvature)
+        return np.concatenate([evaluate(potential, x[i : i + size], h0, order, curvature)
+                               for i in range(0, len(x), size)])
 
 
 def _check_stencil(h0: float, order: int) -> None:
@@ -257,14 +240,15 @@ def _point(z, h0: float, order: int) -> np.ndarray:
 
     Every potential lives on C^2 minus the origin, and a stencil that
     reaches it gives a wrong metric with no error (Burns' g11 at
-    (1e-3, 0), h = 0.01, comes out 5.6e4 against an exact 1).  So a
+    (1e-3, 0), h = 0.01, came out 5.6e4 against an exact 1).  So a
     point within _REACH[order] steps h = h0 (1 + |z|) of the origin,
     where a stencil site could land on it, is a wrong argument, not a
     degenerate metric, and raises ValueError naming the point and its
     radius; the origin itself is one such point.  SamplePlan keeps a
     plan's points 10h away; that margin would refuse points that single
     calls use, such as |z| = 1.29 at h0 = 0.08, 7.0h from the origin, in
-    the order-2 convergence ladder.
+    the order-2 convergence ladder.  A custom_radial Hessian keeps this
+    rule: near the origin its profile's rounding swamps f''.
     """
     x = _coords(z)
     x0, x1, x2, x3 = x
@@ -275,6 +259,21 @@ def _point(z, h0: float, order: int) -> np.ndarray:
             f"point {z!r} at radius {r:.4g} lies within the order-{order} stencil's reach"
             f" {reach:.4g} of the origin of C^2, where no potential is defined"
         )
+    return np.array([x])
+
+
+def _closed_form_point(z) -> np.ndarray:
+    """z as a one-row (1, 4) stack for a built-in's Hessian, closed form with no stencil.
+
+    Only the origin is refused, to float precision: a point whose |z|^4,
+    which g divides by, underflows.
+    """
+    x = _coords(z)
+    x0, x1, x2, x3 = x
+    u = x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3
+    if u * u < sys.float_info.min:
+        raise ValueError(f"point {z!r} at radius {math.sqrt(u):.4g} lies at the origin of C^2,"
+                         " where no potential is defined")
     return np.array([x])
 
 
@@ -397,7 +396,7 @@ def hermitian_hessian(potential: Potential, z, h0: float = 1e-2, order: int = 4)
     positive definite.
     """
     _check_stencil(h0, order)
-    x = _point(z, h0, order)
+    x = _closed_form_point(z) if potential.fn is None else _point(z, h0, order)
     g11, g22, gr, gi = _evaluate(potential, x, h0, order, curvature=False)[0].tolist()
     det = g11 * g22 - gr * gr - gi * gi
     if not (math.isfinite(det) and det > 0.0 and g11 > 0.0 and g22 > 0.0):
@@ -477,22 +476,21 @@ def scalar_curvature_derivative(
     Potential or a callable f(z1, z2) -> real.
 
     Both S are taken on the 4-D stencil at z, since the perturbation
-    need not be radial, from g_bg +- t g_f at the stencil's bases.  A
-    built-in's g there, background or perturbation, is closed form.  A
-    callable perturbation, plain, custom_general or custom_radial, is
-    called once at each of the 673 (order 4) or 169 (order 2) distinct
-    sites of the stencil, and both sides share its values; so is a
-    custom_radial background.  A custom_general background is called at
-    both ends of every term (5088 or 1392 sites), as for its own S.
-    Either way each term's value is taken at its site x + h o.  The S
-    of a background here may differ from scalar_curvature's, which is
-    taken along t = log |z|^2, by the outer stencil's error on log det
-    g: for Burns (m = 1) about 5e-7 at radii 1-8 and 2e-5 at 0.5-1 at
-    order 4 (4e-4 and 7e-3 at order 2), where scalar_curvature reads
-    rounding; for Eguchi-Hanson (a = 1), whose det g is 1, rounding up
-    to 5e-11 at both orders; for flat exactly 0.
-    DegenerateMetricError names the side, +t or -t, whose metric
-    degenerates.
+    need not be radial, from g_bg +- t g_f at the stencil's 53 (order 4)
+    or 29 (order 2) bases.  A radial potential's g there, background or
+    perturbation, is taken as at a point at the 49 or 25 distinct bases:
+    closed form for a built-in, along t for custom_radial (49 x 9 or 25
+    x 7 calls).  A callable perturbation, plain or custom_general, is
+    called once at each of the 673 or 169 distinct sites of the stencil,
+    and both sides share its values; a custom_general background at both
+    ends of every term (5088 or 1392 sites), as for its own S.  The S of
+    a background here may differ from scalar_curvature's, which is taken
+    along t = log |z|^2, by the outer stencil's error on log det g: for
+    Burns (m = 1) about 5e-7 at radii 1-8 and 2e-5 at 0.5-1 at order 4
+    (4e-4 and 7e-3 at order 2), where scalar_curvature reads rounding;
+    for Eguchi-Hanson (a = 1), whose det g is 1, rounding up to 5e-11 at
+    both orders; for flat exactly 0.  DegenerateMetricError names the
+    side, +t or -t, whose metric degenerates.
     """
     _check_stencil(h0, order)
     if not (math.isfinite(t) and t > 0.0):
@@ -504,8 +502,8 @@ def scalar_curvature_derivative(
     # both metrics at every base of the stencil; a callable perturbation is
     # called once per site, and its g enters scaled by t
     with np.errstate(all="ignore"):
-        g = _stencil_metric(background, x, h, order)
-        shift = _stencil_metric(perturbation, x, h, order, distinct=True)
+        g = _stencil_metric(background, x, h, h0, order, distinct=False)
+        shift = _stencil_metric(perturbation, x, h, h0, order, distinct=True)
         shift *= t
         # both sides in one stack of two points
         both = np.concatenate((g + shift, g - shift))

@@ -297,17 +297,16 @@ def determinant_identity_holds(chain: LatticeChain) -> bool:
 def monomial_relation_holds(chain: LatticeChain) -> bool:
     """u_{i-1} * u_{i+1} = u_i^kappa_i as exact exponent identities.
 
-    Coefficients past the chain's m interior points are not read.  Too
-    few coefficients raise IndexError, unless a relation they do cover
-    fails first.
+    One coefficient per interior point: any other count answers False,
+    as in transition_cocycle_holds.
     """
     exps = chain.vectors
     kappa = chain.chain_coeffs
+    if len(kappa) != len(exps) - 2:
+        return False
     for k, (ax, ay), (bx, by), (cx, cy) in zip(kappa, exps, exps[1:], exps[2:]):
         if ax + cx != k * bx or ay + cy != k * by:
             return False
-    if len(kappa) < len(exps) - 2:
-        raise IndexError(f"{len(kappa)} chain coefficients for {len(exps) - 2} interior points")
     return True
 
 

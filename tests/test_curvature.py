@@ -84,10 +84,16 @@ def test_custom_general_matches_custom_radial():
         w = math.sqrt(1 + u * u)
         return w + math.log(u) - math.log(1 + w)
 
+    # the profile is Eguchi-Hanson's at a = 1, whose closed-form g is within
+    # 5e-16 of the exact one; custom_radial takes g along t (measured error
+    # 6.8e-14), custom_general differences it on the Hessian's stencil (6.9e-8)
     z = (1.1, 0.4 - 0.8j)
+    g11, g22, gr, gi = _engine.builtin_metric(EH.family, EH.parameter, np.array(cv._coords(z)))
+    want = np.array([[g11, complex(gr, gi)], [complex(gr, -gi), g22]])
     pg = cv.custom_general(lambda z1, z2: profile(abs(z1) ** 2 + abs(z2) ** 2))
     pr = cv.custom_radial(profile)
-    assert np.abs(cv.hermitian_hessian(pg, z) - cv.hermitian_hessian(pr, z)).max() < 1e-10
+    assert np.abs(cv.hermitian_hessian(pr, z) - want).max() < 2e-13
+    assert np.abs(cv.hermitian_hessian(pg, z) - want).max() < 2e-7
 
 
 def test_degenerate_potential_raises():
@@ -134,15 +140,16 @@ def test_flat_scalar_curvature_is_exactly_positive_zero(log_r, d, h0, order):
 
 @pytest.mark.parametrize("order", [2, 4])
 def test_builtin_scalar_curvature_skips_the_4d_stencil(monkeypatch, order):
-    # every built-in takes its S along t and its g in closed form: neither
-    # a psi over the site lattice nor the 4-D reduction may run
+    # every radial potential takes its S along t, and its g in closed form
+    # (a built-in) or along t (custom_radial): neither a psi over the site
+    # lattice nor the 4-D reduction may run
     def fail(*args, **kwargs):
-        raise AssertionError("4-D stencil used for a built-in potential")
+        raise AssertionError("4-D stencil used for a radial potential")
 
     monkeypatch.setattr(_engine, "lattice_psi", fail)
     monkeypatch.setattr(_engine, "scalar_curvature", fail)
     plan = cv.SamplePlan(cv.sample_points(0.5, 64, 12), order=order)
-    for pot in (FL, EH, BU):
+    for pot in (FL, EH, BU, _KINDS["custom-radial"]):
         assert math.isfinite(cv.scalar_curvature(pot, POINTS[0], order=order))
         assert cv.verify_scalar_flat(pot, plan).metric_positive, pot.name
         assert cv.hermitian_hessian(pot, POINTS[0], order=order)[0, 0].real > 0.0
@@ -238,8 +245,9 @@ def test_chunked_sweep_matches_single_points(kind, order, seed):
 @pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("kind", sorted(_KINDS))
 def test_chunked_deviations_match_single_hessians(kind, order, seed):
+    # g along t for every radial kind, the Hessian's stencil for custom-general
     pot = _KINDS[kind]
-    sizes = _plan_sizes(cv._chunk_points(order, curvature=False))
+    sizes = _plan_sizes(cv._chunk_points(order, False, pot.family is not None))
     pts = _random_points(seed, max(sizes))
     single = []
     for x in pts:
@@ -474,9 +482,13 @@ def test_nonfinite_points_rejected_with_their_index():
 
 
 def _single_point_entries(z, h0=1e-2, order=4):
+    # the entries that keep the stencil's reach rule: S, a custom_general
+    # Hessian, a custom_radial one (no stencil, but near the origin its
+    # profile's rounding swamps f'') and the derivative
     return (
         lambda: cv.scalar_curvature(FL, z, h0=h0, order=order),
-        lambda: cv.hermitian_hessian(FL, z, h0=h0, order=order),
+        lambda: cv.hermitian_hessian(cv.custom_general(FL), z, h0=h0, order=order),
+        lambda: cv.hermitian_hessian(_KINDS["custom-radial"], z, h0=h0, order=order),
         lambda: cv.scalar_curvature_derivative(FL, BU, z, h0=h0, order=order),
     )
 
@@ -484,24 +496,27 @@ def _single_point_entries(z, h0=1e-2, order=4):
 @pytest.mark.parametrize("z", [(0, 0), (0j, -0j), (0.0, -0.0, 0.0, 0.0)])
 def test_single_point_entries_refuse_the_origin(z):
     # every potential lives on C^2 minus the origin: the point is named as
-    # the fault, where S along t read f' = 0 there and blamed the metric
-    for entry in _single_point_entries(z):
-        with pytest.raises(ValueError, match=r"at radius 0 lies within .* of the origin of C\^2"):
+    # the fault, where S along t read f' = 0 there and blamed the metric;
+    # a built-in's Hessian, which takes no stencil, refuses it too
+    builtin = [lambda pot=pot: cv.hermitian_hessian(pot, z) for pot in (FL, EH, BU)]
+    for entry in list(_single_point_entries(z)) + builtin:
+        with pytest.raises(ValueError, match=r"at radius 0 lies .*the origin of C\^2, where no"):
             entry()
 
 
 @pytest.mark.parametrize("z", [(1e-3, 0), (0.02, 0), (0, 0.05j), (0.03, 0.0, 0.0, -0.04)])
 def test_single_point_entries_refuse_a_stencil_that_reaches_the_origin(z):
-    # hermitian_hessian(burns(1.0), (1e-3, 0)) read g11 = 5.6e4, where the
-    # exact value is 1: h = 0.01 spans the origin ten times over
+    # the 4-D stencil's Burns g11 at (1e-3, 0) read 5.6e4, where the exact
+    # value is 1: h = 0.01 spans the origin ten times over
     r = math.sqrt(sum(c * c for c in cv._coords(z)))
     for entry in _single_point_entries(z):
         with pytest.raises(ValueError, match=rf"point .* at radius {r:.4g} lies within the order-4"):
             entry()
-    with pytest.raises(ValueError, match="stencil's reach"):
-        cv.hermitian_hessian(BU, z)
-    g = cv.hermitian_hessian(BU, (0.2, 0))  # 0.2 lies beyond the reach 4 sqrt(2) h = 0.068
-    assert g[0, 0].real == pytest.approx(1.0, abs=1e-3)
+    # a built-in's Hessian takes no stencil: Burns' is the closed form at z
+    x = np.array(cv._coords(z))
+    g11, g22, gr, gi = _engine.builtin_metric(BU.family, BU.parameter, x)
+    want = np.array([[g11, complex(gr, gi)], [complex(gr, -gi), g22]])
+    assert cv.hermitian_hessian(BU, z).tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("order", [2, 4])
@@ -518,12 +533,28 @@ def test_single_point_is_refused_exactly_when_a_site_could_reach_the_origin(r, h
     x[axis] = r
     h = h0 * (1.0 + r)
     refused = r <= cv._REACH[order] * h
-    for entry in _single_point_entries(x, h0, order)[:2]:
+    for entry in _single_point_entries(x, h0, order)[:3]:
         try:
             entry()
             assert not refused, (r, h0, order)
         except ValueError:
             assert refused, (r, h0, order)
+    # a built-in's Hessian takes no stencil, and refuses only the origin to
+    # float precision: a point whose |z|^4, which its g divides by, underflows
+    try:
+        exact = cv.hermitian_hessian(BU, x, h0=h0, order=order)
+        assert exact[0, 0].real > 0.0
+        assert (r * r) ** 2 >= sys.float_info.min, r
+    except ValueError:
+        assert (r * r) ** 2 < sys.float_info.min, r
+    if not refused:
+        # past the reach the profile's g (u + log u is Burns') holds each
+        # diagonal entry within 2e-4 of its own size: the worst measured was
+        # 6.0e-5 at order 2, h0 = 1e-3 and the reach's edge (rounding), and
+        # 2.3e-5 at h0 = 0.099, r = 2 (order 2's truncation)
+        g = cv.hermitian_hessian(cv.custom_radial(lambda u: u + math.log(u)), x, h0=h0, order=order)
+        for j in range(2):
+            assert abs(g[j, j].real - exact[j, j].real) <= 2e-4 * exact[j, j].real, (r, h0, order)
     if not refused:
         # every site of the scalar curvature stencil is off the origin
         sites = np.array(x) + h * _engine.site_lattice(order, True).offsets
@@ -720,7 +751,7 @@ def test_both_ends_lattice_psi_matches_the_term_loop(points, h0, order, curvatur
 
         return fn
 
-    got = _engine.lattice_psi(counting("lattice"), x, h, lattice, False, "custom-general")
+    got = _engine.lattice_psi(counting("lattice"), x, h, lattice, "custom-general")
     want = loop_psi(counting("loop"), x, h, order, curvature)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -809,19 +840,20 @@ def test_quadratic_form_hessian(b, x, h0, order):
 @pytest.mark.parametrize(
     "order, radial, general",
     [
-        (4, (9, 49, 673 + 673), (5088, 96, 5088 + 673)),
-        (2, (7, 25, 169 + 169), (1392, 48, 1392 + 169)),
+        (4, (9, 9, 49 * 9 + 49 * 9), (5088, 96, 5088 + 673)),
+        (2, (7, 7, 25 * 7 + 25 * 7), (1392, 48, 1392 + 169)),
     ],
     ids=["order4", "order2"],
 )
 def test_profile_calls_per_point(order, radial, general):
     # (S, Hessian, derivative of S at a background toward a perturbation)
     # calls per point.  A radial profile is called at 9 or 7 points along
-    # t = log |z|^2 for S and once per distinct stencil site at the point
-    # itself for the rest; a general callable at both ends of every stencil
-    # term for its own S and Hessian, but once per site as a perturbation.
-    # Chunking several points into one pass calls it as often as one call
-    # per point would, across chunk boundaries too
+    # t = log |z|^2 for S and g at a point, and so at each of the 49 or 25
+    # distinct bases of the derivative's 4-D stencil (its last 4 bases
+    # repeat the point, and take its g); a general callable at both
+    # ends of every stencil term for its own S and Hessian, but once per
+    # site as a perturbation.  Chunking several points into one pass calls
+    # it as often as one call per point would, across chunk boundaries too
     calls = []
 
     def profile(u):
@@ -832,9 +864,9 @@ def test_profile_calls_per_point(order, radial, general):
         (cv.custom_radial(profile), radial),
         (cv.custom_general(lambda z1, z2: profile(abs(z1) ** 2 + abs(z2) ** 2)), general),
     )
-    n_g = cv._chunk_points(order, curvature=False) + 1
     for pot, (s_calls, g_calls, d_calls) in pots:
         n_s = cv._chunk_points(order, True, pot.family is not None) + 1
+        n_g = cv._chunk_points(order, False, pot.family is not None) + 1
         plan = cv.SamplePlan(cv.sample_points(1, 4, n_s), order=order)
         calls.clear()
         cv.scalar_curvature(pot, POINTS[0], order=order)
@@ -884,20 +916,23 @@ def test_site_lattice_maps_terms_to_their_sites(order, curvature, distinct):
     order=st.sampled_from((2, 4)),
 )
 def test_custom_radial_matches_custom_general(a, b, r, d, order):
-    # the lattice path and the per-term loop difference the same potential for
-    # the Hessians at x; S, from the profile along t and from the 4-D stencil,
-    # each lies within its measured error of the exact S (worst over a grid of
-    # this domain: 5.0e-9 and 2.4e-6 along t, 3.2e-5 and 7.7e-3 on the stencil,
-    # at orders 4 and 2)
+    # g along t and on the Hessian's stencil, and S along t and on the 4-D
+    # stencil, each lie within their measured error of the exact value, at
+    # orders 4 and 2.  g, worst over 400 draws of this domain, relative to
+    # max(g11, g22): 1.3e-12 and 9.2e-10 along t, 1.1e-6 and 5.4e-4 on the
+    # stencil.  S, worst over a grid: 5.0e-9 and 2.4e-6 along t, 3.2e-5 and
+    # 7.7e-3 on the stencil
     def profile(u):
         return u + a * u * u + b * math.log(u)
 
     radial = cv.custom_radial(profile)
     general = cv.custom_general(lambda z1, z2: profile(abs(z1) ** 2 + abs(z2) ** 2))
     x = r * np.array(d) / np.linalg.norm(d)
-    g_radial = cv.hermitian_hessian(radial, x, order=order)
-    g_general = cv.hermitian_hessian(general, x, order=order)
-    assert np.abs(g_radial - g_general).max() < 1e-9
+    g11, g22, gr, gi = _quadratic_log_metric(a, b, x)
+    g_want = np.array([[g11, complex(gr, gi)], [complex(gr, -gi), g22]])
+    for pot, g_tol in ((radial, _PROFILE_METRIC_TOL[order][0]), (general, {4: 4e-6, 2: 1.6e-3}[order])):
+        g = cv.hermitian_hessian(pot, x, order=order)
+        assert np.abs(g - g_want).max() <= g_tol * max(g11, g22), pot.name
     u = r * r
     f1, f2, f3, f4 = (u + 2.0**j * a * u * u for j in range(1, 5))
     want = _radial_scalar_oracle(f1 + b, f2, f3, f4)
@@ -905,6 +940,71 @@ def test_custom_radial_matches_custom_general(a, b, r, d, order):
     scale = max(1.0, abs(want))
     assert abs(cv.scalar_curvature(radial, x, order=order) - want) <= radial_tol * scale
     assert abs(cv.scalar_curvature(general, x, order=order) - want) <= general_tol * scale
+
+
+def _quadratic_log_metric(a, b, x):
+    """Exact (g11, g22, Re g12, Im g12) of F = u + a u^2 + b log u at x, rounded once.
+
+    g = F' I + F'' conj(z) z^T with F' = 1 + 2 a u + b / u and F'' = 2 a
+    - b / u^2, in exact rationals: a float is a binary rational.
+    """
+    a, b = Fraction(a), Fraction(b)
+    x0, x1, x2, x3 = map(Fraction, x.tolist())
+    u = x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3
+    d1, d2 = 1 + 2 * a * u + b / u, 2 * a - b / (u * u)
+    return tuple(map(float, (
+        d1 + d2 * (x0 * x0 + x1 * x1),
+        d1 + d2 * (x2 * x2 + x3 * x3),
+        d2 * (x0 * x2 + x1 * x3),
+        d2 * (x0 * x3 - x1 * x2),
+    )))
+
+
+# order -> (normwise, diagonal) bound on a custom_radial g taken along t,
+# about 3 times the worst error measured over 3000 draws of the oracle test's
+# domain: 1.4e-12 of max(g11, g22) and 2.7e-12 of a diagonal entry at order
+# 4, 9.4e-10 and 1.9e-9 at order 2 (rounding of f' and f'', and order 2's
+# truncation, at a = 0.2 and r 33-64)
+_PROFILE_METRIC_TOL = {4: (4e-12, 8e-12), 2: (3e-9, 6e-9)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    a=st.floats(0.0, 0.2),
+    b=st.floats(0.0, 1.0),
+    r=st.floats(0.5, 64.0),
+    d=st.lists(_unit, min_size=4, max_size=4).filter(lambda d: np.linalg.norm(d) > 0.1),
+    order=st.sampled_from((2, 4)),
+)
+def test_custom_radial_metric_matches_the_exact_metric(a, b, r, d, order):
+    # lam = f''/u and b = (f' - f'')/u^2 from the 9 (7) t-sites, with no
+    # 4-D stencil; g is what metric_deviations reads, entry by entry
+    x = r * np.array(d) / np.linalg.norm(d)
+    pot = cv.custom_radial(lambda u: u + a * u * u + b * math.log(u))
+    g = cv.hermitian_hessian(pot, x, order=order)
+    got = (g[0, 0].real, g[1, 1].real, g[0, 1].real, g[0, 1].imag)
+    want = _quadratic_log_metric(a, b, x)
+    normwise, diagonal = _PROFILE_METRIC_TOL[order]
+    assert max(abs(p - q) for p, q in zip(got, want)) <= normwise * max(want[:2]), (got, want)
+    for p, q in zip(got[:2], want[:2]):
+        assert abs(p - q) <= diagonal * q, (got, want)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("kind", ["flat", "eguchi-hanson", "burns", "custom-radial"])
+def test_radial_deviations_match_single_hessians_bit_for_bit(kind, order):
+    # a plan of three chunks: whole columns over the first two, the row loop
+    # of t_derivatives over the 3-point tail; each point's own Hessian takes
+    # the row loop.  g is assembled from whole columns either way
+    pot = _KINDS[kind]
+    size = cv._chunk_points(order, False, along_t=True)
+    pts = _random_points(20160517, 2 * size + 3)
+    dev = cv.metric_deviations(pot, pts, order=order)
+    single = []
+    for x in pts:
+        g = cv.hermitian_hessian(pot, x, order=order)
+        single.append(max(abs(g[0, 0].real - 1.0), abs(g[1, 1].real - 1.0), abs(g[0, 1].real), abs(g[0, 1].imag)))
+    assert dev.tobytes() == np.array(single).tobytes()
 
 
 def _unitary(theta, phi1, phi2, alpha):

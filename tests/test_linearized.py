@@ -149,7 +149,7 @@ def _both_ends_derivative(loop_psi, background, f, x, h0, order, t=1e-3):
     x = np.array([x])
     h = _engine.step(x, h0)
     with np.errstate(all="ignore"):
-        g = cv._stencil_metric(background, x, h, order)
+        g = cv._stencil_metric(background, x, h, h0, order, distinct=False)
         shift = _engine.hessian(loop_psi(f, x, h, order, curvature=True), h, order)
         shift *= t
         s_plus, s_minus = _engine.scalar_curvature(np.concatenate((g + shift, g - shift)), h, order)
