@@ -30,8 +30,8 @@ sites x + h o of a site lattice and differences psi from those values
 through the lattice's index arrays.  Lattices come in two forms:
 
   distinct: each site once (49 per Hessian and 673 per 4-D scalar
-    curvature at order 4, 25 and 169 at order 2), for a perturbation
-    of a scalar curvature derivative;
+    curvature at order 4, 25 and 169 at order 2), for both metrics of a
+    scalar curvature derivative;
   not distinct: both ends of every term, duplicates included, 2 B K
     sites (96 per Hessian and 5088 per scalar curvature at order 4, 48
     and 1392 at order 2), for a custom_general potential's own S and
@@ -72,8 +72,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-FLAT = 0
 EGUCHI_HANSON = 1
+# flat is Burns with m = 0
 BURNS = 2
 # custom potential F(|z|^2): g and S along t = log |z|^2
 RADIAL = 3
@@ -189,16 +189,11 @@ def site_lattice(order: int, curvature: bool, distinct: bool = True) -> SiteLatt
 _ROW_LOOP_POINTS = 5
 
 
-def radii(x) -> list[float]:
-    """|x| of every point (row) of x, as Python floats."""
-    return [math.sqrt(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3) for x0, x1, x2, x3 in x.tolist()]
-
-
 def norms(x) -> np.ndarray:
-    """radii(x) as an array, from whole columns.
+    """|x| of every point (row) of x, from whole columns.
 
-    The squares are added left to right, as radii adds them, so the two
-    give the same bits.
+    The squares are added left to right, as a Python-float sum x0 * x0 +
+    x1 * x1 + x2 * x2 + x3 * x3 adds them, so the two give the same bits.
     """
     y = x * x
     return np.sqrt(y[:, 0] + y[:, 1] + y[:, 2] + y[:, 3])
@@ -209,21 +204,17 @@ def step(x, h0: float) -> np.ndarray:
 
     Shaped (n, 1, 1), so that it broadcasts over (points, bases, steps).
     """
-    # scalar arithmetic per point: a single-point call then pays for one
-    # numpy call instead of six
-    return np.array([h0 * (1.0 + r) for r in radii(x)])[:, None, None]
+    return (h0 * (1.0 + norms(x)))[:, None, None]
 
 
 def builtin_potential(family, par, x0, x1, x2, x3):
     # u = |z|^2 in real coordinates (x0, x1, x2, x3) = (Re z1, Im z1, Re z2, Im z2)
     u = x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3
-    if family == FLAT:
-        return u
     if family == EGUCHI_HANSON:
         a2 = par * par
         w = math.sqrt(a2 * a2 + u * u)
         return w + a2 * math.log(u) - a2 * math.log(a2 + w)
-    # Burns: flat plus a logarithmic term of weight par
+    # Burns, and flat as Burns with par = 0: u plus a logarithmic term of weight par
     return u + par * math.log(u)
 
 

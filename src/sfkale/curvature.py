@@ -24,14 +24,13 @@ and 1137 or 1462 radial points, one term per t-site.  A single-point
 call is a stack of one row.  Along t, a few rows are summed over Python
 floats, with the same operations in the same order as on a chunk's
 whole columns; elsewhere one row takes the chunk's numpy code.  So no
-value depends on which chunk its point fell in.  The single-point
-entries refuse a point whose stencil could reach the origin, where no
-potential is defined: one within 4 sqrt(2) h of it at order 4, 2
-sqrt(2) h at order 2, custom_radial's Hessian included; a built-in's
-Hessian, closed form with no stencil, refuses only the origin.
-SamplePlan keeps a plan's points 10h away.  numpy's float warnings are
-off for the whole of each public call, a custom potential's included:
-the points they would flag come back NaN and count as degenerate.
+value depends on which chunk its point fell in.  Every entry, plans
+and deviations included, refuses a point off C^2 minus the origin by
+_domain's rule for what it evaluates, with a ValueError naming the
+point, or its index in a stack, and its radius.  numpy's float warnings
+are off for the whole of each public call, a custom potential's
+included: the points they would flag come back NaN and count as
+degenerate.
 """
 
 from __future__ import annotations
@@ -64,9 +63,9 @@ class Potential:
     custom_general potentials (family None) carry the user's fn(z1, z2)
     -> Phi itself, called on a site lattice: for its own S and Hessian
     at both ends of every stencil term, 5088 and 96 calls at order 4,
-    1392 and 48 at order 2; as the perturbation of
-    scalar_curvature_derivative once per distinct site, 673 calls per
-    side at order 4, 169 at order 2.  Either kind's values go through
+    1392 and 48 at order 2; as the background or the perturbation of
+    scalar_curvature_derivative once per distinct site, 673 calls each
+    at order 4, 169 at order 2.  Either kind's values go through
     one map per engine pass, and a value that is not a real number
     raises TypeError naming the potential and the site.  Use the module
     constructors (flat, eguchi_hanson, burns, custom_radial,
@@ -91,7 +90,7 @@ class Potential:
 
 def flat() -> Potential:
     """Euclidean potential |z1|^2 + |z2|^2."""
-    return Potential(name="flat", family=_engine.FLAT, parameter=0.0)
+    return Potential(name="flat", family=_engine.BURNS, parameter=0.0)
 
 
 def eguchi_hanson(a: float = 1.0) -> Potential:
@@ -169,10 +168,10 @@ def _radial(potential: Potential, x, h0: float, order: int, curvature: bool) -> 
     return _engine.radial_metric(values, x, h0, order)
 
 
-def _stencil_metric(potential: Potential, x, h, h0: float, order: int, distinct: bool):
+def _stencil_metric(potential: Potential, x, h, h0: float, order: int):
     """g (n, B, 4) at each base of the 4-D stencils around x: radial as at a point, else by psi."""
     if potential.family is None:
-        return _engine.hessian(_psi(potential, x, h, order, True, distinct), h, order)
+        return _engine.hessian(_psi(potential, x, h, order, True, distinct=True), h, order)
     stencil = _engine.STENCILS[order]
     # the bases past the center and its steps repeat the center: g is taken once there
     bases = x[:, None, :] + h * stencil.bases[: len(stencil.steps) + 1]
@@ -235,49 +234,47 @@ def _coords(z) -> tuple[float, float, float, float]:
 _REACH = {2: 2.0 * math.sqrt(2.0), 4: 4.0 * math.sqrt(2.0)}
 
 
-def _point(z, h0: float, order: int) -> np.ndarray:
-    """z as a one-row (1, 4) stack for the single-point entries, off the stencil's reach.
+def _domain(potential: Optional[Potential], r, h0: float, order: int, curvature: bool):
+    """(refused, where): which points at radius r an entry refuses, and where they lie.
 
-    Every potential lives on C^2 minus the origin, and a stencil that
-    reaches it gives a wrong metric with no error (Burns' g11 at
-    (1e-3, 0), h = 0.01, came out 5.6e4 against an exact 1).  So a
-    point within _REACH[order] steps h = h0 (1 + |z|) of the origin,
-    where a stencil site could land on it, is a wrong argument, not a
-    degenerate metric, and raises ValueError naming the point and its
-    radius; the origin itself is one such point.  SamplePlan keeps a
-    plan's points 10h away; that margin would refuse points that single
-    calls use, such as |z| = 1.29 at h0 = 0.08, 7.0h from the origin, in
-    the order-2 convergence ladder.  A custom_radial Hessian keeps this
-    rule: near the origin its profile's rounding swamps f''.
+    No potential is defined at the origin.  Elementwise on r, a Python
+    float for one point or a column for a stack.  The rule follows from
+    what the entry evaluates, S (curvature) or g:
+
+      closed-form rule, for a built-in's g, which takes no stencil and
+        divides by |z|^4: a point whose |z|^4 underflows is refused;
+      stencil rule, for every S (a plan's, whatever the potential, which
+        is then None), a custom potential's g and the derivative: a
+        stencil that reaches the origin gives a wrong value with no error
+        (Burns' g11 on the 4-D stencil at (1e-3, 0), h = 0.01, read 5.6e4
+        against an exact 1), so a point within _REACH[order] steps h = h0
+        (1 + r) of it, where a site could land, is refused.  A
+        custom_radial g takes no 4-D stencil but keeps this rule: near
+        the origin its profile's rounding swamps f''.
     """
+    if curvature or potential.fn is not None:
+        return r <= _REACH[order] * h0 * (1.0 + r), f"within the order-{order} stencil's reach of"
+    u = r * r
+    return u * u < sys.float_info.min, "at"
+
+
+_OFF_DOMAIN = "{} at radius {:.4g} lies {} the origin of C^2, where no potential is defined"
+
+
+def _point(potential: Potential, z, h0: float, order: int, curvature: bool) -> np.ndarray:
+    """z as a one-row (1, 4) stack for a single-point entry; _domain's refusal names z."""
     x = _coords(z)
     x0, x1, x2, x3 = x
     r = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3)
-    reach = _REACH[order] * h0 * (1.0 + r)
-    if r <= reach:
-        raise ValueError(
-            f"point {z!r} at radius {r:.4g} lies within the order-{order} stencil's reach"
-            f" {reach:.4g} of the origin of C^2, where no potential is defined"
-        )
+    refused, where = _domain(potential, r, h0, order, curvature)
+    if refused:
+        raise ValueError(_OFF_DOMAIN.format(f"point {z!r}", r, where))
     return np.array([x])
 
 
-def _closed_form_point(z) -> np.ndarray:
-    """z as a one-row (1, 4) stack for a built-in's Hessian, closed form with no stencil.
-
-    Only the origin is refused, to float precision: a point whose |z|^4,
-    which g divides by, underflows.
-    """
-    x = _coords(z)
-    x0, x1, x2, x3 = x
-    u = x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3
-    if u * u < sys.float_info.min:
-        raise ValueError(f"point {z!r} at radius {math.sqrt(u):.4g} lies at the origin of C^2,"
-                         " where no potential is defined")
-    return np.array([x])
-
-
-def _coords_array(points) -> np.ndarray:
+def _points(potential: Optional[Potential], points, h0: float, order: int,
+            curvature: bool) -> np.ndarray:
+    """points, (n, 2) complex or (n, 4) real, as an (n, 4) stack; a refusal names the index."""
     arr = np.asarray(points)
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise ValueError("expected a nonempty 2d array of sample points")
@@ -294,6 +291,12 @@ def _coords_array(points) -> np.ndarray:
     finite = np.isfinite(out).all(axis=1)
     if not finite.all():
         raise ValueError(f"sample point {int(np.argmin(finite))} has a non-finite coordinate")
+    r = _engine.norms(out)
+    refused, where = _domain(potential, r, h0, order, curvature)
+    # the first refused point, or point 0 if none is
+    i = int(refused.argmax())
+    if refused[i]:
+        raise ValueError(_OFF_DOMAIN.format(f"sample point {i}", r[i], where))
     return out
 
 
@@ -301,9 +304,10 @@ def _coords_array(points) -> np.ndarray:
 class SamplePlan:
     """Where and how finely to sample a potential.
 
-    points: (n, 4) real coordinates, or anything _coords_array accepts;
+    points: (n, 2) complex or (n, 4) real coordinates;
     h0: base stencil step, scaled per point to h = h0 * (1 + |z|);
     order: stencil order, 2 or 4.
+    A plan refuses, naming its index, a point that scalar_curvature refuses.
     """
 
     points: np.ndarray
@@ -311,26 +315,13 @@ class SamplePlan:
     order: int = 4
 
     def __post_init__(self):
-        pts = _coords_array(self.points)
-        object.__setattr__(self, "points", pts)
         _check_stencil(self.h0, self.order)
-        if 10.0 * self.h0 >= 1.0:
-            # r >= 10 h0 (1 + r) has no solution r then
-            raise ValueError(f"h0 = {self.h0} leaves no sample point 10h from the origin")
-        r = np.sqrt((pts * pts).sum(axis=1))
-        # the double stencil reaches 4 sqrt(2) h at order 4 and 2 sqrt(2) h at
-        # order 2 (site_lattice's largest offset); 10h keeps a margin from the origin
-        too_close = r < 10.0 * self.h0 * (1.0 + r)
-        if too_close.any():
-            i = int(np.argmax(too_close))
-            raise ValueError(
-                f"sample point {i} at radius {r[i]:.4g} sits within 10h of the origin"
-            )
+        points = _points(None, self.points, self.h0, self.order, curvature=True)
+        object.__setattr__(self, "points", points)
 
     @property
     def radii(self) -> np.ndarray:
-        pts = self.points
-        return np.sqrt((pts * pts).sum(axis=1))
+        return _engine.norms(self.points)
 
 
 # unit directions cycled through by sample_points; first two lie on the
@@ -396,7 +387,7 @@ def hermitian_hessian(potential: Potential, z, h0: float = 1e-2, order: int = 4)
     positive definite.
     """
     _check_stencil(h0, order)
-    x = _closed_form_point(z) if potential.fn is None else _point(z, h0, order)
+    x = _point(potential, z, h0, order, curvature=False)
     g11, g22, gr, gi = _evaluate(potential, x, h0, order, curvature=False)[0].tolist()
     det = g11 * g22 - gr * gr - gi * gi
     if not (math.isfinite(det) and det > 0.0 and g11 > 0.0 and g22 > 0.0):
@@ -409,7 +400,7 @@ def hermitian_hessian(potential: Potential, z, h0: float = 1e-2, order: int = 4)
 def scalar_curvature(potential: Potential, z, h0: float = 1e-2, order: int = 4) -> float:
     """Scalar curvature S = -2 tr(g^-1 Hess log det g) at z."""
     _check_stencil(h0, order)
-    x = _point(z, h0, order)
+    x = _point(potential, z, h0, order, curvature=True)
     s = float(_evaluate(potential, x, h0, order, curvature=True)[0])
     if math.isnan(s):
         raise DegenerateMetricError(
@@ -419,9 +410,10 @@ def scalar_curvature(potential: Potential, z, h0: float = 1e-2, order: int = 4) 
 
 
 def metric_deviations(potential: Potential, points, h0: float = 1e-2, order: int = 4) -> np.ndarray:
-    """Max entrywise |g - I| at each point."""
+    """Max entrywise |g - I| at each point, refusing by index what hermitian_hessian refuses."""
     _check_stencil(h0, order)
-    g = _evaluate(potential, _coords_array(points), h0, order, curvature=False)
+    x = _points(potential, points, h0, order, curvature=False)
+    g = _evaluate(potential, x, h0, order, curvature=False)
     return np.max(np.abs(g - np.array([1.0, 1.0, 0.0, 0.0])), axis=1)
 
 
@@ -480,10 +472,10 @@ def scalar_curvature_derivative(
     or 29 (order 2) bases.  A radial potential's g there, background or
     perturbation, is taken as at a point at the 49 or 25 distinct bases:
     closed form for a built-in, along t for custom_radial (49 x 9 or 25
-    x 7 calls).  A callable perturbation, plain or custom_general, is
-    called once at each of the 673 or 169 distinct sites of the stencil,
-    and both sides share its values; a custom_general background at both
-    ends of every term (5088 or 1392 sites), as for its own S.  The S of
+    x 7 calls).  A callable, a plain perturbation or a custom_general
+    background or perturbation, is called once at each of the 673 or
+    169 distinct sites of the stencil, and both sides share its values.
+    The point is refused as scalar_curvature refuses it.  The S of
     a background here may differ from scalar_curvature's, which is taken
     along t = log |z|^2, by the outer stencil's error on log det g: for
     Burns (m = 1) about 5e-7 at radii 1-8 and 2e-5 at 0.5-1 at order 4
@@ -497,13 +489,13 @@ def scalar_curvature_derivative(
         raise ValueError(f"perturbation scale t must be finite and positive, got {t}")
     if not isinstance(perturbation, Potential):
         perturbation = custom_general(perturbation)
-    x = _point(z, h0, order)
+    x = _point(background, z, h0, order, curvature=True)
     h = _engine.step(x, h0)
-    # both metrics at every base of the stencil; a callable perturbation is
-    # called once per site, and its g enters scaled by t
+    # both metrics at every base of the stencil, a callable called once per
+    # site; the perturbation's g enters scaled by t
     with np.errstate(all="ignore"):
-        g = _stencil_metric(background, x, h, h0, order, distinct=False)
-        shift = _stencil_metric(perturbation, x, h, h0, order, distinct=True)
+        g = _stencil_metric(background, x, h, h0, order)
+        shift = _stencil_metric(perturbation, x, h, h0, order)
         shift *= t
         # both sides in one stack of two points
         both = np.concatenate((g + shift, g - shift))
@@ -524,7 +516,8 @@ def decay_order(potential: Potential, radii, h0: float = 1e-2, order: int = 4) -
     (InsufficientDecadeError otherwise).  Deviations are measured along
     the ray z = (r, 0) only, which stands for every direction when the
     potential is radial: the built-ins and custom_radial are accepted,
-    a custom_general potential raises ValueError.
+    a custom_general potential raises ValueError.  A radius that
+    metric_deviations refuses raises ValueError naming its index.
     """
     _check_stencil(h0, order)
     if potential.family is None:

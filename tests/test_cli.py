@@ -402,11 +402,16 @@ def test_parameter_flag_of_another_potential_is_named(capsys):
         assert payload["parameter"] == 1.0
 
 
-def test_h0_that_leaves_no_sample_room_exits_1(capsys):
-    code, _, err = run(capsys, "verify-metric", "--potential", "flat", "--h0", "0.1",
-                       "--rmin", "2", "--rmax", "50", "--samples", "4")
-    assert code == 1
-    assert "h0 = 0.1" in err
+def test_plan_point_within_the_stencils_reach_exits_1(capsys):
+    # at h0 = 0.1 the order-4 reach is 0.566 (1 + r): radius 0.5 lies inside
+    # it, and radius 2, which a single scalar_curvature takes, outside it
+    code, out, err = run(capsys, "verify-metric", "--potential", "flat", "--h0", "0.1",
+                         "--rmin", "0.5", "--rmax", "50", "--samples", "4")
+    assert (code, out) == (1, "")
+    assert "sample point 0 at radius 0.5 lies within the order-4 stencil's reach" in err
+    code, _, _ = run(capsys, "verify-metric", "--potential", "flat", "--h0", "0.1",
+                     "--rmin", "2", "--rmax", "50", "--samples", "4")
+    assert code == 0
 
 
 def test_eguchi_hanson_a_whose_a4_overflows_exits_1(capsys):

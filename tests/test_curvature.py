@@ -310,20 +310,11 @@ def test_sample_plan_validation():
     for bad in (dict(h0=0.0), dict(h0=0.2), dict(order=3)):
         with pytest.raises(ValueError):
             cv.SamplePlan(pts, **bad)
-    with pytest.raises(ValueError):
-        cv.SamplePlan(np.array([[0.05, 0, 0, 0]]))  # too close to the origin
+    # inside the order-4 reach, 0.059, as a single S would be
+    with pytest.raises(ValueError, match="sample point 0 at radius 0.05 lies within the order-4"):
+        cv.SamplePlan(np.array([[0.05, 0, 0, 0]]))
     plan = cv.SamplePlan(pts, h0=0.05, order=2)
     assert np.allclose(plan.radii, np.geomspace(1, 4, 4))
-
-
-def test_sample_plan_rejects_an_h0_that_leaves_no_room():
-    # r >= 10 h0 (1 + r) needs 10 h0 < 1; at h0 = 0.1 no radius, however
-    # large, passes, so the step is named rather than the first point
-    for radius in (2.0, 1e12):
-        with pytest.raises(ValueError, match="h0 = 0.1 leaves no sample point"):
-            cv.SamplePlan(np.array([[radius, 0.0, 0.0, 0.0]]), h0=0.1)
-    # just below it, a point far enough out is accepted
-    assert cv.SamplePlan(np.array([[100.0, 0.0, 0.0, 0.0]]), h0=0.099).radii[0] == 100.0
 
 
 def test_potential_constructors():
@@ -525,28 +516,43 @@ def test_single_point_reach_is_the_stencils_farthest_site(order):
     assert cv._REACH[order] == np.sqrt((offsets * offsets).sum(axis=1)).max()
 
 
+def _refuses(entry):
+    # True when entry refuses its point as off the domain; any other
+    # ValueError (a profile's own math domain error at the origin) fails
+    try:
+        entry()
+    except ValueError as exc:
+        assert "the origin of C^2, where no potential is defined" in str(exc), exc
+        return True
+    return False
+
+
 @settings(max_examples=200, deadline=None)
-@given(r=st.floats(0.0, 2.0), h0=st.floats(1e-3, 0.099), axis=st.integers(0, 3),
+@given(r=st.floats(0.0, 2.0), h0=st.floats(1e-3, 0.1), axis=st.integers(0, 3),
        order=st.sampled_from((2, 4)))
 def test_single_point_is_refused_exactly_when_a_site_could_reach_the_origin(r, h0, axis, order):
     x = [0.0] * 4
     x[axis] = r
     h = h0 * (1.0 + r)
-    refused = r <= cv._REACH[order] * h
-    for entry in _single_point_entries(x, h0, order)[:3]:
-        try:
-            entry()
-            assert not refused, (r, h0, order)
-        except ValueError:
-            assert refused, (r, h0, order)
-    # a built-in's Hessian takes no stencil, and refuses only the origin to
-    # float precision: a point whose |z|^4, which its g divides by, underflows
-    try:
+    refused = r <= cv._REACH[order] * h0 * (1.0 + r)
+    # the stencil rule: a plan and a custom potential's deviations refuse
+    # exactly the points a single S refuses
+    stencil_rule = _single_point_entries(x, h0, order)[:3] + (
+        lambda: cv.SamplePlan([x], h0=h0, order=order),
+        lambda: cv.metric_deviations(_KINDS["custom-radial"], [x], h0=h0, order=order),
+        lambda: cv.metric_deviations(cv.custom_general(FL), [x], h0=h0, order=order),
+    )
+    for entry in stencil_rule:
+        assert _refuses(entry) == refused, (r, h0, order)
+    # the closed-form rule: a built-in's g takes no stencil, and its Hessian
+    # and deviations refuse only the origin to float precision, a point
+    # whose |z|^4, which g divides by, underflows
+    closed = (r * r) ** 2 < sys.float_info.min
+    assert _refuses(lambda: cv.metric_deviations(BU, [x], h0=h0, order=order)) == closed, r
+    assert _refuses(lambda: cv.hermitian_hessian(BU, x, h0=h0, order=order)) == closed, r
+    if not closed:
         exact = cv.hermitian_hessian(BU, x, h0=h0, order=order)
         assert exact[0, 0].real > 0.0
-        assert (r * r) ** 2 >= sys.float_info.min, r
-    except ValueError:
-        assert (r * r) ** 2 < sys.float_info.min, r
     if not refused:
         # past the reach the profile's g (u + log u is Burns') holds each
         # diagonal entry within 2e-4 of its own size: the worst measured was
@@ -555,16 +561,31 @@ def test_single_point_is_refused_exactly_when_a_site_could_reach_the_origin(r, h
         g = cv.hermitian_hessian(cv.custom_radial(lambda u: u + math.log(u)), x, h0=h0, order=order)
         for j in range(2):
             assert abs(g[j, j].real - exact[j, j].real) <= 2e-4 * exact[j, j].real, (r, h0, order)
-    if not refused:
         # every site of the scalar curvature stencil is off the origin
         sites = np.array(x) + h * _engine.site_lattice(order, True).offsets
         assert (np.abs(sites).max(axis=1) > 0).all()
-    # a plan's 10h margin is the wider one: what it takes, a single call takes
-    try:
-        cv.SamplePlan([x], h0=h0, order=order)
-        assert not refused
-    except ValueError:
-        pass
+
+
+@pytest.mark.parametrize("pot", [BU, cv.custom_radial(lambda u: u + math.log(u))],
+                         ids=["burns", "custom-radial"])
+def test_metric_deviations_refuse_the_origin_naming_its_index(pot):
+    # Burns' deviations read NaN there with no error, and the profile raised
+    # its own math domain error
+    with pytest.raises(ValueError, match=r"sample point 0 at radius 0 lies .*the origin of C\^2"):
+        cv.metric_deviations(pot, [[0, 0, 0, 0], [1e-100, 0, 0, 0]])
+    with pytest.raises(ValueError, match=r"sample point 1 at radius 1e-100 lies .*the origin of C\^2"):
+        cv.metric_deviations(pot, [(2.0, 0.5j), (1e-100, 0)])
+
+
+def test_decay_order_refuses_a_custom_radial_radius_within_the_reach():
+    # 0.05 lies inside the order-4 reach 4 sqrt(2) 0.01 (1 + 0.05) = 0.059
+    radii = np.geomspace(0.05, 64, 10)
+    pot = cv.custom_radial(lambda u: u + math.log(u))
+    with pytest.raises(ValueError, match="sample point 0 at radius 0.05 lies within the order-4"):
+        cv.decay_order(pot, radii)
+    # a built-in's g is closed form, so Burns fits from the same radii
+    assert cv.decay_order(BU, radii).radii.shape == (10,)
+    assert cv.decay_order(pot, radii[1:]).radii.shape == (9,)
 
 
 # ----------------------------------------------------------- weighted norms
@@ -840,8 +861,8 @@ def test_quadratic_form_hessian(b, x, h0, order):
 @pytest.mark.parametrize(
     "order, radial, general",
     [
-        (4, (9, 9, 49 * 9 + 49 * 9), (5088, 96, 5088 + 673)),
-        (2, (7, 7, 25 * 7 + 25 * 7), (1392, 48, 1392 + 169)),
+        (4, (9, 9, 49 * 9 + 49 * 9), (5088, 96, 673 + 673)),
+        (2, (7, 7, 25 * 7 + 25 * 7), (1392, 48, 169 + 169)),
     ],
     ids=["order4", "order2"],
 )
@@ -852,8 +873,9 @@ def test_profile_calls_per_point(order, radial, general):
     # distinct bases of the derivative's 4-D stencil (its last 4 bases
     # repeat the point, and take its g); a general callable at both
     # ends of every stencil term for its own S and Hessian, but once per
-    # site as a perturbation.  Chunking several points into one pass calls
-    # it as often as one call per point would, across chunk boundaries too
+    # site in the derivative, as background and as perturbation.  Chunking
+    # several points into one pass calls it as often as one call per point
+    # would, across chunk boundaries too
     calls = []
 
     def profile(u):
@@ -1050,7 +1072,7 @@ def test_radial_scalar_curvature_is_unitary_invariant(r, d, angles, order):
     n_calls = len(calls)
     s_u = cv.scalar_curvature(pot, ux, order=order)
     assert n_calls == len(calls) - n_calls == len(_engine._T_WEIGHTS[order][0][0])
-    (r_x, r_u) = _engine.radii(np.array([x, ux]))
+    (r_x, r_u) = _engine.norms(np.array([x, ux])).tolist()
     if r_x == r_u:
         assert s_u == s
     else:
@@ -1100,7 +1122,7 @@ def test_builtin_scalar_curvature_along_t_depends_on_the_computed_radius(pot, d,
     # points have the same computed radius, and their S is the same double
     x0, x1, x2, x3 = d
     x, y = np.array([d, [-x1, x0, -x2, -x3]])
-    (r_x, r_y) = _engine.radii(np.array([x, y]))
+    (r_x, r_y) = _engine.norms(np.array([x, y])).tolist()
     assert r_x == r_y
     assert cv.scalar_curvature(pot, x, order=order) == cv.scalar_curvature(pot, y, order=order)
 

@@ -30,7 +30,8 @@ PHI = {
     "burns": _U + PAR * sp.log(_U),
     "eguchi-hanson": _W + PAR**2 * sp.log(_U) - PAR**2 * sp.log(PAR**2 + _W),
 }
-FAMILY = {"flat": _engine.FLAT, "burns": _engine.BURNS, "eguchi-hanson": _engine.EGUCHI_HANSON}
+# flat is Burns with m = 0
+FAMILY = {"flat": _engine.BURNS, "burns": _engine.BURNS, "eguchi-hanson": _engine.EGUCHI_HANSON}
 
 # max |closed form - exact| over max(g11, g22), and the relative error of
 # each diagonal entry, measured at most 4.9e-16 over 400 random draws

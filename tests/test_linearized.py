@@ -145,11 +145,15 @@ def test_nonpositive_scale_rejected():
 
 
 def _both_ends_derivative(loop_psi, background, f, x, h0, order, t=1e-3):
-    """The derivative with f called at both ends of every stencil term, by the term loop."""
+    """The derivative with f, and a custom_general background, called at both ends of every
+    stencil term, by the term loop."""
     x = np.array([x])
     h = _engine.step(x, h0)
     with np.errstate(all="ignore"):
-        g = cv._stencil_metric(background, x, h, h0, order, distinct=False)
+        if background.family is None:
+            g = _engine.hessian(loop_psi(background.fn, x, h, order, curvature=True), h, order)
+        else:
+            g = cv._stencil_metric(background, x, h, h0, order)
         shift = _engine.hessian(loop_psi(f, x, h, order, curvature=True), h, order)
         shift *= t
         s_plus, s_minus = _engine.scalar_curvature(np.concatenate((g + shift, g - shift)), h, order)
@@ -165,6 +169,7 @@ _BACKGROUNDS = {
     "flat": lambda p: cv.flat(),
     "eguchi-hanson": cv.eguchi_hanson,
     "burns": cv.burns,
+    "custom-general": lambda p: cv.custom_general(cv.burns(p)),
 }
 
 
@@ -182,7 +187,8 @@ def test_callable_perturbation_is_called_once_per_site(
     background, parameter, r, d, order, loop_psi
 ):
     # the site lattice and the term loop both take each term's value at its
-    # site x + h o, so one call per site gives the same quotient as two per term
+    # site x + h o, so one call per site, of the perturbation and of a
+    # custom_general background, gives the same quotient as two per term
     pot = _BACKGROUNDS[background](parameter)
     x = r * np.array(d) / np.linalg.norm(d)
     calls = collections.Counter()
