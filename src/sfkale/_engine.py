@@ -44,9 +44,9 @@ built-ins in closed form (builtin_along_t), whose terms e^t and c t
 enter f's derivatives exactly and whose rest is differenced without
 cancelling; flat is Burns with m = 0, all exact.  radial_scalar takes S
 from all four, radial_metric g from f' and f''.  Each derivative is one
-compensated sum (_sum2), over whole columns of a stack of points, or
-over each row's Python floats when a chunk holds only a few rows; both
-take the same IEEE operations, so they give the same bits.
+compensated sum (_sum2).  These and S's final contraction are kernels,
+written once: rows_or_columns runs them on a few rows' Python floats or
+on whole columns, with the same IEEE operations, so to the same bits.
 
 Every function works on a stack of n points at once.  The scalar
 curvature stencil around a point x has the bases x + h b, b in
@@ -68,6 +68,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -77,6 +78,7 @@ EGUCHI_HANSON = 1
 BURNS = 2
 # custom potential F(|z|^2): g and S along t = log |z|^2
 RADIAL = 3
+OFF_DOMAIN = "{} at radius {:.4g} lies {} the origin of C^2, where no potential is defined"
 
 # one-axis second derivative: offset -> weight (times 1/h^2); symmetric,
 # so the table takes the offsets k >= 0 and mirrors them
@@ -184,11 +186,6 @@ def site_lattice(order: int, curvature: bool, distinct: bool = True) -> SiteLatt
     return SiteLattice(np.asfortranarray(offsets), index[0], index[1])
 
 
-# below this many points (rows) t_derivatives takes Python floats, whose
-# operations cost less than numpy's per-call overhead on a few rows
-_ROW_LOOP_POINTS = 5
-
-
 def norms(x) -> np.ndarray:
     """|x| of every point (row) of x, from whole columns.
 
@@ -207,9 +204,39 @@ def step(x, h0: float) -> np.ndarray:
     return (h0 * (1.0 + norms(x)))[:, None, None]
 
 
+# rows below which Python floats cost less than numpy columns, along t and for g
+_ROWS, _G_ROWS = 6, 13
+
+
+def rows_or_columns(kernel, *arrays, below=_ROWS) -> np.ndarray:
+    """kernel over the rows of arrays (n, ...): on each row's Python floats, or on whole columns.
+
+    Below `below` rows kernel(math, *row) runs per row, each array's row
+    a float or a list of floats; else kernel(np, *columns) runs once on
+    the arrays transposed, to the same bits.  A division by zero, which
+    numpy turns into inf or NaN, sends the rows to the columns.
+    """
+    if len(arrays[0]) < below:
+        try:
+            return np.array(list(map(kernel, repeat(math), *map(np.ndarray.tolist, arrays))))
+        except ZeroDivisionError:
+            pass
+    return np.asarray(kernel(np, *(a.T for a in arrays))).T
+
+
+def where(xp, ok, fn, *args):
+    """fn(*args) where ok, else NaN: on columns, or on a row's floats, where fn runs only if ok."""
+    if xp is math:
+        return fn(*args) if ok else math.nan
+    return np.where(ok, fn(*args), np.nan)
+
+
 def builtin_potential(family, par, x0, x1, x2, x3):
-    # u = |z|^2 in real coordinates (x0, x1, x2, x3) = (Re z1, Im z1, Re z2, Im z2)
+    """Phi of a built-in potential at x; ValueError where |z|^2 is 0, or underflows to 0."""
     u = x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3
+    if u == 0.0:
+        point = f"point ({complex(x0, x1)}, {complex(x2, x3)})"
+        raise ValueError(OFF_DOMAIN.format(point, math.hypot(x0, x1, x2, x3), "at"))
     if family == EGUCHI_HANSON:
         a2 = par * par
         w = math.sqrt(a2 * a2 + u * u)
@@ -218,45 +245,39 @@ def builtin_potential(family, par, x0, x1, x2, x3):
     return u + par * math.log(u)
 
 
-def metric(x, eigen) -> np.ndarray:
-    """(g11, g22, Re g12, Im g12) of a radial potential F(u) at every point of x (..., 4).
+def metric(xp, x, eigen, *args):
+    """(g11, g22, Re g12, Im g12) of a radial potential F(u) at a point x; a kernel.
 
     g = F' I + F'' conj(z) z^T is lam + b |z2|^2, lam + b |z1|^2 and -b
-    conj(z1) z2, where eigen(u), elementwise on u = |z|^2 shaped (..., 1),
-    gives g's eigenvalue along conj(z), lam = F' + u F'', and b = -F''.
+    conj(z1) z2, where eigen(xp, u, *args) gives g's eigenvalue along
+    conj(z), lam = F' + u F'', and b = -F'' at u = |z|^2.
     """
-    y = x * x
-    minus = -x[..., 2:]
-    # (|z2|^2, |z1|^2, -Re, -Im of conj(z1) z2), then scaled by b
-    g = np.empty(x.shape)
-    np.add(y[..., 2], y[..., 3], out=g[..., 0])
-    np.add(y[..., 0], y[..., 1], out=g[..., 1])
-    c = x[..., :2] * minus
-    np.add(c[..., 0], c[..., 1], out=g[..., 2])
-    c = x[..., :2] * minus[..., ::-1]
-    np.subtract(c[..., 0], c[..., 1], out=g[..., 3])
-    lam, b = eigen(g[..., :1] + g[..., 1:2])
-    g *= b
-    g[..., :2] += lam
-    return g
+    x0, x1, x2, x3 = x
+    s1, s2 = x0 * x0 + x1 * x1, x2 * x2 + x3 * x3
+    lam, b = eigen(xp, s2 + s1, *args)
+    return s2 * b + lam, s1 * b + lam, (x0 * -x2 + x1 * -x3) * b, (x0 * -x3 - x1 * -x2) * b
+
+
+def builtin_eigen(xp, u, family, par):
+    if family != EGUCHI_HANSON:
+        return 1.0, par / (u * u)
+    a2 = par * par
+    a4 = a2 * a2
+    w = xp.sqrt(a4 + u * u)
+    return u / w, a4 / (w * u * u)
 
 
 def builtin_metric(family, par, x) -> np.ndarray:
-    """metric of a built-in potential in closed form, where no term cancels: lam > 0, b >= 0.
+    """metric of a built-in potential at each point (row) of x, or at the point x, in closed form.
 
     Burns, F = u + m log u, has lam = 1 and b = m / u^2, and flat is Burns
     with m = 0; Eguchi-Hanson, F' = w / u with w = sqrt(a^4 + u^2), has
-    lam = u / w and b = a^4 / (w u^2).  NaN at the origin.
+    lam = u / w and b = a^4 / (w u^2): no term cancels.  NaN at the origin.
     """
-    def eigen(u):
-        if family != EGUCHI_HANSON:
-            return 1.0, par / (u * u)
-        a2 = par * par
-        a4 = a2 * a2
-        w = np.sqrt(a4 + u * u)
-        return u / w, a4 / (w * u * u)
-
-    return metric(x, eigen)
+    if x.ndim == 1:
+        return builtin_metric(family, par, x[None])[0]
+    return rows_or_columns(lambda xp, row: metric(xp, row, builtin_eigen, family, par), x,
+                           below=_G_ROWS)
 
 
 def callable_values(fn, columns, name: str) -> np.ndarray:
@@ -459,73 +480,49 @@ def _scalar(f1, f2, f3, f4):
     return -2.0 * ((a + b - 2.0) / f1 + (f3 / f1 - a * a + f4 / f2 - b * b) / f2) + 0.0
 
 
-def t_derivatives(values, h0: float, order: int, exact=None):
-    """The first four t-derivatives of f at each row of values, (4, n).
+def t_derivatives(xp, values, exact, h0: float, order: int):
+    """The first four t-derivatives of f at a row of values, or at whole columns; a kernel.
 
-    values holds f(t + k h), t = log |z|^2, h = 4 h0, for |k| <= reach:
-    profile_along_t's rows, or builtin_along_t's differences of the part
-    of f it does not know exactly, with exact (n x 4) the first four
-    t-derivatives of the part it does.  f(k) - f(-k) carries the odd
-    derivatives and f(k) + f(-k) - 2 f(0) the even ones, through the
-    _T_WEIGHTS of the order.  Each derivative is _sum2 of its reach
-    weighted terms, k = 1 up, and then its exact term: a compensated
-    sum, which on every row of the built-ins and profiles tried gave the
-    bits of the correctly rounded sum, math.fsum's.  The terms are laid
-    out (reach + 1, 4, n), so the sums take whole (4, n) slabs at once.
-    Below _ROW_LOOP_POINTS rows the terms and _sum2 run on each row's
-    Python floats instead, with the same IEEE operations in the same
-    order, so a point's derivatives do not depend on how many rows came
-    with it; they come back as four tuples of floats, not an array.
+    values holds f(t + k h), |k| <= reach, and exact the derivatives known
+    exactly.  f(k) - f(-k) carries the odd derivatives, f(k) + f(-k) - 2
+    f(0) the even ones; each is _sum2 of its weighted terms, k = 1 up, then
+    its exact term (math.fsum's bits on every row tried).  Columns sum the
+    four as (4, n) slabs; a sum per derivative took 25-120% longer.
     """
-    reach = _reach(order)
     rows, weights = _t_table(order, h0)[:2]
-    if len(values) < _ROW_LOOP_POINTS:
-        out = []
-        exact_rows = [[0.0] * 4] * len(values) if exact is None else exact.tolist()
-        for v, e in zip(values.tolist(), exact_rows):
-            c = 2.0 * v[reach]
-            up, down = v[reach + 1 :], v[reach - 1 :: -1]
-            odd = list(map(operator.sub, up, down))
-            even = [s - c for s in map(operator.add, up, down)]
-            out.append([
-                _sum2(list(map(operator.mul, diffs + [exact_j], row)))
-                for diffs, exact_j, row in zip((odd, even, odd, even), e, rows)
-            ])
-        return list(zip(*out))
-    columns = values.T
-    up, down = columns[reach + 1 :], columns[reach - 1 :: -1]
-    # terms[k - 1, j - 1] is term k of d^j f / dt^j at each point; terms[reach] the exact one
-    terms = np.empty((reach + 1, 4, len(values)))
-    odd, even = terms[:reach, 0], terms[:reach, 1]
-    np.subtract(up, down, out=odd)
-    np.add(up, down, out=even)
-    even -= 2.0 * columns[reach]
-    terms[:reach, 2:] = terms[:reach, :2]
-    terms[reach] = 0.0 if exact is None else exact.T
-    terms *= weights
-    return _sum2(terms)
+    reach = len(values) // 2
+    c = 2.0 * values[reach]
+    # terms[k - 1][j - 1] is term k of d^j f / dt^j, odd j then even j; terms[reach] the exact ones
+    terms = [(a - b, (a + b) - c) * 2 for a, b in zip(values[reach + 1 :], values[reach - 1 :: -1])]
+    terms.append(exact)
+    if xp is math:
+        return [_sum2(list(map(operator.mul, t, w))) for t, w in zip(zip(*terms), rows)]
+    return _sum2(np.multiply(terms, weights))
 
 
 def radial_scalar(values, h0: float, order: int, exact=None) -> np.ndarray:
     """S of a radial potential at each row of values, taken along t = log |z|^2.
 
-    values and exact are t_derivatives'.  S = -2 (G'/f' + G''/f''), G =
-    log(f' f'') - 2t, over Python floats for a few rows: NaN where f' or
-    f'' is not positive or a derivative is not finite, +0.0 for S = 0.
+    values and exact are t_derivatives' (exact None for a profile).  S =
+    -2 (G'/f' + G''/f''), G = log(f' f'') - 2t: NaN where f' or f'' is
+    not positive or a derivative is not finite, +0.0 for S = 0.
     """
-    f = t_derivatives(values, h0, order, exact)
-    if len(values) < _ROW_LOOP_POINTS:
-        return np.array([_scalar(*d) if d[0] > 0.0 and d[1] > 0.0 and all(map(math.isfinite, d))
-                         else math.nan for d in zip(*f)])
-    ok = (f[0] > 0.0) & (f[1] > 0.0) & np.isfinite(f).all(axis=0)
-    return np.where(ok, _scalar(*f), np.nan)
+    def kernel(xp, v, e):
+        f = t_derivatives(xp, v, e, h0, order)
+        finite = all(map(math.isfinite, f)) if xp is math else np.isfinite(f).all(axis=0)
+        return where(xp, (f[0] > 0.0) & (f[1] > 0.0) & finite, _scalar, *f)
+
+    return rows_or_columns(kernel, values, np.zeros((len(values), 4)) if exact is None else exact)
 
 
 def radial_metric(values, x, h0: float, order: int) -> np.ndarray:
     """metric of a custom_radial profile at each point (row) of x, from its values along t."""
-    # g's eigenvalues are f''/u along conj(z) and f'/u across it
-    f1, f2 = np.asarray(t_derivatives(values, h0, order)[:2])[..., None]
-    return metric(x, lambda u: (f2 / u, (f1 - f2) / (u * u)))
+    def kernel(xp, row, v, e):
+        f1, f2 = t_derivatives(xp, v, e, h0, order)[:2]
+        # g's eigenvalues are f''/u along conj(z) and f'/u across it
+        return metric(xp, row, lambda xp, u: (f2 / u, (f1 - f2) / (u * u)))
+
+    return rows_or_columns(kernel, x, values, np.zeros((len(values), 4)))
 
 
 def _reduce(values, stencil: Stencil, h):
@@ -563,11 +560,10 @@ def scalar_curvature(g, h, order: int) -> np.ndarray:
     # the outer stencil runs over the sites around the first base
     logdet = np.log(np.where(positive[:, None, 1:], det[:, None, 1:], np.nan))
     f = _reduce(logdet, stencil, h)[:, 0]
-    # a few flops per point: Python floats take them faster than a dozen
-    # numpy calls on a chunk would
-    return np.array([
-        -2.0 * (g22 * f11 + g11 * f22 - 2.0 * (gr * fr + gi * fi)) / d if ok else math.nan
-        for (g11, g22, gr, gi), (f11, f22, fr, fi), d, ok in zip(
-            g[:, 0].tolist(), f.tolist(), det[:, 0].tolist(), positive[:, 0].tolist()
-        )
-    ])
+    return rows_or_columns(contract, g[:, 0], f, det[:, 0], positive[:, 0])
+
+
+def contract(xp, g, f, det, ok):
+    """S = -2 tr(g^-1 f) from g, f = Hess log det g and det g at a base: NaN unless ok; a kernel."""
+    (g11, g22, gr, gi), (f11, f22, fr, fi) = g, f
+    return where(xp, ok, lambda: -2.0 * (g22 * f11 + g11 * f22 - 2.0 * (gr * fr + gi * fi)) / det)

@@ -21,13 +21,13 @@ metric_deviations, which the decay fits and weighted norms use) walk
 their points in chunks of about _CHUNK_TERMS terms: 4 scalar curvature
 points at order 4, 14 at order 2, 213 or 426 custom_general Hessians,
 and 1137 or 1462 radial points, one term per t-site.  A single-point
-call is a stack of one row.  Along t, a few rows are summed over Python
-floats, with the same operations in the same order as on a chunk's
-whole columns; elsewhere one row takes the chunk's numpy code.  So no
-value depends on which chunk its point fell in.  Every entry, plans
-and deviations included, refuses a point off C^2 minus the origin by
-_domain's rule for what it evaluates, with a ValueError naming the
-point, or its index in a stack, and its radius.  numpy's float warnings
+call is a stack of one row.  The engine's kernels take a few rows as
+Python floats, with the same operations in the same order as on a
+chunk's whole columns, so no value depends on its point's chunk.  Every
+entry, plans and deviations included, refuses a point off C^2 minus the
+origin by _domain's rule for what it evaluates, with a ValueError
+naming the point, or its index in a stack, and its radius, as a
+built-in potential does at the origin.  numpy's float warnings
 are off for the whole of each public call, a custom potential's
 included: the points they would flag come back NaN and count as
 degenerate.
@@ -217,10 +217,10 @@ def _coords(z) -> tuple[float, float, float, float]:
     """Accept (z1, z2) complex pairs or 4 real coordinates."""
     arr = np.asarray(z)
     if arr.shape == (2,):
-        z1, z2 = complex(arr[0]), complex(arr[1])
+        z1, z2 = map(complex, arr.tolist())
         x = z1.real, z1.imag, z2.real, z2.imag
     elif arr.shape == (4,) and not np.iscomplexobj(arr):
-        x = float(arr[0]), float(arr[1]), float(arr[2]), float(arr[3])
+        x = tuple(map(float, arr.tolist()))
     else:
         raise ValueError("expected a point of C^2 as (z1, z2) or as 4 real coordinates")
     if not all(map(math.isfinite, x)):
@@ -228,10 +228,12 @@ def _coords(z) -> tuple[float, float, float, float]:
     return x
 
 
-# the farthest site of the scalar curvature stencil from its point, in
-# steps h: site_lattice's largest offset, 4 steps along two axes at order
-# 4 and 2 at order 2; the Hessian's reaches half as far
-_REACH = {2: 2.0 * math.sqrt(2.0), 4: 4.0 * math.sqrt(2.0)}
+@functools.cache
+def _reach(order: int, curvature: bool) -> float:
+    """Distance in steps h from a point to the farthest site of its S (or Hessian) stencil."""
+    stencil = _engine.STENCILS[order]
+    sites = (stencil.bases if curvature else stencil.bases[:1])[:, None] + stencil.steps
+    return float(np.sqrt((sites * sites).sum(axis=-1)).max())
 
 
 def _domain(potential: Optional[Potential], r, h0: float, order: int, curvature: bool):
@@ -247,18 +249,16 @@ def _domain(potential: Optional[Potential], r, h0: float, order: int, curvature:
         is then None), a custom potential's g and the derivative: a
         stencil that reaches the origin gives a wrong value with no error
         (Burns' g11 on the 4-D stencil at (1e-3, 0), h = 0.01, read 5.6e4
-        against an exact 1), so a point within _REACH[order] steps h = h0
-        (1 + r) of it, where a site could land, is refused.  A
-        custom_radial g takes no 4-D stencil but keeps this rule: near
-        the origin its profile's rounding swamps f''.
+        against an exact 1), so a point within _reach steps h = h0 (1 +
+        r) of it, where a site could land, is refused: the Hessian's for
+        a custom_general g, else S's, a custom_radial g's included, since
+        near the origin its profile's rounding swamps f''.
     """
     if curvature or potential.fn is not None:
-        return r <= _REACH[order] * h0 * (1.0 + r), f"within the order-{order} stencil's reach of"
+        reach = _reach(order, curvature or potential.family == _engine.RADIAL)
+        return r <= reach * h0 * (1.0 + r), f"within the order-{order} stencil's reach of"
     u = r * r
     return u * u < sys.float_info.min, "at"
-
-
-_OFF_DOMAIN = "{} at radius {:.4g} lies {} the origin of C^2, where no potential is defined"
 
 
 def _point(potential: Potential, z, h0: float, order: int, curvature: bool) -> np.ndarray:
@@ -268,7 +268,7 @@ def _point(potential: Potential, z, h0: float, order: int, curvature: bool) -> n
     r = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3)
     refused, where = _domain(potential, r, h0, order, curvature)
     if refused:
-        raise ValueError(_OFF_DOMAIN.format(f"point {z!r}", r, where))
+        raise ValueError(_engine.OFF_DOMAIN.format(f"point {z!r}", r, where))
     return np.array([x])
 
 
@@ -296,7 +296,7 @@ def _points(potential: Optional[Potential], points, h0: float, order: int,
     # the first refused point, or point 0 if none is
     i = int(refused.argmax())
     if refused[i]:
-        raise ValueError(_OFF_DOMAIN.format(f"sample point {i}", r[i], where))
+        raise ValueError(_engine.OFF_DOMAIN.format(f"sample point {i}", r[i], where))
     return out
 
 
@@ -394,7 +394,10 @@ def hermitian_hessian(potential: Potential, z, h0: float = 1e-2, order: int = 4)
         raise DegenerateMetricError(
             f"metric of {potential.name} not positive definite at {z!r}"
         )
-    return np.array([[g11, gr + 1j * gi], [gr - 1j * gi, g22]])
+    # item by item: a third cheaper than np.array inferring the dtype from nested lists
+    g = np.empty((2, 2), complex)
+    g[0, 0], g[0, 1], g[1, 0], g[1, 1] = g11, gr + 1j * gi, gr - 1j * gi, g22
+    return g
 
 
 def scalar_curvature(potential: Potential, z, h0: float = 1e-2, order: int = 4) -> float:

@@ -473,14 +473,15 @@ def test_nonfinite_points_rejected_with_their_index():
 
 
 def _single_point_entries(z, h0=1e-2, order=4):
-    # the entries that keep the stencil's reach rule: S, a custom_general
-    # Hessian, a custom_radial one (no stencil, but near the origin its
-    # profile's rounding swamps f'') and the derivative
+    # the entries that keep a stencil's reach rule, each with the reach it
+    # takes, the scalar curvature stencil's (True) or the Hessian's: S, a
+    # custom_general Hessian, a custom_radial one (no stencil, but near the
+    # origin its profile's rounding swamps f'') and the derivative
     return (
-        lambda: cv.scalar_curvature(FL, z, h0=h0, order=order),
-        lambda: cv.hermitian_hessian(cv.custom_general(FL), z, h0=h0, order=order),
-        lambda: cv.hermitian_hessian(_KINDS["custom-radial"], z, h0=h0, order=order),
-        lambda: cv.scalar_curvature_derivative(FL, BU, z, h0=h0, order=order),
+        (lambda: cv.scalar_curvature(FL, z, h0=h0, order=order), True),
+        (lambda: cv.hermitian_hessian(cv.custom_general(FL), z, h0=h0, order=order), False),
+        (lambda: cv.hermitian_hessian(_KINDS["custom-radial"], z, h0=h0, order=order), True),
+        (lambda: cv.scalar_curvature_derivative(FL, BU, z, h0=h0, order=order), True),
     )
 
 
@@ -490,19 +491,35 @@ def test_single_point_entries_refuse_the_origin(z):
     # the fault, where S along t read f' = 0 there and blamed the metric;
     # a built-in's Hessian, which takes no stencil, refuses it too
     builtin = [lambda pot=pot: cv.hermitian_hessian(pot, z) for pot in (FL, EH, BU)]
-    for entry in list(_single_point_entries(z)) + builtin:
+    for entry in [entry for entry, _ in _single_point_entries(z)] + builtin:
         with pytest.raises(ValueError, match=r"at radius 0 lies .*the origin of C\^2, where no"):
             entry()
+
+
+@pytest.mark.parametrize("z, r", [((0, 0), "0"), ((1e-200, 0), "1e-200"), ((0j, -1e-170j), "1e-170")])
+def test_builtin_potentials_refuse_the_origin_by_name(z, r):
+    # each raised a bare "math domain error" from math.log; |z|^2 is 0 at
+    # the origin and underflows to 0 at the other two points
+    for pot in (FL, EH, BU):
+        with pytest.raises(ValueError, match=rf"point \(.*\) at radius {r} lies at the origin of C\^2"):
+            pot(*z)
+    # a radius whose |z|^2 is a subnormal is taken
+    assert math.isfinite(BU(1e-160, 0))
 
 
 @pytest.mark.parametrize("z", [(1e-3, 0), (0.02, 0), (0, 0.05j), (0.03, 0.0, 0.0, -0.04)])
 def test_single_point_entries_refuse_a_stencil_that_reaches_the_origin(z):
     # the 4-D stencil's Burns g11 at (1e-3, 0) read 5.6e4, where the exact
-    # value is 1: h = 0.01 spans the origin ten times over
+    # value is 1: h = 0.01 spans the origin ten times over.  The Hessian's
+    # stencil reaches half as far, so a custom_general Hessian takes the
+    # last two points
     r = math.sqrt(sum(c * c for c in cv._coords(z)))
-    for entry in _single_point_entries(z):
-        with pytest.raises(ValueError, match=rf"point .* at radius {r:.4g} lies within the order-4"):
-            entry()
+    for entry, curvature in _single_point_entries(z):
+        if r <= cv._reach(4, curvature) * 0.01 * (1.0 + r):
+            with pytest.raises(ValueError, match=rf"point .* at radius {r:.4g} lies within the order-4"):
+                entry()
+        else:
+            assert np.abs(entry() - np.eye(2)).max() < 1e-9
     # a built-in's Hessian takes no stencil: Burns' is the closed form at z
     x = np.array(cv._coords(z))
     g11, g22, gr, gi = _engine.builtin_metric(BU.family, BU.parameter, x)
@@ -512,8 +529,26 @@ def test_single_point_entries_refuse_a_stencil_that_reaches_the_origin(z):
 
 @pytest.mark.parametrize("order", [2, 4])
 def test_single_point_reach_is_the_stencils_farthest_site(order):
-    offsets = _engine.site_lattice(order, True).offsets
-    assert cv._REACH[order] == np.sqrt((offsets * offsets).sum(axis=1)).max()
+    for curvature, steps in ((True, 4), (False, 2)):
+        offsets = _engine.site_lattice(order, curvature).offsets
+        reach = cv._reach(order, curvature)
+        assert reach == np.sqrt((offsets * offsets).sum(axis=1)).max()
+        # steps along two axes at once: 4 (S) and 2 (Hessian) at order 4, half that at order 2
+        assert reach == pytest.approx(steps * order / 4 * math.sqrt(2.0), rel=1e-15)
+
+
+def test_custom_general_hessian_takes_its_own_reach():
+    # at h = 0.0104 the Hessian's sites lie within 2 sqrt(2) h = 0.029 of
+    # (0.04, 0), so at least 0.01 from the origin: its Hessian and deviations
+    # are taken (g22 within 0.5% of the exact 626; h = r / 4 leaves g11 at
+    # 2.02 against 1), where S, whose stencil reaches twice as far, is refused
+    pot = cv.custom_general(BU)
+    z = (0.04, 0)
+    g = cv.hermitian_hessian(pot, z)
+    assert abs(g[1, 1].real - 626.0) <= 0.005 * 626.0
+    assert cv.metric_deviations(pot, [z]).tolist() == [np.abs(g - np.eye(2)).max()]
+    with pytest.raises(ValueError, match="lies within the order-4 stencil's reach"):
+        cv.scalar_curvature(pot, z)
 
 
 def _refuses(entry):
@@ -534,16 +569,19 @@ def test_single_point_is_refused_exactly_when_a_site_could_reach_the_origin(r, h
     x = [0.0] * 4
     x[axis] = r
     h = h0 * (1.0 + r)
-    refused = r <= cv._REACH[order] * h0 * (1.0 + r)
+    refused = r <= cv._reach(order, True) * h0 * (1.0 + r)
     # the stencil rule: a plan and a custom potential's deviations refuse
-    # exactly the points a single S refuses
+    # exactly the points a single S or Hessian of the same kind refuses,
+    # within the scalar curvature stencil's reach, or the Hessian stencil's
+    # for a custom_general g
     stencil_rule = _single_point_entries(x, h0, order)[:3] + (
-        lambda: cv.SamplePlan([x], h0=h0, order=order),
-        lambda: cv.metric_deviations(_KINDS["custom-radial"], [x], h0=h0, order=order),
-        lambda: cv.metric_deviations(cv.custom_general(FL), [x], h0=h0, order=order),
+        (lambda: cv.SamplePlan([x], h0=h0, order=order), True),
+        (lambda: cv.metric_deviations(_KINDS["custom-radial"], [x], h0=h0, order=order), True),
+        (lambda: cv.metric_deviations(cv.custom_general(FL), [x], h0=h0, order=order), False),
     )
-    for entry in stencil_rule:
-        assert _refuses(entry) == refused, (r, h0, order)
+    for entry, curvature in stencil_rule:
+        want = r <= cv._reach(order, curvature) * h0 * (1.0 + r)
+        assert _refuses(entry) == want, (r, h0, order, curvature)
     # the closed-form rule: a built-in's g takes no stencil, and its Hessian
     # and deviations refuse only the origin to float precision, a point
     # whose |z|^4, which g divides by, underflows
@@ -1015,9 +1053,9 @@ def test_custom_radial_metric_matches_the_exact_metric(a, b, r, d, order):
 @pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("kind", ["flat", "eguchi-hanson", "burns", "custom-radial"])
 def test_radial_deviations_match_single_hessians_bit_for_bit(kind, order):
-    # a plan of three chunks: whole columns over the first two, the row loop
-    # of t_derivatives over the 3-point tail; each point's own Hessian takes
-    # the row loop.  g is assembled from whole columns either way
+    # a plan of three chunks: whole columns over the first two, Python
+    # floats over the 3-point tail; each point's own Hessian takes Python
+    # floats, for its t-derivatives and for g
     pot = _KINDS[kind]
     size = cv._chunk_points(order, False, along_t=True)
     pts = _random_points(20160517, 2 * size + 3)
@@ -1232,7 +1270,7 @@ def _bits(s):
 
 
 def _single_rows(values, h0, order, exact=None):
-    # radial_scalar on one row at a time, so on its row loop
+    # radial_scalar on one row at a time, so on Python floats
     return np.concatenate([
         _engine.radial_scalar(values[i : i + 1], h0, order, None if exact is None else exact[i : i + 1])
         for i in range(len(values))
@@ -1270,33 +1308,80 @@ def test_compensated_sum_matches_fsum_bit_for_bit(kind, pot, order, h0):
 _any_float = st.one_of(st.floats(-10.0, 10.0), st.floats(allow_nan=False, allow_infinity=False))
 
 
-@settings(max_examples=150, deadline=None)
+# the most rows any kernel takes as Python floats
+_CROSSOVER = max(_engine._ROWS, _engine._G_ROWS)
+
+
+def _three_ways(evaluate, *arrays):
+    # evaluate(*arrays) over the stack as drawn, over each row alone (Python
+    # floats unless a row divides by zero) and over the stack repeated past
+    # the crossover (whole columns), each cut back to the drawn rows
+    # (an array of None, such as no exact terms, is passed as it is)
+    n = len(arrays[0])
+    reps = -(-_CROSSOVER // n)
+    return (
+        evaluate(*arrays),
+        np.concatenate([evaluate(*(a if a is None else a[i : i + 1] for a in arrays)) for i in range(n)]),
+        evaluate(*(a if a is None else np.concatenate([a] * reps) for a in arrays))[:n],
+    )
+
+
+# signed zeros and values far apart in size, where the order of operations
+# shows in the bits, beside any finite float
+_edge_float = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0, 3.0, 1e-300, 1e300)), _any_float)
+
+
+def _draw_rows(data, rows, width):
+    return np.array(data.draw(st.lists(
+        st.lists(_edge_float, min_size=width, max_size=width), min_size=rows, max_size=rows
+    )))
+
+
+_KERNELS = ("flat", "burns", "eguchi-hanson", "profile-metric", "t-derivatives",
+            "t-derivatives-exact", "radial-scalar", "radial-scalar-exact", "contraction")
+
+
+@settings(max_examples=200, deadline=None)
 @given(
+    kernel=st.sampled_from(_KERNELS),
     order=st.sampled_from((2, 4)),
     h0=st.sampled_from((0.002, 0.01, 0.05)),
-    rows=st.integers(_engine._ROW_LOOP_POINTS, _engine._ROW_LOOP_POINTS + 3),
-    with_exact=st.booleans(),
+    rows=st.integers(1, 2 * _CROSSOVER),
     data=st.data(),
 )
-def test_row_loop_and_batch_take_the_same_operations(order, h0, rows, with_exact, data):
-    # any finite values, overflowing ones included: the whole-column path
-    # and the one-row loop of Python floats give the same bits, and a row
-    # on which fsum raised (a sum that overflows, or inf - inf) reads NaN
-    width = 2 * _engine._reach(order) + 1
-    values = np.array(data.draw(st.lists(
-        st.lists(_any_float, min_size=width, max_size=width), min_size=rows, max_size=rows
-    )))
-    exact = None
-    if with_exact:
-        exact = np.array(data.draw(st.lists(
-            st.lists(_any_float, min_size=4, max_size=4), min_size=rows, max_size=rows
-        )))
+def test_rows_and_columns_give_the_same_bits(kernel, order, h0, rows, data):
+    # any finite inputs, overflowing ones included: every kernel gives the
+    # same bits on Python floats and on whole columns, NaN in the same places
+    values = _draw_rows(data, rows, 2 * _engine._reach(order) + 1)
+    exact = _draw_rows(data, rows, 4) if kernel.endswith("-exact") else None
+    x = _draw_rows(data, rows, 4)
+    if kernel in ("flat", "burns", "eguchi-hanson"):
+        family = EH.family if kernel == "eguchi-hanson" else BU.family
+        par = 0.0 if kernel == "flat" else data.draw(_edge_float)
+        case = (lambda x: _engine.builtin_metric(family, par, x), x)
+    elif kernel == "profile-metric":
+        case = (lambda x, v: _engine.radial_metric(v, x, h0, order), x, values)
+    elif kernel.startswith("t-derivatives"):
+        def t_derivatives(xp, v, e):
+            return _engine.t_derivatives(xp, v, e, h0, order)
+
+        e = np.zeros((rows, 4)) if exact is None else exact
+        case = (lambda v, e: _engine.rows_or_columns(t_derivatives, v, e), values, e)
+    elif kernel.startswith("radial-scalar"):
+        case = (lambda v, e: _engine.radial_scalar(v, h0, order, e), values, exact)
+    else:
+        # g, f = Hess log det g, det g and whether g is positive definite, at a base
+        ok = np.array(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))
+        f, det = _draw_rows(data, rows, 4), _draw_rows(data, rows, 1)[:, 0]
+        case = (lambda *a: _engine.rows_or_columns(_engine.contract, *a), x, f, det, ok)
     with np.errstate(all="ignore"):
-        batch = _engine.radial_scalar(values, h0, order, exact)
-        assert _bits(batch) == _bits(_single_rows(values, h0, order, exact))
-        reference = _fsum_radial_scalar(values, h0, order, exact)
-    # the reference reads NaN where fsum raised or g is not positive definite
-    assert np.isnan(batch[np.isnan(reference)]).all()
+        stack, single, columns = _three_ways(*case)
+        assert _bits(stack) == _bits(single) == _bits(columns)
+        if kernel.startswith("radial-scalar"):
+            # the reference reads NaN where fsum raised (a sum that overflows,
+            # or inf - inf) or g is not positive definite
+            reference = _fsum_radial_scalar(values, h0, order, exact)
+            assert np.isnan(stack[np.isnan(reference)]).all()
 
 
 def test_a_nonfinite_derivative_reads_degenerate():
@@ -1323,8 +1408,8 @@ def test_a_nonfinite_derivative_reads_degenerate():
         with pytest.raises(error):
             math.fsum(row)
     assert _engine._sum2(terms[2]) == math.inf
-    # twice over, so that the stack takes the whole-column path
-    values, exact = np.tile(values, (2, 1)), np.tile(exact, (2, 1))
+    # repeated past the crossover, so that the stack takes whole columns
+    values, exact = np.tile(values, (_engine._ROWS, 1)), np.tile(exact, (_engine._ROWS, 1))
     with np.errstate(all="ignore"):
         for s in (_engine.radial_scalar(values, h0, order, exact), _single_rows(values, h0, order, exact)):
             assert np.isnan(s).all(), s
