@@ -37,16 +37,18 @@ through the lattice's index arrays.  Lattices come in two forms:
     and 1392 at order 2), for a custom_general potential's own S and
     Hessian.
 
-t_derivatives takes f(t) = F(e^t)'s first four derivatives from f at
-the 9 (order 4) or 7 t-sites t + k h, t = log u, h = 4 h0: from a
-custom_radial profile's values there (profile_along_t), or from the
-built-ins in closed form (builtin_along_t), whose terms e^t and c t
-enter f's derivatives exactly and whose rest is differenced without
-cancelling; flat is Burns with m = 0, all exact.  radial_scalar takes S
-from all four, radial_metric g from f' and f''.  Each derivative is one
-compensated sum (_sum2).  These and S's final contraction are kernels,
-written once: rows_or_columns runs them on a few rows' Python floats or
-on whole columns, with the same IEEE operations, so to the same bits.
+Along t = log u, S depends only on f(t) = F(e^t)'s first four
+derivatives, from which scalar takes it.  The built-ins have them in
+closed form (builtin_t_derivatives): tau = f' and phi = f'' give f'''
+= phi phi' and f'''' = phi (phi phi')', ' = d/dtau, and nothing is
+subtracted; flat is Burns with m = 0.  A custom_radial profile is
+called at the 9 (order 4) or 7 t-sites t + k h, h = 4 h0
+(profile_along_t), and t_derivatives takes each derivative from those
+values as one compensated sum (_sum2): radial_scalar S from all four,
+radial_metric g from f' and f''.  These and S's final contraction are
+kernels, written once: rows_or_columns runs them on a few rows' Python
+floats or on whole columns, with the same IEEE operations, so to the
+same bits.
 
 Every function works on a stack of n points at once.  The scalar
 curvature stencil around a point x has the bases x + h b, b in
@@ -204,7 +206,8 @@ def step(x, h0: float) -> np.ndarray:
     return (h0 * (1.0 + norms(x)))[:, None, None]
 
 
-# rows below which Python floats cost less than numpy columns, along t and for g
+# rows below which Python floats cost less than numpy columns: along t, and for
+# a built-in's closed forms, g and S (their measured crossovers 12-13 and 15-16)
 _ROWS, _G_ROWS = 6, 13
 
 
@@ -356,28 +359,21 @@ def _reach(order: int) -> int:
 
 @functools.lru_cache(maxsize=16)
 def _t_table(order: int, h0: float):
-    """(rows, weights, exp(k h), expm1(k h), expm1(2 k h)) of the t-sites, h = 4 h0.
+    """(rows, weights, exp(k h)) of the t-sites, h = 4 h0.
 
     rows[j - 1] holds the weights of d^j f / dt^j for k = 1..reach, over
-    the denominator and h^j, then a 1 for an exact term, as Python
-    floats; weights holds them as an array laid out (reach + 1, 4, 1),
-    as radial_scalar lays out its terms.  The other three run over k =
-    -reach..reach.
+    the denominator and h^j, as Python floats; weights holds them as an
+    array laid out (reach, 4, 1), as t_derivatives lays out its terms.
+    exp(k h) runs over k = -reach..reach.
     """
     reach = _reach(order)
     h = 4.0 * h0
     rows = [
-        [w / (d * h**j) for w in row[reach + 1 :]] + [1.0]
+        [w / (d * h**j) for w in row[reach + 1 :]]
         for j, (row, d) in enumerate(_T_WEIGHTS[order], 1)
     ]
-    k = range(-reach, reach + 1)
-    return (
-        rows,
-        np.array(rows).T[:, :, None],
-        np.array([math.exp(j * h) for j in k]),
-        np.array([math.expm1(j * h) for j in k]),
-        np.array([math.expm1(2 * j * h) for j in k]),
-    )
+    exp = np.array([math.exp(k * h) for k in range(-reach, reach + 1)])
+    return rows, np.array(rows).T[:, :, None], exp
 
 
 def profile_along_t(profile, x, h0: float, order: int, name: str) -> np.ndarray:
@@ -390,61 +386,28 @@ def profile_along_t(profile, x, h0: float, order: int, name: str) -> np.ndarray:
     return callable_values(profile, [sites.ravel().tolist()], name).reshape(sites.shape)
 
 
-def builtin_along_t(family, par, x, h0: float, order: int):
-    """(values, exact) of a built-in potential along t = log |z|^2 at each point (row) of x.
+def builtin_t_derivatives(xp, x, family, par):
+    """(f', f'', f''', f'''') of a built-in's f(t) = F(e^t) at a point x, in closed form; a kernel.
 
-    f(t) = F(e^t) is split into a part whose first four t-derivatives
-    are known exactly, held in exact (n x 4), and a rest whose
-    differences rest(t + k h) - rest(t), h = 4 h0, |k| <= reach, are
-    values.  radial_scalar adds exact inside its sums rather than
-    differencing it.  With u = |x|^2:
-
-      Burns, f = e^t + m t: exact (u + m, u, u, u), values 0; flat is
-        Burns with m = 0 (its par), f = e^t, exact (u, u, u, u).
-      Eguchi-Hanson, f = w + a^2 t - a^2 log(a^2 + w), w = sqrt(a^4 + u^2):
-        where u >= a^2, e^t is split off, exact (u + a^2, u, u, u) and
-          values d(w - u) - L, d(w - u) = -a^4 (dw + du) / ((w_k + u_k)(w + u));
-        inside the bolt, u < a^2, f'' = u^2 / w is small next to u and
-          splitting u off would cancel it, so exact (a^2, 0, 0, 0) and
-          values dw - L;
-        with L = a^2 log1p(dw / (a^2 + w)), du = u expm1(k h) and dw =
-        u^2 expm1(2 k h) / (w_k + w) the changes of u and w.
-
-    No term cancels, and flat's S comes out exactly 0.  Differencing e^t
-    would leave the t-rows' truncation on it (1.5e-7 / u at order 2) in
-    every S; outside the bolt the rest falls off as a^4 / u instead.  An
-    a^4 that overflows makes every value NaN, so the point reads
-    degenerate.
+    With u = r r from the computed radius r = |x|: Burns, f = e^t + m t,
+    has (u + m, u, u, u), and flat is Burns with m = 0.  Eguchi-Hanson
+    has tau = f' = w = sqrt(a^4 + u^2) and phi = f'' = u^2 / w, a
+    function of tau with phi' = 1 + q, q = (a^2 / w)^2 <= 1, so f''' =
+    phi phi' = phi (1 + q) and f'''' = phi (phi phi')' = phi (1 + 3 q^2).
+    Nothing is subtracted, and every operation is correctly rounded, so
+    rows and columns give the same bits on every CPU.
     """
-    r = norms(x)
-    u = (r * r)[:, None]
-    exp, expm1, expm1_2 = _t_table(order, h0)[2:]
+    x0, x1, x2, x3 = x
+    r = xp.sqrt(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3)
+    u = r * r
     if family != EGUCHI_HANSON:
-        exact = np.concatenate([u + par, u, u, u], axis=1)
-        return np.zeros((len(u), len(exp))), exact
+        return u + par, u, u, u
     a2 = par * par
-    a4 = a2 * a2
-    far = u >= a2
-    flat = np.where(far, u, 0.0)
-    exact = np.concatenate([flat + a2, flat, flat, flat], axis=1)
-    w = np.sqrt(a4 + u * u)
-    uk = u * exp
-    wk = np.sqrt(a4 + uk * uk)
-    dw = u * u * expm1_2
-    dw /= wk + w
-    # d(w - u), in the place of du
-    du = u * expm1
-    du += dw
-    du *= -a4
-    uk += wk
-    uk *= w + u
-    du /= uk
-    values = np.where(far, du, dw)
-    dw /= a2 + w
-    np.log1p(dw, out=dw)
-    dw *= a2
-    values -= dw
-    return values, exact
+    w = xp.sqrt(a2 * a2 + u * u)
+    phi = u * (u / w)
+    p = a2 / w
+    q = p * p
+    return w, phi, phi * (1.0 + q), phi * (1.0 + 3.0 * (q * q))
 
 
 def _sum2(terms):
@@ -480,49 +443,56 @@ def _scalar(f1, f2, f3, f4):
     return -2.0 * ((a + b - 2.0) / f1 + (f3 / f1 - a * a + f4 / f2 - b * b) / f2) + 0.0
 
 
-def t_derivatives(xp, values, exact, h0: float, order: int):
+def scalar(xp, f):
+    """S of a radial potential from f = (f', f'', f''', f''''); a kernel.
+
+    S = -2 (G'/f' + G''/f''), G = log(f' f'') - 2t: NaN where f' or f''
+    is not positive or a derivative is not finite, +0.0 for S = 0.
+    """
+    finite = all(map(math.isfinite, f)) if xp is math else np.isfinite(f).all(axis=0)
+    return where(xp, (f[0] > 0.0) & (f[1] > 0.0) & finite, _scalar, *f)
+
+
+def t_derivatives(xp, values, h0: float, order: int):
     """The first four t-derivatives of f at a row of values, or at whole columns; a kernel.
 
-    values holds f(t + k h), |k| <= reach, and exact the derivatives known
-    exactly.  f(k) - f(-k) carries the odd derivatives, f(k) + f(-k) - 2
-    f(0) the even ones; each is _sum2 of its weighted terms, k = 1 up, then
-    its exact term (math.fsum's bits on every row tried).  Columns sum the
-    four as (4, n) slabs; a sum per derivative took 25-120% longer.
+    values holds f(t + k h), |k| <= reach.  f(k) - f(-k) carries the odd
+    derivatives, f(k) + f(-k) - 2 f(0) the even ones; each is _sum2 of
+    its weighted terms, k = 1 up (math.fsum's bits on every row tried).
+    Columns sum the four as (4, n) slabs; a sum per derivative took
+    25-120% longer.
     """
     rows, weights = _t_table(order, h0)[:2]
     reach = len(values) // 2
     c = 2.0 * values[reach]
-    # terms[k - 1][j - 1] is term k of d^j f / dt^j, odd j then even j; terms[reach] the exact ones
+    # terms[k - 1][j - 1] is term k of d^j f / dt^j, odd j then even j
     terms = [(a - b, (a + b) - c) * 2 for a, b in zip(values[reach + 1 :], values[reach - 1 :: -1])]
-    terms.append(exact)
     if xp is math:
         return [_sum2(list(map(operator.mul, t, w))) for t, w in zip(zip(*terms), rows)]
     return _sum2(np.multiply(terms, weights))
 
 
-def radial_scalar(values, h0: float, order: int, exact=None) -> np.ndarray:
-    """S of a radial potential at each row of values, taken along t = log |z|^2.
+def radial_scalar(values, h0: float, order: int) -> np.ndarray:
+    """S of a custom_radial profile at each row of values (profile_along_t's), taken along t."""
+    return rows_or_columns(lambda xp, v: scalar(xp, t_derivatives(xp, v, h0, order)), values)
 
-    values and exact are t_derivatives' (exact None for a profile).  S =
-    -2 (G'/f' + G''/f''), G = log(f' f'') - 2t: NaN where f' or f'' is
-    not positive or a derivative is not finite, +0.0 for S = 0.
-    """
-    def kernel(xp, v, e):
-        f = t_derivatives(xp, v, e, h0, order)
-        finite = all(map(math.isfinite, f)) if xp is math else np.isfinite(f).all(axis=0)
-        return where(xp, (f[0] > 0.0) & (f[1] > 0.0) & finite, _scalar, *f)
 
-    return rows_or_columns(kernel, values, np.zeros((len(values), 4)) if exact is None else exact)
+def builtin_scalar(family, par, x) -> np.ndarray:
+    """S of a built-in potential at each point (row) of x, from builtin_t_derivatives."""
+    def kernel(xp, row):
+        return scalar(xp, builtin_t_derivatives(xp, row, family, par))
+
+    return rows_or_columns(kernel, x, below=_G_ROWS)
 
 
 def radial_metric(values, x, h0: float, order: int) -> np.ndarray:
     """metric of a custom_radial profile at each point (row) of x, from its values along t."""
-    def kernel(xp, row, v, e):
-        f1, f2 = t_derivatives(xp, v, e, h0, order)[:2]
+    def kernel(xp, row, v):
+        f1, f2 = t_derivatives(xp, v, h0, order)[:2]
         # g's eigenvalues are f''/u along conj(z) and f'/u across it
         return metric(xp, row, lambda xp, u: (f2 / u, (f1 - f2) / (u * u)))
 
-    return rows_or_columns(kernel, x, values, np.zeros((len(values), 4)))
+    return rows_or_columns(kernel, x, values)
 
 
 def _reduce(values, stencil: Stencil, h):

@@ -207,7 +207,8 @@ def _cmd_verify_metric(args):
             f"samples     {args.samples} points, radii [{args.rmin:g}, {args.rmax:g}],"
             f" order {args.order}, h0 {args.h0:g}"
         )
-        yield f"max |S|     {report.max_abs_scalar:.6e} (tolerance {args.tol:g})"
+        largest = "none finite" if report.max_abs_scalar is None else f"{report.max_abs_scalar:.6e}"
+        yield f"max |S|     {largest} (tolerance {args.tol:g})"
         if report.worst_index is not None:
             i = report.worst_index
             yield f"worst       point {i}, radius {plan.radii[i]:g}"

@@ -3,27 +3,28 @@
 A potential is sampled at scattered points.  Radial or general is the
 one decision.  A radial potential F(|z|^2), a built-in or custom_radial,
 takes no 4-D stencil (_radial): a built-in's Hermitian metric g_ij = d2
-Phi / dz_i dzbar_j is closed form, and its S, and a custom_radial
-profile's S and g, are taken along t = log |z|^2 from 9 values of f(t)
-= F(e^t) per point at order 4, 7 at order 2.  Flat goes along t as
-Burns with m = 0, f = e^t, whose derivatives are all exact, so its S
-is exactly 0.  A custom_general potential's g comes from central
-differences in the four real coordinates, and its S from a second,
-nested stencil applied to log det g, 53 x 48 terms (29 x 24).  Each
-point has its own radius-scaled step h = h0 * (1 + |z|); there is no
-grid.  The curvature derivative takes the 4-D stencil for every
-background, since a perturbation need not be radial, with a radial g
-taken at each of its bases as at a point.
+Phi / dz_i dzbar_j and its S, from the t-derivatives of f(t) = F(e^t),
+t = log |z|^2, are closed form, so h0 and order set only the domain
+rule they obey.  A custom_radial profile's S and g are taken along t
+from 9 values of f per point at order 4, 7 at order 2.  Flat is Burns
+with m = 0, and its S is exactly 0.  A custom_general potential's g
+comes from central differences in the four real coordinates, and its S
+from a second, nested stencil applied to log det g, 53 x 48 terms (29 x
+24).  Each point has its own radius-scaled step h = h0 * (1 + |z|);
+there is no grid.  The curvature derivative takes the 4-D stencil for
+every background, since a perturbation need not be radial, with a
+radial g taken at each of its bases as at a point.
 
 The engine takes a stack of points in one pass, laid out as (points,
 bases, steps).  Multi-point calls (verify_scalar_flat, and
 metric_deviations, which the decay fits and weighted norms use) walk
 their points in chunks of about _CHUNK_TERMS terms: 4 scalar curvature
 points at order 4, 14 at order 2, 213 or 426 custom_general Hessians,
-and 1137 or 1462 radial points, one term per t-site.  A single-point
-call is a stack of one row.  The engine's kernels take a few rows as
-Python floats, with the same operations in the same order as on a
-chunk's whole columns, so no value depends on its point's chunk.  Every
+and 1137 or 1462 radial points, one term per t-site of a profile.  A
+single-point call is a stack of one row.  The engine's kernels take a
+few rows as Python floats, with the same operations in the same order
+as on a chunk's whole columns, so no value depends on its point's
+chunk.  Every
 entry, plans and deviations included, refuses a point off C^2 minus the
 origin by _domain's rule for what it evaluates, with a ValueError
 naming the point, or its index in a stack, and its radius, as a
@@ -54,9 +55,10 @@ NO_SIGNAL_THRESHOLD = 1e-12
 class Potential:
     """A real-valued Kahler potential on C^2 minus the origin.
 
-    Built-in families (family set, fn None) have their metric g in a
-    closed form that cancels nothing, and their S along t = log |z|^2
-    from closed-form values (README gives costs and errors).
+    Built-in families (family set, fn None) have their metric g, and
+    the four t-derivatives of f(t) = F(e^t), t = log |z|^2, that give
+    their S, in closed forms that subtract nothing (README gives costs
+    and errors).
     custom_radial potentials (family RADIAL) carry their profile fn(u)
     -> Phi of u = |z|^2, and take S and g along t = log u: 9 calls per
     point at order 4, 7 at order 2.
@@ -158,10 +160,8 @@ def _psi(potential: Potential, x, h, order: int, curvature: bool, distinct: bool
 def _radial(potential: Potential, x, h0: float, order: int, curvature: bool) -> np.ndarray:
     """S (curvature) or g at each point (row) of x of a radial potential, with no 4-D stencil."""
     if potential.fn is None:
-        if not curvature:
-            return _engine.builtin_metric(potential.family, potential.parameter, x)
-        values, exact = _engine.builtin_along_t(potential.family, potential.parameter, x, h0, order)
-        return _engine.radial_scalar(values, h0, order, exact)
+        builtin = _engine.builtin_scalar if curvature else _engine.builtin_metric
+        return builtin(potential.family, potential.parameter, x)
     values = _engine.profile_along_t(potential.fn, x, h0, order, potential.name)
     if curvature:
         return _engine.radial_scalar(values, h0, order)
@@ -362,15 +362,17 @@ class DecayEstimate:
 class CurvatureReport:
     """Outcome of sampling the scalar curvature of one potential.
 
-    worst_index is the sample with the largest finite |S| (None when no
-    value is finite); degenerate_indices lists the samples whose metric
-    degenerates on the stencil, in plan order.
+    max_abs_scalar is the largest finite |S| and worst_index the sample
+    where it sits (both None when no value is finite); degenerate_indices
+    lists the samples whose metric degenerates on the stencil, in plan
+    order.  A degenerate sample fails the report whatever max_abs_scalar
+    reads.
     """
 
     potential: str
     points: np.ndarray
     scalar_values: np.ndarray
-    max_abs_scalar: float
+    max_abs_scalar: Optional[float]
     metric_positive: bool
     tolerance: float
     passed: bool
@@ -433,13 +435,11 @@ def verify_scalar_flat(
     s = _evaluate(potential, plan.points, plan.h0, plan.order, curvature=True)
     finite = np.isfinite(s)
     positive = bool(finite.all())
-    if positive:
-        max_abs = float(np.max(np.abs(s)))
-    else:
-        max_abs = float("inf")
-    worst = None
+    worst = max_abs = None
     if finite.any():
-        worst = int(np.argmax(np.where(finite, np.abs(s), -1.0)))
+        abs_s = np.where(finite, np.abs(s), -1.0)
+        worst = int(np.argmax(abs_s))
+        max_abs = float(abs_s[worst])
     return CurvatureReport(
         potential=potential.name,
         points=plan.points,
@@ -479,13 +479,14 @@ def scalar_curvature_derivative(
     background or perturbation, is called once at each of the 673 or
     169 distinct sites of the stencil, and both sides share its values.
     The point is refused as scalar_curvature refuses it.  The S of
-    a background here may differ from scalar_curvature's, which is taken
-    along t = log |z|^2, by the outer stencil's error on log det g: for
-    Burns (m = 1) about 5e-7 at radii 1-8 and 2e-5 at 0.5-1 at order 4
-    (4e-4 and 7e-3 at order 2), where scalar_curvature reads rounding;
-    for Eguchi-Hanson (a = 1), whose det g is 1, rounding up to 5e-11 at
-    both orders; for flat exactly 0.  DegenerateMetricError names the
-    side, +t or -t, whose metric degenerates.
+    a background here may differ from scalar_curvature's, which a
+    built-in takes from its t-derivatives in closed form, by the outer
+    stencil's error on log det g: for Burns (m = 1) about 5e-7 at radii
+    1-8 and 2e-5 at 0.5-1 at order 4 (4e-4 and 7e-3 at order 2), where
+    scalar_curvature reads rounding; for Eguchi-Hanson (a = 1), whose
+    det g is 1, rounding up to 5e-11 at both orders; for flat exactly 0.
+    DegenerateMetricError names the side, +t or -t, whose metric
+    degenerates.
     """
     _check_stencil(h0, order)
     if not (math.isfinite(t) and t > 0.0):

@@ -192,9 +192,10 @@ ALL_VERBS_ARGV = [
      "--samples", "6"),
     ("verify-metric", "--potential", "burns", "--m", "1e10", "--rmin", "1", "--rmax", "8",
      "--samples", "4"),
-    # FAIL, naming the worst point
-    ("verify-metric", "--potential", "eguchi-hanson", "--a", "2.5", "--order", "2", "--rmin",
-     "0.3", "--rmax", "8", "--samples", "6"),
+    # FAIL, naming the worst point: a tol below the rounding of S at r = 0.3,
+    # deep in the bolt (6.9e-13 against an exact 0)
+    ("verify-metric", "--potential", "eguchi-hanson", "--a", "2.5", "--rmin", "0.3", "--rmax",
+     "8", "--samples", "6", "--tol", "1e-13"),
     # refused, exit 1 and no stdout: a^4 overflows a float
     ("verify-metric", "--potential", "eguchi-hanson", "--a", "1e100", "--rmin", "1", "--rmax",
      "8", "--samples", "4"),
@@ -204,9 +205,10 @@ ALL_VERBS_ARGV = [
 ]
 
 # a JSON float with 8 or more significant digits: numpy's vector math
-# moves such values with the CPU (turning off its AVX-512 kernels moves
-# the S values in the 5th to 12th digit), so they are masked; echoed
-# inputs, exact zeros and every text line stay pinned
+# moves such values with the CPU (decay's fit takes logs, and turning off
+# the AVX-512 kernels moved an earlier engine's S, whose Eguchi-Hanson
+# values went through log1p, in the 5th to 12th digit), so they are
+# masked; echoed inputs, exact zeros and every text line stay pinned
 _LONG_FLOAT = re.compile(r"-?(\d+)\.(\d+)(e[-+]\d+)?")
 
 
@@ -218,11 +220,11 @@ def _mask_long_floats(out: str) -> str:
 
 
 # sha256 of the exit code and stdout of every argv above, in text and in
-# --json mode, computed with the Eguchi-Hanson and Burns S taken along t =
-# log |z|^2 and the built-ins' metric in closed form (flat's decay
-# deviations are exactly 0.0, which the mask leaves pinned); the same
-# with numpy's AVX-512 and AVX2 kernels turned off
-ALL_VERBS_SHA256 = "ec46c55030bd4fd91641f85d5571814180959c2f6a056d6a0dce5838194c1826"
+# --json mode, computed with the built-ins' S and metric in closed form,
+# every operation of both correctly rounded (flat's decay deviations are
+# exactly 0.0, which the mask leaves pinned); the same with numpy's AVX-512
+# and AVX2 kernels turned off
+ALL_VERBS_SHA256 = "b68cf5224020bcd1078d23315267eb98d9b658e0ad69cf2e3165bcecc2386f5d"
 
 
 def test_every_verb_output_is_byte_stable(capsys):
@@ -288,10 +290,11 @@ def test_verify_metric_impossible_tolerance_fails(capsys):
 
 
 def test_verify_metric_locates_the_worst_point(capsys):
-    # Eguchi-Hanson is exactly scalar-flat, so max |S| here is stencil error,
-    # and it sits at the innermost radius, inside the bolt r < a
+    # Eguchi-Hanson is exactly scalar-flat, so max |S| here is rounding, 6.9e-13
+    # against a tol of 1e-13; it sits at the innermost radius, deep inside the
+    # bolt r < a, where f'' = u^2 / w is smallest next to f'
     argv = ["verify-metric", "--potential", "eguchi-hanson", "--a", "2.5", "--order", "2",
-            "--rmin", "0.3", "--rmax", "8", "--samples", "16"]
+            "--rmin", "0.3", "--rmax", "8", "--samples", "16", "--tol", "1e-13"]
     code, payload, _ = run_json(capsys, *argv, "--json")
     assert code == 2
     values = payload["scalar_values"]
@@ -301,6 +304,30 @@ def test_verify_metric_locates_the_worst_point(capsys):
     assert code == 2
     assert "worst       point 0, radius 0.3\n" in out
     assert "degenerate" not in out
+
+
+def test_verify_metric_reports_the_finite_maximum_beside_degenerate_points(capsys):
+    # Eguchi-Hanson's u^2 overflows past r = 1.2e77, where f'' reads 0 and the
+    # point degenerates: max |S| and the worst point are the finite points'
+    argv = ["verify-metric", "--potential", "eguchi-hanson", "--rmin", "1", "--rmax", "1e153",
+            "--samples", "4"]
+    code, payload, _ = run_json(capsys, *argv, "--json")
+    assert code == 2
+    assert payload["degenerate_indices"] == [2, 3]
+    assert payload["worst_index"] == 0
+    assert payload["max_abs_scalar"] == abs(payload["scalar_values"][0]) < 1e-4
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert "worst       point 0, radius 1\n" in out
+    assert "degenerate  point 3, radius 1e+153\n" in out
+    # with no finite value there is no maximum and no worst point
+    argv[4] = "1e150"
+    code, payload, _ = run_json(capsys, *argv, "--json")
+    assert code == 2
+    assert payload["max_abs_scalar"] is None and payload["worst_index"] is None
+    code, out, _ = run(capsys, *argv)
+    assert "max |S|     none finite (tolerance 0.0001)\n" in out
+    assert "worst" not in out and out.endswith("FAIL\n")
 
 
 # -------------------------------------------------------------------- decay

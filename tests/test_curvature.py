@@ -129,8 +129,8 @@ def test_flat_scalar_curvature_sweep_order2():
     order=st.sampled_from((2, 4)),
 )
 def test_flat_scalar_curvature_is_exactly_positive_zero(log_r, d, h0, order):
-    # flat is Burns with m = 0 along t: f = e^t is all exact, nothing is
-    # differenced, and S comes out +0.0 rather than -2 * 0.0 = -0.0
+    # flat is Burns with m = 0: f = e^t has the t-derivatives (u, u, u, u) in
+    # closed form, and S comes out +0.0 rather than -2 * 0.0 = -0.0
     x = math.exp(log_r) * np.array(d) / np.linalg.norm(d)
     s = cv.scalar_curvature(FL, x, h0=h0, order=order)
     (swept,) = cv.verify_scalar_flat(FL, cv.SamplePlan([x], h0=h0, order=order)).scalar_values
@@ -186,9 +186,26 @@ def test_verify_reports_degenerate_without_raising():
     report = cv.verify_scalar_flat(cv.custom_radial(lambda u: -u), plan)
     assert not report.passed
     assert not report.metric_positive
-    assert report.max_abs_scalar == float("inf")
+    assert report.max_abs_scalar is None
     assert report.worst_index is None
     assert report.degenerate_indices == tuple(range(8))
+
+
+def test_max_abs_scalar_is_taken_over_the_finite_points():
+    # F = u - u^2/10 has f'' = u - 0.4 u^2 < 0 past r = 1.58: the points out
+    # there degenerate, and the report's maximum sits at its worst finite point
+    pot = cv.custom_radial(lambda u: u - 0.1 * u * u)
+    plan = cv.SamplePlan(cv.sample_points(1, 4, 16))
+    report = cv.verify_scalar_flat(pot, plan)
+    s = report.scalar_values
+    finite = np.isfinite(s)
+    assert 0 < finite.sum() < len(s)
+    assert report.degenerate_indices == tuple(np.flatnonzero(~finite).tolist())
+    assert report.max_abs_scalar == np.abs(s[finite]).max() == abs(s[report.worst_index])
+    assert not report.metric_positive and not report.passed
+    # the degenerate points alone fail a report whose maximum is within tol
+    report = cv.verify_scalar_flat(pot, plan, tol=2.0 * report.max_abs_scalar)
+    assert report.max_abs_scalar <= report.tolerance and not report.passed
 
 
 # one potential of each kind, for the chunking tests
@@ -283,7 +300,7 @@ def test_degenerate_points_stay_local():
         want = cv.scalar_curvature(pot, pts[i])
         assert abs(s[i] - want) <= CHUNK_REL_TOL * max(1.0, abs(want))
     assert not report.metric_positive and not report.passed
-    assert report.max_abs_scalar == float("inf")
+    assert report.max_abs_scalar == np.abs(s[good]).max()
     assert report.degenerate_indices == tuple(bad.tolist())
     assert report.worst_index == int(good[np.argmax(np.abs(s[good]))])
 
@@ -1118,13 +1135,13 @@ def test_radial_scalar_curvature_is_unitary_invariant(r, d, angles, order):
         assert abs(s_u - s) <= CUSTOM_NOISE_FLOOR * max(1.0, abs(s))
 
 
-# worst |S| of Eguchi-Hanson (a in [0.5, 3]) and Burns (m in [0.2, 3]) along t
-# over radii 0.5-64, about 3 times the measured one: 6.3e-6 and 4.1e-3 for
-# Eguchi-Hanson at orders 4 and 2 (at a = 3, r = 0.5, inside the bolt), 1.1e-15
-# for Burns at both, whose S is taken from its exact derivatives
+# worst |S| of Eguchi-Hanson (a in [0.5, 3]) and Burns (m in [0.2, 3]) over
+# radii 0.5-64, about 3 times the measured one: both are taken from their
+# t-derivatives in closed form and read rounding, 3.7e-13 for Eguchi-Hanson
+# (at a = 3, r = 0.5, inside the bolt) and 1.3e-15 for Burns, at both orders
 _BUILTIN_ALONG_T_TOLERANCES = {
-    ("eguchi-hanson", 4): 2e-5,
-    ("eguchi-hanson", 2): 1.2e-2,
+    ("eguchi-hanson", 4): 1.2e-12,
+    ("eguchi-hanson", 2): 1.2e-12,
     ("burns", 4): 4e-15,
     ("burns", 2): 4e-15,
 }
@@ -1165,41 +1182,70 @@ def test_builtin_scalar_curvature_along_t_depends_on_the_computed_radius(pot, d,
     assert cv.scalar_curvature(pot, x, order=order) == cv.scalar_curvature(pot, y, order=order)
 
 
-def _eguchi_hanson_rest_differences(a, u, h, reach):
-    # rest(t + k h) - rest(t) of f = w + a^2 t - a^2 log(a^2 + w) in 60-digit
-    # decimals, rest being f less a^2 t, and less e^t too outside the bolt
+def _eguchi_hanson_t_derivatives(a, u):
+    # f' = w = sqrt(a^4 + u^2), f'' = phi = u^2 / w, f''' = phi (1 + q) and
+    # f'''' = phi (1 + 3 q^2), q = a^4 / w^2, in 60-digit decimals
     with decimal.localcontext() as ctx:
         ctx.prec = 60
-        a2, u = Decimal(a) ** 2, Decimal(u)
-
-        def rest(k):
-            uk = u * (k * Decimal(h)).exp()
-            wk = (a2 * a2 + uk * uk).sqrt()
-            return wk - (uk if u >= a2 else 0) - a2 * (a2 + wk).ln()
-
-        return [float(rest(k) - rest(0)) for k in range(-reach, reach + 1)]
+        a4, u = Decimal(a) ** 4, Decimal(u)
+        w = (a4 + u * u).sqrt()
+        phi, q = u * u / w, a4 / (w * w)
+        return [float(d) for d in (w, phi, phi * (1 + q), phi * (1 + 3 * q * q))]
 
 
-@pytest.mark.parametrize("order", [2, 4])
-@pytest.mark.parametrize("a", [0.5, 1.0, 2.5])
-def test_eguchi_hanson_differences_along_t_cancel_nothing(a, order):
-    # every difference builtin_along_t forms lies within a few ulps of its
-    # exact value (measured 4.4e-16 relative at worst), inside the bolt (u <
-    # a^2) and outside, near the origin and far out; each row's derivatives
-    # of the split-off e^t + a^2 t are exact
-    radii = [0.3, 0.9 * a, 1.1 * a, 3.0, 40.0]
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.5, 1000.0, 1e60])
+def test_eguchi_hanson_t_derivatives_match_decimal(a):
+    # on Python floats and on columns alike, each of the four derivatives lies
+    # within a few ulps of its exact value (measured 4 at worst, over these and
+    # 50 more radii in 0.3-100), inside the bolt (r < a) and outside, near the
+    # origin and far out
+    radii = [0.3, 0.9 * a, 1.1 * a, 3.0, 40.0, 10.0 * a]
     x = np.array([[r, 0.0, 0.0, 0.0] for r in radii])
-    h0 = 0.01
-    reach = _engine._reach(order)
     with np.errstate(all="raise"):
-        values, exact = _engine.builtin_along_t(_engine.EGUCHI_HANSON, a, x, h0, order)
-    for r, row, (e1, e2, e3, e4) in zip(radii, values.tolist(), exact.tolist()):
-        u = r * r
-        want = _eguchi_hanson_rest_differences(a, u, 4 * h0, reach)
-        for got, exact_value in zip(row, want):
-            assert abs(got - exact_value) <= 1.3e-15 * abs(exact_value), (r, row, want)
-        flat = u if u >= a * a else 0.0
-        assert (e1, e2, e3, e4) == (flat + a * a, flat, flat, flat)
+        columns = _engine.builtin_t_derivatives(np, x.T, EH.family, a)
+    for i, row in enumerate(x.tolist()):
+        r = math.sqrt(row[0] * row[0])
+        want = _eguchi_hanson_t_derivatives(a, r * r)
+        got = _engine.builtin_t_derivatives(math, row, EH.family, a)
+        assert [float(c[i]) for c in columns] == list(got)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 8 * math.ulp(w), (r, got, want)
+
+
+# (a, radii) -> max |S| a 64-point sweep may read, at both orders, about 3
+# times the measured rounding: inside the bolt f'' = u^2 / w is small, and
+# _scalar's f''''/f'' - (f'''/f'')^2 loses digits in proportion to w / u^2;
+# at a = 1e60, q rounds to 1 and S is exactly 0
+_BUILTIN_S_BOUNDS = {
+    (1.0, (0.3, 1.0)): 1e-12, (1.0, (1.0, 8.0)): 5e-15,
+    (2.5, (0.3, 1.0)): 6e-12, (2.5, (1.0, 8.0)): 3.5e-14,
+    (1000.0, (0.3, 1.0)): 9e-7, (1000.0, (1.0, 8.0)): 5.5e-9,
+    (1e60, (0.3, 1.0)): 0.0, (1e60, (1.0, 8.0)): 0.0,
+}
+
+
+@pytest.mark.parametrize("a, radii", sorted(_BUILTIN_S_BOUNDS))
+def test_eguchi_hanson_scalar_curvature_reads_rounding(a, radii):
+    # measured 3.3e-13 / 1.7e-15, 1.9e-12 / 1.1e-14, 2.8e-7 / 1.8e-9 and 0.0;
+    # h0 and order set only the domain rule, not a built-in's S
+    points = cv.sample_points(*radii, 64)
+    want = None
+    for order in (2, 4):
+        for h0 in (0.002, 0.01, 0.04):
+            report = cv.verify_scalar_flat(cv.eguchi_hanson(a), cv.SamplePlan(points, h0, order))
+            assert report.passed and report.max_abs_scalar <= _BUILTIN_S_BOUNDS[a, radii]
+            if want is None:
+                want = report.scalar_values.tobytes()
+            assert report.scalar_values.tobytes() == want
+
+
+def test_eguchi_hanson_passes_at_every_scale():
+    # 200 scales a from 0.01 to 1e76, radii 0.3-1e4: the worst |S| measured is
+    # 3.1e-6, at a = 3.1e3 and r = 0.3, where 1 - q is near the rounding of 1
+    points = cv.sample_points(0.3, 1e4, 64)
+    for a in np.geomspace(0.01, 1e76, 200).tolist():
+        report = cv.verify_scalar_flat(cv.eguchi_hanson(a), cv.SamplePlan(points))
+        assert report.passed and report.max_abs_scalar <= 1e-5, a
 
 
 def test_heavy_parameters_along_t():
@@ -1236,19 +1282,17 @@ def test_custom_radial_scalar_curvature_is_bitwise_stable():
     assert digest.hexdigest() == CUSTOM_RADIAL_S_SHA256
 
 
-def _fsum_radial_scalar(values, h0, order, exact=None):
+def _fsum_radial_scalar(values, h0, order):
     # radial_scalar as it was before its compensated sum: the terms laid out
     # (points, derivatives, terms), each derivative one correctly rounded
     # math.fsum, in a loop over the rows' Python floats
     reach = _engine._reach(order)
     up, down = values[:, reach + 1 :], values[:, reach - 1 :: -1]
-    terms = np.empty((len(values), 4, reach + 1))
-    odd, even = terms[:, 0, :reach], terms[:, 1, :reach]
-    np.subtract(up, down, out=odd)
-    np.add(up, down, out=even)
-    even -= 2.0 * values[:, reach : reach + 1]
-    terms[:, 2:, :reach] = terms[:, :2, :reach]
-    terms[:, :, reach] = 0.0 if exact is None else exact
+    terms = np.empty((len(values), 4, reach))
+    np.subtract(up, down, out=terms[:, 0])
+    np.add(up, down, out=terms[:, 1])
+    terms[:, 1] -= 2.0 * values[:, reach : reach + 1]
+    terms[:, 2:] = terms[:, :2]
     terms *= np.array(_engine._t_table(order, h0)[0])
     out = []
     for f in terms.tolist():
@@ -1269,40 +1313,86 @@ def _bits(s):
     return np.where(np.isnan(s), np.nan, s).tobytes()
 
 
-def _single_rows(values, h0, order, exact=None):
+def _single_rows(values, h0, order):
     # radial_scalar on one row at a time, so on Python floats
-    return np.concatenate([
-        _engine.radial_scalar(values[i : i + 1], h0, order, None if exact is None else exact[i : i + 1])
-        for i in range(len(values))
-    ])
+    return np.concatenate([_engine.radial_scalar(v[None], h0, order) for v in values])
 
 
+# the built-in families as custom_radial profiles, whose values along t go
+# through the compensated sums as any profile's do
 _ALONG_T_KINDS = (
-    [(f"eguchi-hanson-{a:g}", cv.eguchi_hanson(a)) for a in (0.5, 1.0, 2.5, 1000.0, 1e60)]
-    + [(f"burns-{m:g}", cv.burns(m)) for m in (1.0, 1e10, 1e300)]
-    + [("flat", FL), ("custom-radial", _KINDS["custom-radial"])]
+    [(f"eguchi-hanson-{a:g}", _eguchi_hanson_profile(a)[0]) for a in (0.5, 1.0, 2.5, 1000.0, 1e60)]
+    + [(f"burns-{m:g}", _burns_profile(m)[0]) for m in (1.0, 1e10, 1e300)]
+    + [("flat", _burns_profile(0.0)[0]), ("custom-radial", _KINDS["custom-radial"].fn)]
 )
 
 
 @pytest.mark.parametrize("h0", [0.002, 0.01, 0.05])
 @pytest.mark.parametrize("order", [2, 4])
-@pytest.mark.parametrize("kind, pot", _ALONG_T_KINDS, ids=[k for k, _ in _ALONG_T_KINDS])
-def test_compensated_sum_matches_fsum_bit_for_bit(kind, pot, order, h0):
-    # Sum2 is not correctly rounded for every input, but on the rows the
-    # engine forms it gave fsum's bits on every one tried: 294,912 rows of
-    # these kinds at radii 0.3-240 in random directions, the degenerate
-    # rows of a large Eguchi-Hanson bolt included; both paths are checked
+@pytest.mark.parametrize("kind, profile", _ALONG_T_KINDS, ids=[k for k, _ in _ALONG_T_KINDS])
+def test_compensated_sum_matches_fsum_bit_for_bit(kind, profile, order, h0):
+    # Sum2 is not correctly rounded for every input, but on the rows a profile
+    # forms it gave fsum's bits on every one tried: 299,520 rows of these
+    # kinds at radii 0.3-240 in random directions, the degenerate rows of a
+    # deep Eguchi-Hanson bolt included; both paths are checked
     rng = np.random.default_rng(20160517)
     x = np.geomspace(0.3, 240.0, 96)[:, None] * _directions(rng, 96)
     with np.errstate(all="ignore"):
-        if pot.fn is None:
-            values, exact = _engine.builtin_along_t(pot.family, pot.parameter, x, h0, order)
-        else:
-            values = _engine.profile_along_t(pot.fn, x, h0, order, pot.name)
-            exact = None
-        want = _bits(_fsum_radial_scalar(values, h0, order, exact))
-        assert _bits(_engine.radial_scalar(values, h0, order, exact)) == want
-        assert _bits(_single_rows(values, h0, order, exact)) == want
+        values = _engine.profile_along_t(profile, x, h0, order, kind)
+        want = _bits(_fsum_radial_scalar(values, h0, order))
+        assert _bits(_engine.radial_scalar(values, h0, order)) == want
+        assert _bits(_single_rows(values, h0, order)) == want
+
+
+# one row of f(t + k h), k = 1..4, per derivative, at order 4 and h0 = 0.01,
+# with f = 0 at k <= 0: on row j, Sum2 of d^j f / dt^j's weighted terms
+# gives other bits from k = 4 down than from k = 1 up.  Found by a seeded
+# search over rows of two large terms that nearly cancel, a tiny one and a
+# moderate one, in shuffled order; at order 2, with three terms, a reversed
+# sum kept its bits on each of 300,000 such rows
+_ORDER_SENSITIVE_ROWS = (
+    (-14073788761702.4, -56294995531635.0, 7.115923918054341e-21, 5.603823184967041),
+    (-0.13962649536132812, -1152924136079622.2, -9079257070582014.0, 3.06203538112249e-21),
+    (-0.0020144422889928353, -818642490828.0377, -3843071713389.61, 3.774808887799361e-24),
+    (2.112407946977459e-05, 3.153296165225374e-24, -28824415933.929882, -395287373065.7348),
+)
+
+
+def _sum2_reference(terms):
+    # Sum2 written out: left-to-right partial sums, TwoSum's exact error of
+    # each add, the errors added in order and their total added once
+    s, err = terms[0], None
+    for b in terms[1:]:
+        t = s + b
+        z = t - s
+        e = (s - (t - z)) + (b - z)
+        err = e if err is None else err + e
+        s = t
+    return s + err
+
+
+def test_t_derivatives_sum_their_terms_from_k_1_up():
+    h0, order = 0.01, 4
+    reach = _engine._reach(order)
+    h = 4.0 * h0
+    weights = [[w / (d * h**j) for w in row[reach + 1 :]]
+               for j, (row, d) in enumerate(_engine._T_WEIGHTS[order], 1)]
+    want = []
+    for j, row in enumerate(_ORDER_SENSITIVE_ROWS):
+        terms = [[w * f for w, f in zip(ws, row)] for ws in weights]
+        want.append([_sum2_reference(t) for t in terms])
+        assert _sum2_reference(terms[j][::-1]) != want[-1][j]
+    values = np.zeros((len(_ORDER_SENSITIVE_ROWS), 2 * reach + 1))
+    values[:, reach + 1 :] = _ORDER_SENSITIVE_ROWS
+
+    def t_derivatives(xp, v):
+        return _engine.t_derivatives(xp, v, h0, order)
+
+    # four rows take Python floats, the same rows repeated whole columns
+    assert len(values) < _engine._ROWS
+    rows = _engine.rows_or_columns(t_derivatives, values)
+    columns = _engine.rows_or_columns(t_derivatives, np.tile(values, (_engine._ROWS, 1)))
+    assert rows.tolist() == columns[: len(values)].tolist() == want
 
 
 _any_float = st.one_of(st.floats(-10.0, 10.0), st.floats(allow_nan=False, allow_infinity=False))
@@ -1316,13 +1406,12 @@ def _three_ways(evaluate, *arrays):
     # evaluate(*arrays) over the stack as drawn, over each row alone (Python
     # floats unless a row divides by zero) and over the stack repeated past
     # the crossover (whole columns), each cut back to the drawn rows
-    # (an array of None, such as no exact terms, is passed as it is)
     n = len(arrays[0])
     reps = -(-_CROSSOVER // n)
     return (
         evaluate(*arrays),
-        np.concatenate([evaluate(*(a if a is None else a[i : i + 1] for a in arrays)) for i in range(n)]),
-        evaluate(*(a if a is None else np.concatenate([a] * reps) for a in arrays))[:n],
+        np.concatenate([evaluate(*(a[i : i + 1] for a in arrays)) for i in range(n)]),
+        evaluate(*(np.concatenate([a] * reps) for a in arrays))[:n],
     )
 
 
@@ -1337,8 +1426,9 @@ def _draw_rows(data, rows, width):
     )))
 
 
-_KERNELS = ("flat", "burns", "eguchi-hanson", "profile-metric", "t-derivatives",
-            "t-derivatives-exact", "radial-scalar", "radial-scalar-exact", "contraction")
+_BUILTINS = ("flat", "burns", "eguchi-hanson")
+_KERNELS = _BUILTINS + tuple(f"{name}-scalar" for name in _BUILTINS) + (
+    "profile-metric", "t-derivatives", "radial-scalar", "contraction")
 
 
 @settings(max_examples=200, deadline=None)
@@ -1353,22 +1443,22 @@ def test_rows_and_columns_give_the_same_bits(kernel, order, h0, rows, data):
     # any finite inputs, overflowing ones included: every kernel gives the
     # same bits on Python floats and on whole columns, NaN in the same places
     values = _draw_rows(data, rows, 2 * _engine._reach(order) + 1)
-    exact = _draw_rows(data, rows, 4) if kernel.endswith("-exact") else None
     x = _draw_rows(data, rows, 4)
-    if kernel in ("flat", "burns", "eguchi-hanson"):
-        family = EH.family if kernel == "eguchi-hanson" else BU.family
-        par = 0.0 if kernel == "flat" else data.draw(_edge_float)
-        case = (lambda x: _engine.builtin_metric(family, par, x), x)
+    builtin = kernel.removesuffix("-scalar")
+    if builtin in _BUILTINS:
+        family = EH.family if builtin == "eguchi-hanson" else BU.family
+        par = 0.0 if builtin == "flat" else data.draw(_edge_float)
+        evaluate = _engine.builtin_scalar if kernel.endswith("-scalar") else _engine.builtin_metric
+        case = (lambda x: evaluate(family, par, x), x)
     elif kernel == "profile-metric":
         case = (lambda x, v: _engine.radial_metric(v, x, h0, order), x, values)
-    elif kernel.startswith("t-derivatives"):
-        def t_derivatives(xp, v, e):
-            return _engine.t_derivatives(xp, v, e, h0, order)
+    elif kernel == "t-derivatives":
+        def t_derivatives(xp, v):
+            return _engine.t_derivatives(xp, v, h0, order)
 
-        e = np.zeros((rows, 4)) if exact is None else exact
-        case = (lambda v, e: _engine.rows_or_columns(t_derivatives, v, e), values, e)
-    elif kernel.startswith("radial-scalar"):
-        case = (lambda v, e: _engine.radial_scalar(v, h0, order, e), values, exact)
+        case = (lambda v: _engine.rows_or_columns(t_derivatives, v), values)
+    elif kernel == "radial-scalar":
+        case = (lambda v: _engine.radial_scalar(v, h0, order), values)
     else:
         # g, f = Hess log det g, det g and whether g is positive definite, at a base
         ok = np.array(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))
@@ -1377,44 +1467,42 @@ def test_rows_and_columns_give_the_same_bits(kernel, order, h0, rows, data):
     with np.errstate(all="ignore"):
         stack, single, columns = _three_ways(*case)
         assert _bits(stack) == _bits(single) == _bits(columns)
-        if kernel.startswith("radial-scalar"):
+        if kernel == "radial-scalar":
             # the reference reads NaN where fsum raised (a sum that overflows,
             # or inf - inf) or g is not positive definite
-            reference = _fsum_radial_scalar(values, h0, order, exact)
+            reference = _fsum_radial_scalar(values, h0, order)
             assert np.isnan(stack[np.isnan(reference)]).all()
 
 
 def test_a_nonfinite_derivative_reads_degenerate():
-    # order 2, h = 4 h0 = 0.2: the k = 1 term of f' is 3.75 (f(h) - f(-h));
-    # values symmetric about k = 0 give the even derivatives alone
+    # order 2, h = 4 h0 = 0.2: f' has the terms 3.75, -0.75 and 1/12 times
+    # f(k h) - f(-k h), k = 1, 2, 3; values 0 at k <= 0 leave f(k h) alone
     h0, order = 0.05, 2
-    w4 = _engine._t_table(order, h0)[0][3]
-    values = np.zeros((4, 7))
-    exact = np.tile([1.0, 1.0, 0.0, 0.0], (4, 1))
-    values[0, 4], exact[0, 0] = 1e305 / 3.75, 1.7976e308  # every term finite, f' overflows
-    values[1, 4], exact[1, 0] = math.inf, -math.inf  # f' holds inf - inf
-    values[2, 4] = math.inf  # f' = inf, which fsum summed to inf
-    # the fourth derivative sums max float + 9e291 + 9e291: every partial sum
-    # rounds to max float, and only the final add of the errors overflows
-    even = [sys.float_info.max / w4[0], 9e291 / w4[1], 9e291 / w4[2]]
-    values[3, 4:] = values[3, 2::-1] = [e / 2.0 for e in even]
-    exact[3, :2] = 1e308  # f''/f' near 1, so f'''' alone is not finite
-    terms = [
-        [values[0, 4] * 3.75, exact[0, 0]],
-        [values[1, 4] * 3.75, exact[1, 0]],
-        [e * w for e, w in zip(even, w4)],
-    ]
-    for row, error in zip(terms, (OverflowError, ValueError, OverflowError)):
+    w1 = _engine._t_table(order, h0)[0][0]
+    values = np.zeros((3, 7))
+    values[0, 4:6] = 1e308 / w1[0], 1e308 / w1[1]  # every term of f' finite, f' overflows
+    values[1, 4:6] = math.inf  # f' holds inf - inf
+    values[2, 4] = math.inf  # f' = inf, which fsum sums to inf
+    terms = [[v * w for v, w in zip(row[4:], w1)] for row in values.tolist()]
+    for row, error in zip(terms, (OverflowError, ValueError)):
         with pytest.raises(error):
             math.fsum(row)
-    assert _engine._sum2(terms[2]) == math.inf
+    assert math.fsum(terms[2]) == math.inf
     # repeated past the crossover, so that the stack takes whole columns
-    values, exact = np.tile(values, (_engine._ROWS, 1)), np.tile(exact, (_engine._ROWS, 1))
+    values = np.tile(values, (_engine._ROWS, 1))
     with np.errstate(all="ignore"):
-        for s in (_engine.radial_scalar(values, h0, order, exact), _single_rows(values, h0, order, exact)):
+        for s in (_engine.radial_scalar(values, h0, order), _single_rows(values, h0, order)):
             assert np.isnan(s).all(), s
+    # max float + 9e291 + 9e291: every partial sum rounds to max float, and
+    # only the final add of the errors overflows
+    assert _engine._sum2([sys.float_info.max, 9e291, 9e291]) == math.inf
     assert math.isnan(_engine._sum2([1e308, 1e308, -1e308]))
     assert math.isnan(_engine._sum2([math.inf, 1.0, 1.0]))
+    # such a derivative makes S NaN, though f' and f'' are positive
+    f = (1e308, 1e308, 0.0, math.inf)
+    assert math.isnan(_engine.scalar(math, f))
+    with np.errstate(all="ignore"):
+        assert np.isnan(_engine.scalar(np, np.array(f)[:, None])).all()
 
 
 # ---------------------------------------------------------------- pullbacks
