@@ -19,13 +19,11 @@ Each mirror pair is added before its weight multiplies it: the two psi
 values nearly cancel, so their sum is exact, and only the O(h^2) result
 meets the rounding of the weight.
 
-A radial potential, Phi = F(|z|^2), takes no 4-D stencil: metric
-assembles g = F' I + F'' conj(z) z^T from lam = F' + |z|^2 F'' and b =
--F'', closed form for the built-ins (builtin_metric) and taken along t
-for a custom_radial profile (radial_metric).  Only custom_general
-potentials take the inner stencil, on psi rather than Phi: the weights
-sum to zero, so both forms agree exactly, but psi keeps the common value
-of Phi out of the weighted sum.  lattice_psi calls the callable at the
+A radial potential, Phi = F(|z|^2), takes no 4-D stencil: radial
+gives its g and S along t (below).  Only custom_general potentials
+take the inner stencil, on psi rather than Phi: the weights sum to
+zero, so both forms agree exactly, but psi keeps the common value of
+Phi out of the weighted sum.  lattice_psi calls the callable at the
 sites x + h o of a site lattice and differences psi from those values
 through the lattice's index arrays.  Lattices come in two forms:
 
@@ -38,14 +36,18 @@ through the lattice's index arrays.  Lattices come in two forms:
     Hessian.
 
 Along t = log u, S depends only on f(t) = F(e^t)'s first four
-derivatives, from which scalar takes it.  The built-ins have them in
-closed form (builtin_t_derivatives): tau = f' and phi = f'' give f'''
-= phi phi' and f'''' = phi (phi phi')', ' = d/dtau, and nothing is
-subtracted; flat is Burns with m = 0.  A custom_radial profile is
-called at the 9 (order 4) or 7 t-sites t + k h, h = 4 h0
-(profile_along_t), and t_derivatives takes each derivative from those
-values as one compensated sum (_sum2): radial_scalar S from all four,
-radial_metric g from f' and f''.  These and S's final contraction are
+derivatives, from which scalar takes it, and g = F' I + F'' conj(z)
+z^T only on f'' and f' - f'': its eigenvalues are f''/u along conj(z)
+and f'/u across it.  A source gives the five, (f', f'', f''', f'''',
+f' - f''), and radial runs one kernel over them, for S or for g.  The
+built-ins' source is one closed-form table (builtin_t_derivatives):
+tau = f' and phi = f'' give f''' = phi phi' and f'''' = phi (phi
+phi')', ' = d/dtau, f' - f'' is written so that nothing cancels, and
+flat is Burns with m = 0.  A custom_radial profile is called at the 9
+(order 4) or 7 t-sites t + k h, h = 4 h0 (profile_along_t), and
+t_derivatives takes each derivative from those values as one
+compensated sum (_sum2); profile_t_derivatives adds f' - f'' as the
+difference of the first two.  These and S's final contraction are
 kernels, written once: rows_or_columns runs them on a few rows' Python
 floats or on whole columns, with the same IEEE operations, so to the
 same bits.
@@ -248,41 +250,6 @@ def builtin_potential(family, par, x0, x1, x2, x3):
     return u + par * math.log(u)
 
 
-def metric(xp, x, eigen, *args):
-    """(g11, g22, Re g12, Im g12) of a radial potential F(u) at a point x; a kernel.
-
-    g = F' I + F'' conj(z) z^T is lam + b |z2|^2, lam + b |z1|^2 and -b
-    conj(z1) z2, where eigen(xp, u, *args) gives g's eigenvalue along
-    conj(z), lam = F' + u F'', and b = -F'' at u = |z|^2.
-    """
-    x0, x1, x2, x3 = x
-    s1, s2 = x0 * x0 + x1 * x1, x2 * x2 + x3 * x3
-    lam, b = eigen(xp, s2 + s1, *args)
-    return s2 * b + lam, s1 * b + lam, (x0 * -x2 + x1 * -x3) * b, (x0 * -x3 - x1 * -x2) * b
-
-
-def builtin_eigen(xp, u, family, par):
-    if family != EGUCHI_HANSON:
-        return 1.0, par / (u * u)
-    a2 = par * par
-    a4 = a2 * a2
-    w = xp.sqrt(a4 + u * u)
-    return u / w, a4 / (w * u * u)
-
-
-def builtin_metric(family, par, x) -> np.ndarray:
-    """metric of a built-in potential at each point (row) of x, or at the point x, in closed form.
-
-    Burns, F = u + m log u, has lam = 1 and b = m / u^2, and flat is Burns
-    with m = 0; Eguchi-Hanson, F' = w / u with w = sqrt(a^4 + u^2), has
-    lam = u / w and b = a^4 / (w u^2): no term cancels.  NaN at the origin.
-    """
-    if x.ndim == 1:
-        return builtin_metric(family, par, x[None])[0]
-    return rows_or_columns(lambda xp, row: metric(xp, row, builtin_eigen, family, par), x,
-                           below=_G_ROWS)
-
-
 def callable_values(fn, columns, name: str) -> np.ndarray:
     """fn(*row) for each row of columns (equal-length lists of Python values), as floats.
 
@@ -386,28 +353,25 @@ def profile_along_t(profile, x, h0: float, order: int, name: str) -> np.ndarray:
     return callable_values(profile, [sites.ravel().tolist()], name).reshape(sites.shape)
 
 
-def builtin_t_derivatives(xp, x, family, par):
-    """(f', f'', f''', f'''') of a built-in's f(t) = F(e^t) at a point x, in closed form; a kernel.
+def builtin_t_derivatives(xp, u, family, par):
+    """(f', f'', f''', f'''', f' - f'') of a built-in's f(t) = F(e^t) at u = e^t, in closed form; a kernel.
 
-    With u = r r from the computed radius r = |x|: Burns, f = e^t + m t,
-    has (u + m, u, u, u), and flat is Burns with m = 0.  Eguchi-Hanson
-    has tau = f' = w = sqrt(a^4 + u^2) and phi = f'' = u^2 / w, a
-    function of tau with phi' = 1 + q, q = (a^2 / w)^2 <= 1, so f''' =
-    phi phi' = phi (1 + q) and f'''' = phi (phi phi')' = phi (1 + 3 q^2).
-    Nothing is subtracted, and every operation is correctly rounded, so
-    rows and columns give the same bits on every CPU.
+    Burns, f = e^t + m t, has (u + m, u, u, u, m), and flat is Burns with
+    m = 0.  Eguchi-Hanson has tau = f' = w = sqrt(a^4 + u^2) and phi =
+    f'' = u^2 / w, a function of tau with phi' = 1 + q, q = (a^2 / w)^2
+    <= 1, so f''' = phi phi' = phi (1 + q), f'''' = phi (phi phi')' = phi
+    (1 + 3 q^2) and f' - f'' = a^4 / w = a^2 (a^2 / w).  Nothing is
+    subtracted, and every operation is correctly rounded, so rows and
+    columns give the same bits on every CPU.
     """
-    x0, x1, x2, x3 = x
-    r = xp.sqrt(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3)
-    u = r * r
     if family != EGUCHI_HANSON:
-        return u + par, u, u, u
+        return u + par, u, u, u, par
     a2 = par * par
     w = xp.sqrt(a2 * a2 + u * u)
     phi = u * (u / w)
     p = a2 / w
     q = p * p
-    return w, phi, phi * (1.0 + q), phi * (1.0 + 3.0 * (q * q))
+    return w, phi, phi * (1.0 + q), phi * (1.0 + 3.0 * (q * q)), a2 * p
 
 
 def _sum2(terms):
@@ -436,20 +400,22 @@ def _sum2(terms):
     return s + err
 
 
-def _scalar(f1, f2, f3, f4):
-    """S = -2 (G'/f' + G''/f'') from f's first four t-derivatives; elementwise on arrays."""
+def _scalar(f1, f2, f3, f4, _=None):
+    """S = -2 (G'/f' + G''/f'') from f's first four t-derivatives, elementwise; a fifth is unread."""
     a, b = f2 / f1, f3 / f2
     # + 0.0 turns an exact -0.0 (flat's -2 * 0.0) into 0.0 and moves no other value
     return -2.0 * ((a + b - 2.0) / f1 + (f3 / f1 - a * a + f4 / f2 - b * b) / f2) + 0.0
 
 
 def scalar(xp, f):
-    """S of a radial potential from f = (f', f'', f''', f''''); a kernel.
+    """S of a radial potential from f = (f', f'', f''', f'''') or a source's five; a kernel.
 
     S = -2 (G'/f' + G''/f''), G = log(f' f'') - 2t: NaN where f' or f''
-    is not positive or a derivative is not finite, +0.0 for S = 0.
+    is not positive or a derivative is not finite, +0.0 for S = 0.  A
+    row checks a source's f' - f'' too, sparing a slice: it is finite
+    wherever f' and f'' are finite and positive.
     """
-    finite = all(map(math.isfinite, f)) if xp is math else np.isfinite(f).all(axis=0)
+    finite = all(map(math.isfinite, f)) if xp is math else np.isfinite(f[:4]).all(axis=0)
     return where(xp, (f[0] > 0.0) & (f[1] > 0.0) & finite, _scalar, *f)
 
 
@@ -472,26 +438,45 @@ def t_derivatives(xp, values, h0: float, order: int):
     return _sum2(np.multiply(terms, weights))
 
 
-def radial_scalar(values, h0: float, order: int) -> np.ndarray:
-    """S of a custom_radial profile at each row of values (profile_along_t's), taken along t."""
-    return rows_or_columns(lambda xp, v: scalar(xp, t_derivatives(xp, v, h0, order)), values)
+def profile_t_derivatives(xp, values, h0: float, order: int):
+    """(f', f'', f''', f'''', f' - f'') of a profile at a row of values, or at whole columns; a kernel.
+
+    The four are t_derivatives', and f' - f'' the difference of the first two.
+    """
+    f1, f2, f3, f4 = t_derivatives(xp, values, h0, order)
+    return f1, f2, f3, f4, f1 - f2
 
 
-def builtin_scalar(family, par, x) -> np.ndarray:
-    """S of a built-in potential at each point (row) of x, from builtin_t_derivatives."""
-    def kernel(xp, row):
-        return scalar(xp, builtin_t_derivatives(xp, row, family, par))
+def radial(curvature: bool, x, values, derivatives, p1, p2) -> np.ndarray:
+    """S (curvature) or g at each point (row) of x of a radial potential F(u), by one kernel.
 
-    return rows_or_columns(kernel, x, below=_G_ROWS)
-
-
-def radial_metric(values, x, h0: float, order: int) -> np.ndarray:
-    """metric of a custom_radial profile at each point (row) of x, from its values along t."""
-    def kernel(xp, row, v):
-        f1, f2 = t_derivatives(xp, v, h0, order)[:2]
-        # g's eigenvalues are f''/u along conj(z) and f'/u across it
-        return metric(xp, row, lambda xp, u: (f2 / u, (f1 - f2) / (u * u)))
-
+    derivatives(xp, at, p1, p2) gives f(t) = F(e^t)'s (f', f'', f''',
+    f'''', f' - f''): builtin_t_derivatives at u = e^t where values is
+    None, else profile_t_derivatives at each point's row of values
+    (profile_along_t's), and then x is not read for S.  S is scalar's,
+    a built-in's at u = r r from the computed radius r = |x|.  g = F' I
+    + F'' conj(z) z^T is lam + b |z2|^2, lam + b |z1|^2 and -b conj(z1)
+    z2 at u = |z1|^2 + |z2|^2, with lam = f''/u, g's eigenvalue along
+    conj(z) (f'/u across it), and b = (f' - f'')/u^2.  A built-in's rows
+    run as Python floats below _G_ROWS, a profile's below _ROWS.
+    """
+    if not curvature:
+        def kernel(xp, row, *v):
+            x0, x1, x2, x3 = row
+            s1, s2 = x0 * x0 + x1 * x1, x2 * x2 + x3 * x3
+            u = s2 + s1
+            f = derivatives(xp, v[0] if v else u, p1, p2)
+            lam, b = f[1] / u, f[4] / (u * u)
+            return s2 * b + lam, s1 * b + lam, (x0 * -x2 + x1 * -x3) * b, (x0 * -x3 - x1 * -x2) * b
+    elif values is None:
+        def kernel(xp, row):
+            x0, x1, x2, x3 = row
+            r = xp.sqrt(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3)
+            return scalar(xp, derivatives(xp, r * r, p1, p2))
+    else:
+        return rows_or_columns(lambda xp, v: scalar(xp, derivatives(xp, v, p1, p2)), values)
+    if values is None:
+        return rows_or_columns(kernel, x, below=_G_ROWS)
     return rows_or_columns(kernel, x, values)
 
 

@@ -2,18 +2,19 @@
 
 A potential is sampled at scattered points.  Radial or general is the
 one decision.  A radial potential F(|z|^2), a built-in or custom_radial,
-takes no 4-D stencil (_radial): a built-in's Hermitian metric g_ij = d2
-Phi / dz_i dzbar_j and its S, from the t-derivatives of f(t) = F(e^t),
-t = log |z|^2, are closed form, so h0 and order set only the domain
-rule they obey.  A custom_radial profile's S and g are taken along t
-from 9 values of f per point at order 4, 7 at order 2.  Flat is Burns
-with m = 0, and its S is exactly 0.  A custom_general potential's g
-comes from central differences in the four real coordinates, and its S
-from a second, nested stencil applied to log det g, 53 x 48 terms (29 x
-24).  Each point has its own radius-scaled step h = h0 * (1 + |z|);
-there is no grid.  The curvature derivative takes the 4-D stencil for
-every background, since a perturbation need not be radial, with a
-radial g taken at each of its bases as at a point.
+takes no 4-D stencil: its Hermitian metric g_ij = d2 Phi / dz_i dzbar_j
+and its S follow from the t-derivatives of f(t) = F(e^t), t = log
+|z|^2, and _radial only picks their source.  A built-in's come from its
+closed-form table, so h0 and order set only the domain rule they obey;
+a custom_radial profile's are taken along t from 9 values of f per
+point at order 4, 7 at order 2.  Flat is Burns with m = 0, and its S
+is exactly 0.  A custom_general potential's g comes from central
+differences in the four real coordinates, and its S from a second,
+nested stencil applied to log det g, 53 x 48 terms (29 x 24).  Each
+point has its own radius-scaled step h = h0 * (1 + |z|); there is no
+grid.  The curvature derivative takes the 4-D stencil for every
+background, since a perturbation need not be radial, with a radial g
+taken at each of its bases as at a point.
 
 The engine takes a stack of points in one pass, laid out as (points,
 bases, steps).  Multi-point calls (verify_scalar_flat, and
@@ -55,13 +56,13 @@ NO_SIGNAL_THRESHOLD = 1e-12
 class Potential:
     """A real-valued Kahler potential on C^2 minus the origin.
 
-    Built-in families (family set, fn None) have their metric g, and
-    the four t-derivatives of f(t) = F(e^t), t = log |z|^2, that give
-    their S, in closed forms that subtract nothing (README gives costs
+    Built-in families (family set, fn None) have the t-derivatives of
+    f(t) = F(e^t), t = log |z|^2, that give their metric g and their S
+    in one closed-form table that subtracts nothing (README gives costs
     and errors).
     custom_radial potentials (family RADIAL) carry their profile fn(u)
-    -> Phi of u = |z|^2, and take S and g along t = log u: 9 calls per
-    point at order 4, 7 at order 2.
+    -> Phi of u = |z|^2, and take the same derivatives along t = log u:
+    9 calls per point at order 4, 7 at order 2.
     custom_general potentials (family None) carry the user's fn(z1, z2)
     -> Phi itself, called on a site lattice: for its own S and Hessian
     at both ends of every stencil term, 5088 and 96 calls at order 4,
@@ -160,12 +161,10 @@ def _psi(potential: Potential, x, h, order: int, curvature: bool, distinct: bool
 def _radial(potential: Potential, x, h0: float, order: int, curvature: bool) -> np.ndarray:
     """S (curvature) or g at each point (row) of x of a radial potential, with no 4-D stencil."""
     if potential.fn is None:
-        builtin = _engine.builtin_scalar if curvature else _engine.builtin_metric
-        return builtin(potential.family, potential.parameter, x)
+        return _engine.radial(curvature, x, None, _engine.builtin_t_derivatives,
+                              potential.family, potential.parameter)
     values = _engine.profile_along_t(potential.fn, x, h0, order, potential.name)
-    if curvature:
-        return _engine.radial_scalar(values, h0, order)
-    return _engine.radial_metric(values, x, h0, order)
+    return _engine.radial(curvature, x, values, _engine.profile_t_derivatives, h0, order)
 
 
 def _stencil_metric(potential: Potential, x, h, h0: float, order: int):
@@ -237,11 +236,14 @@ def _reach(order: int, curvature: bool) -> float:
 
 
 def _domain(potential: Optional[Potential], r, h0: float, order: int, curvature: bool):
-    """(refused, where): which points at radius r an entry refuses, and where they lie.
+    """(taken, where): which points at radius r an entry takes, and where the others lie.
 
     No potential is defined at the origin.  Elementwise on r, a Python
-    float for one point or a column for a stack.  The rule follows from
-    what the entry evaluates, S (curvature) or g:
+    float for one point or a column for a stack.  Every entry refuses a
+    radius that is not finite, from a coordinate that is not or from
+    |z|^2 overflowing a float (|z| above about 1.34e154): inf and NaN
+    fail each rule's comparison.  The rule follows from what the entry
+    evaluates, S (curvature) or g:
 
       closed-form rule, for a built-in's g, which takes no stencil and
         divides by |z|^4: a point whose |z|^4 underflows is refused;
@@ -256,9 +258,18 @@ def _domain(potential: Optional[Potential], r, h0: float, order: int, curvature:
     """
     if curvature or potential.fn is not None:
         reach = _reach(order, curvature or potential.family == _engine.RADIAL)
-        return r <= reach * h0 * (1.0 + r), f"within the order-{order} stencil's reach of"
+        return r > reach * h0 * (1.0 + r), f"within the order-{order} stencil's reach of"
     u = r * r
-    return u * u < sys.float_info.min, "at"
+    return (u * u >= sys.float_info.min) & (r < math.inf), "at"
+
+
+def _refusal(point: str, x, r: float, where: str) -> ValueError:
+    """The ValueError naming a point x at radius r that _domain refuses."""
+    if not all(map(math.isfinite, x)):
+        return ValueError(f"{point} has a non-finite coordinate")
+    if math.isinf(r):
+        return ValueError(f"{point}: |z|^2 = |z1|^2 + |z2|^2 overflows a float")
+    return ValueError(_engine.OFF_DOMAIN.format(point, r, where))
 
 
 def _point(potential: Potential, z, h0: float, order: int, curvature: bool) -> np.ndarray:
@@ -266,9 +277,9 @@ def _point(potential: Potential, z, h0: float, order: int, curvature: bool) -> n
     x = _coords(z)
     x0, x1, x2, x3 = x
     r = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3)
-    refused, where = _domain(potential, r, h0, order, curvature)
-    if refused:
-        raise ValueError(_engine.OFF_DOMAIN.format(f"point {z!r}", r, where))
+    taken, where = _domain(potential, r, h0, order, curvature)
+    if not taken:
+        raise _refusal(f"point {z!r}", x, r, where)
     return np.array([x])
 
 
@@ -288,15 +299,14 @@ def _points(potential: Optional[Potential], points, h0: float, order: int,
         out = np.array(arr, dtype=float)
     else:
         raise ValueError("points must have shape (n, 2) complex or (n, 4) real")
-    finite = np.isfinite(out).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"sample point {int(np.argmin(finite))} has a non-finite coordinate")
-    r = _engine.norms(out)
-    refused, where = _domain(potential, r, h0, order, curvature)
-    # the first refused point, or point 0 if none is
-    i = int(refused.argmax())
-    if refused[i]:
-        raise ValueError(_engine.OFF_DOMAIN.format(f"sample point {i}", r[i], where))
+    # a coordinate that is not finite, or squares that overflow, make r inf or NaN
+    with np.errstate(over="ignore"):
+        r = _engine.norms(out)
+        taken, where = _domain(potential, r, h0, order, curvature)
+    # the first refused point, or point 0 if every point is taken
+    i = int(taken.argmin())
+    if not taken[i]:
+        raise _refusal(f"sample point {i}", out[i].tolist(), r[i], where)
     return out
 
 

@@ -441,6 +441,16 @@ def test_plan_point_within_the_stencils_reach_exits_1(capsys):
     assert code == 0
 
 
+def test_plan_radius_whose_square_overflows_exits_1(capsys):
+    # the plan's radii 1e155 and 1e156 read inf: refused as an overflow, with
+    # no numpy warning, not as a point within the stencil's reach of the origin
+    code, out, err = run(capsys, "verify-metric", "--potential", "flat", "--rmin", "1e155",
+                         "--rmax", "1e156", "--samples", "2")
+    assert (code, out) == (1, "")
+    assert "sample point 0: |z|^2 = |z1|^2 + |z2|^2 overflows a float" in err
+    assert "RuntimeWarning" not in err and "reach" not in err
+
+
 def test_eguchi_hanson_a_whose_a4_overflows_exits_1(capsys):
     code, out, err = run(capsys, "verify-metric", "--potential", "eguchi-hanson", "--a", "1e100",
                          "--rmin", "1", "--rmax", "8", "--samples", "4")

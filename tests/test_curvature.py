@@ -79,6 +79,14 @@ def test_builtin_determinant_identities():
         assert abs(det_bu - (1.0 + 1.0 / u)) < 1e-5
 
 
+def _closed_form_hessian(pot, z):
+    # a built-in's g at z from its closed-form table, as a Hermitian matrix
+    x = np.array([cv._coords(z)])
+    g11, g22, gr, gi = _engine.radial(False, x, None, _engine.builtin_t_derivatives,
+                                      pot.family, pot.parameter)[0]
+    return np.array([[g11, complex(gr, gi)], [complex(gr, -gi), g22]])
+
+
 def test_custom_general_matches_custom_radial():
     def profile(u):
         w = math.sqrt(1 + u * u)
@@ -88,8 +96,7 @@ def test_custom_general_matches_custom_radial():
     # 5e-16 of the exact one; custom_radial takes g along t (measured error
     # 6.8e-14), custom_general differences it on the Hessian's stencil (6.9e-8)
     z = (1.1, 0.4 - 0.8j)
-    g11, g22, gr, gi = _engine.builtin_metric(EH.family, EH.parameter, np.array(cv._coords(z)))
-    want = np.array([[g11, complex(gr, gi)], [complex(gr, -gi), g22]])
+    want = _closed_form_hessian(EH, z)
     pg = cv.custom_general(lambda z1, z2: profile(abs(z1) ** 2 + abs(z2) ** 2))
     pr = cv.custom_radial(profile)
     assert np.abs(cv.hermitian_hessian(pr, z) - want).max() < 2e-13
@@ -489,6 +496,28 @@ def test_nonfinite_points_rejected_with_their_index():
             cv.hermitian_hessian(EH, z)
 
 
+@pytest.mark.parametrize("pot", [FL, EH, BU, _KINDS["custom-radial"]], ids=lambda p: p.name)
+def test_a_radius_whose_square_overflows_is_refused_by_name(pot):
+    # |z| above about 1.34e154 makes |z|^2 overflow: the radius read inf, a
+    # plan blamed the stencil's reach of the origin after numpy's overflow
+    # warning, and a built-in's Hessian called the metric degenerate
+    z, x = (1e155, 0), [1e155, 0.0, 0.0, 0.0]
+    overflow = r"\|z\|\^2 = \|z1\|\^2 \+ \|z2\|\^2 overflows a float"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for entry in (cv.scalar_curvature, cv.hermitian_hessian):
+            with pytest.raises(ValueError, match=r"point \(1e\+155, 0\): " + overflow):
+                entry(pot, z)
+        with pytest.raises(ValueError, match="sample point 1: " + overflow):
+            cv.SamplePlan([[1.0, 0.0, 0.0, 0.0], x])
+        with pytest.raises(ValueError, match="sample point 1: " + overflow):
+            cv.metric_deviations(pot, [[1.0, 0.0, 0.0, 0.0], x])
+        with pytest.raises(ValueError, match="sample point 5: " + overflow):
+            cv.decay_order(pot, np.geomspace(1.0, 1e160, 6))
+        # a radius whose square does not overflow is taken
+        cv.metric_deviations(pot, [[1e154, 0.0, 0.0, 0.0]])
+
+
 def _single_point_entries(z, h0=1e-2, order=4):
     # the entries that keep a stencil's reach rule, each with the reach it
     # takes, the scalar curvature stencil's (True) or the Hessian's: S, a
@@ -538,10 +567,7 @@ def test_single_point_entries_refuse_a_stencil_that_reaches_the_origin(z):
         else:
             assert np.abs(entry() - np.eye(2)).max() < 1e-9
     # a built-in's Hessian takes no stencil: Burns' is the closed form at z
-    x = np.array(cv._coords(z))
-    g11, g22, gr, gi = _engine.builtin_metric(BU.family, BU.parameter, x)
-    want = np.array([[g11, complex(gr, gi)], [complex(gr, -gi), g22]])
-    assert cv.hermitian_hessian(BU, z).tolist() == want.tolist()
+    assert cv.hermitian_hessian(BU, z).tolist() == _closed_form_hessian(BU, z).tolist()
 
 
 @pytest.mark.parametrize("order", [2, 4])
@@ -1183,33 +1209,33 @@ def test_builtin_scalar_curvature_along_t_depends_on_the_computed_radius(pot, d,
 
 
 def _eguchi_hanson_t_derivatives(a, u):
-    # f' = w = sqrt(a^4 + u^2), f'' = phi = u^2 / w, f''' = phi (1 + q) and
-    # f'''' = phi (1 + 3 q^2), q = a^4 / w^2, in 60-digit decimals
+    # f' = w = sqrt(a^4 + u^2), f'' = phi = u^2 / w, f''' = phi (1 + q),
+    # f'''' = phi (1 + 3 q^2), q = a^4 / w^2, and f' - f'' = a^4 / w, in
+    # 60-digit decimals
     with decimal.localcontext() as ctx:
         ctx.prec = 60
         a4, u = Decimal(a) ** 4, Decimal(u)
         w = (a4 + u * u).sqrt()
         phi, q = u * u / w, a4 / (w * w)
-        return [float(d) for d in (w, phi, phi * (1 + q), phi * (1 + 3 * q * q))]
+        return [float(d) for d in (w, phi, phi * (1 + q), phi * (1 + 3 * q * q), a4 / w)]
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.5, 1000.0, 1e60])
 def test_eguchi_hanson_t_derivatives_match_decimal(a):
-    # on Python floats and on columns alike, each of the four derivatives lies
-    # within a few ulps of its exact value (measured 4 at worst, over these and
-    # 50 more radii in 0.3-100), inside the bolt (r < a) and outside, near the
-    # origin and far out
+    # on Python floats and on columns alike, each of the four derivatives and
+    # f' - f'' lies within a few ulps of its exact value (measured 4 at worst,
+    # over these and 50 more radii in 0.3-100), inside the bolt (r < a) and
+    # outside, near the origin and far out; u = r r from the computed radius
     radii = [0.3, 0.9 * a, 1.1 * a, 3.0, 40.0, 10.0 * a]
-    x = np.array([[r, 0.0, 0.0, 0.0] for r in radii])
+    u = [r * r for r in (math.sqrt(r * r) for r in radii)]
     with np.errstate(all="raise"):
-        columns = _engine.builtin_t_derivatives(np, x.T, EH.family, a)
-    for i, row in enumerate(x.tolist()):
-        r = math.sqrt(row[0] * row[0])
-        want = _eguchi_hanson_t_derivatives(a, r * r)
-        got = _engine.builtin_t_derivatives(math, row, EH.family, a)
+        columns = _engine.builtin_t_derivatives(np, np.array(u), EH.family, a)
+    for i, ui in enumerate(u):
+        want = _eguchi_hanson_t_derivatives(a, ui)
+        got = _engine.builtin_t_derivatives(math, ui, EH.family, a)
         assert [float(c[i]) for c in columns] == list(got)
         for g, w in zip(got, want):
-            assert abs(g - w) <= 8 * math.ulp(w), (r, got, want)
+            assert abs(g - w) <= 8 * math.ulp(w), (ui, got, want)
 
 
 # (a, radii) -> max |S| a 64-point sweep may read, at both orders, about 3
@@ -1313,9 +1339,14 @@ def _bits(s):
     return np.where(np.isnan(s), np.nan, s).tobytes()
 
 
+def _profile_scalar(values, h0, order):
+    # a profile's S from its values along t; its points are not read
+    return _engine.radial(True, None, values, _engine.profile_t_derivatives, h0, order)
+
+
 def _single_rows(values, h0, order):
-    # radial_scalar on one row at a time, so on Python floats
-    return np.concatenate([_engine.radial_scalar(v[None], h0, order) for v in values])
+    # _profile_scalar on one row at a time, so on Python floats
+    return np.concatenate([_profile_scalar(v[None], h0, order) for v in values])
 
 
 # the built-in families as custom_radial profiles, whose values along t go
@@ -1340,7 +1371,7 @@ def test_compensated_sum_matches_fsum_bit_for_bit(kind, profile, order, h0):
     with np.errstate(all="ignore"):
         values = _engine.profile_along_t(profile, x, h0, order, kind)
         want = _bits(_fsum_radial_scalar(values, h0, order))
-        assert _bits(_engine.radial_scalar(values, h0, order)) == want
+        assert _bits(_profile_scalar(values, h0, order)) == want
         assert _bits(_single_rows(values, h0, order)) == want
 
 
@@ -1446,19 +1477,22 @@ def test_rows_and_columns_give_the_same_bits(kernel, order, h0, rows, data):
     x = _draw_rows(data, rows, 4)
     builtin = kernel.removesuffix("-scalar")
     if builtin in _BUILTINS:
+        # g and S from the built-in's closed-form table
         family = EH.family if builtin == "eguchi-hanson" else BU.family
         par = 0.0 if builtin == "flat" else data.draw(_edge_float)
-        evaluate = _engine.builtin_scalar if kernel.endswith("-scalar") else _engine.builtin_metric
-        case = (lambda x: evaluate(family, par, x), x)
+        curvature = kernel.endswith("-scalar")
+        case = (lambda x: _engine.radial(curvature, x, None, _engine.builtin_t_derivatives,
+                                         family, par), x)
     elif kernel == "profile-metric":
-        case = (lambda x, v: _engine.radial_metric(v, x, h0, order), x, values)
+        case = (lambda x, v: _engine.radial(False, x, v, _engine.profile_t_derivatives, h0, order),
+                x, values)
     elif kernel == "t-derivatives":
         def t_derivatives(xp, v):
             return _engine.t_derivatives(xp, v, h0, order)
 
         case = (lambda v: _engine.rows_or_columns(t_derivatives, v), values)
     elif kernel == "radial-scalar":
-        case = (lambda v: _engine.radial_scalar(v, h0, order), values)
+        case = (lambda v: _profile_scalar(v, h0, order), values)
     else:
         # g, f = Hess log det g, det g and whether g is positive definite, at a base
         ok = np.array(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))
@@ -1491,7 +1525,7 @@ def test_a_nonfinite_derivative_reads_degenerate():
     # repeated past the crossover, so that the stack takes whole columns
     values = np.tile(values, (_engine._ROWS, 1))
     with np.errstate(all="ignore"):
-        for s in (_engine.radial_scalar(values, h0, order), _single_rows(values, h0, order)):
+        for s in (_profile_scalar(values, h0, order), _single_rows(values, h0, order)):
             assert np.isnan(s).all(), s
     # max float + 9e291 + 9e291: every partial sum rounds to max float, and
     # only the final add of the errors overflows
