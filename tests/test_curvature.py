@@ -397,6 +397,33 @@ def test_accepted_inputs_leak_no_numpy_warnings():
     assert np.geterr()["invalid"] == "warn"
 
 
+@pytest.mark.parametrize("h0", [1e-60, 1e-120, 2.7e-17])
+def test_custom_radial_refuses_an_h0_whose_t_sites_coincide(h0):
+    # _check_stencil takes h0 down to 1.5e-154, but e^(4 h0) rounds to 1
+    # below about 2.8e-17: a profile's t-sites coincide (at 1e-60 g read 0,
+    # mu -0.0 and the derivative 0.0, with no error) and from about 1e-78
+    # the weights over h^4 divide by 0 (ZeroDivisionError at 1e-120)
+    profile = cv.custom_radial(lambda u: u + math.log(u))
+    z = (1.3, 0.4 + 0.2j)
+    entries = [
+        lambda: cv.scalar_curvature(profile, z, h0=h0),
+        lambda: cv.hermitian_hessian(profile, z, h0=h0),
+        lambda: cv.metric_deviations(profile, [z], h0=h0),
+        lambda: cv.verify_scalar_flat(profile, cv.SamplePlan(cv.sample_points(1, 8, 4), h0=h0)),
+        lambda: cv.scalar_curvature_derivative(BU, profile, z, h0=h0),
+        lambda: cv.scalar_curvature_derivative(profile, lambda z1, z2: abs(z1) ** 2, z, h0=h0),
+        lambda: cv.decay_order(profile, np.geomspace(2, 64, 10), h0=h0),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for entry in entries:
+            with pytest.raises(ValueError, match=f"h0 = {h0} is too small for a custom_radial"):
+                entry()
+        # a built-in takes no t-sites, and stays as it was
+        assert cv.scalar_curvature(BU, z, h0=h0) == cv.scalar_curvature(BU, z)
+        assert np.array_equal(cv.hermitian_hessian(EH, z, h0=h0), cv.hermitian_hessian(EH, z))
+
+
 # -------------------------------------------------------------------- decay
 
 

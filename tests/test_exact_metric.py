@@ -10,6 +10,7 @@ Eguchi-Hanson bolt (a = 1000 at r = 1, where |z|^2 = 1e-6 a^2) out to
 """
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -95,3 +96,55 @@ def test_hermitian_hessian_is_the_closed_form_at_the_point(pot):
     assert g.tolist() == [[g11, complex(gr, gi)], [complex(gr, -gi), g22]]
     for h0, order in ((1e-3, 2), (0.05, 4)):
         assert np.array_equal(cv.hermitian_hessian(pot, z, h0=h0, order=order), g)
+
+
+def _exact_at(expr, x, par):
+    subs = {c: sp.Rational(v) for c, v in zip(X, x)}
+    subs[PAR] = sp.Rational(par)
+    return float(expr.evalf(40, subs=subs))
+
+
+@pytest.mark.parametrize("a", [1.0, 1e-3, 1e30])
+@pytest.mark.parametrize("r", [1e77, 1.2e77, 1e100, 1e130, 1e153])
+def test_eguchi_hanson_is_the_closed_form_where_u_squared_overflows(a, r):
+    # past |z| = 1.16e77, u^2 overflows a float; w = sqrt(a^4 + u^2) is
+    # then taken as u sqrt(1 + (a^2/u)^2), and Phi, g and S stay the
+    # exact ones (S = 0), where f'' read 0 and the point degenerated
+    pot = cv.eguchi_hanson(a)
+    x = r * np.array([0.5, 0.5, 0.5, 0.5])
+    got = _closed_form_metric(pot.family, a, x).tolist()
+    want = [_exact_at(e, x.tolist(), a) for e in _exact_metric("eguchi-hanson")]
+    scale = max(want[0], want[1])
+    assert max(abs(g - w) for g, w in zip(got, want)) <= REL_TOL * scale, (got, want)
+    z = (complex(x[0], x[1]), complex(x[2], x[3]))
+    assert pot(*z) == pytest.approx(_exact_at(PHI["eguchi-hanson"], x.tolist(), a), rel=1e-15)
+    assert np.array_equal(cv.hermitian_hessian(pot, z), cv.hermitian_hessian(pot, x))
+    assert abs(cv.scalar_curvature(pot, z)) <= 1e-15
+
+
+def test_eguchi_hanson_is_the_closed_form_where_both_squares_underflow():
+    # at a = 1e-160 and |z| near 1e-140, a^4 + u^2 underflows to 0, so w
+    # read 0 and no S was finite; w is now u sqrt(1 + (a^2/u)^2)
+    a, h0 = 1e-160, 1e-150
+    pot = cv.eguchi_hanson(a)
+    points = cv.sample_points(1e-140, 1e-139, 8)
+    report = cv.verify_scalar_flat(pot, cv.SamplePlan(points, h0=h0))
+    assert report.passed and report.degenerate_indices == ()
+    # S = 0 exactly, on the columns and on each point's Python floats
+    assert report.scalar_values.tolist() == [0.0] * 8
+    assert [cv.scalar_curvature(pot, x, h0=h0) for x in points] == [0.0] * 8
+    for x in points[:4].tolist():
+        z = (complex(x[0], x[1]), complex(x[2], x[3]))
+        assert pot(*z) == pytest.approx(_exact_at(PHI["eguchi-hanson"], x, a), rel=1e-15)
+        # g divides by |z|^4, which underflows: the closed-form rule refuses it
+        with pytest.raises(ValueError, match="lies at the origin"):
+            cv.hermitian_hessian(pot, z, h0=h0)
+    # the table's t-derivatives are (u, u, u, u) to rounding here, as for
+    # flat, and at the smallest radius whose |z|^4 is normal g is the exact one
+    u = float(np.dot(points[0], points[0]))
+    f = _engine.builtin_t_derivatives(math, u, pot.family, a)
+    assert f[:4] == (u, u, u, u)
+    x = [1.2e-77, 0.0, 0.0, 0.0]
+    got = _closed_form_metric(pot.family, a, np.array(x)).tolist()
+    want = [_exact_at(e, x, a) for e in _exact_metric("eguchi-hanson")]
+    assert max(abs(g - w) for g, w in zip(got, want)) <= REL_TOL * max(want[0], want[1])

@@ -429,6 +429,44 @@ def test_cocycle_rejects_a_missing_step():
     )
 
 
+_small_pairs = st.integers(2, 400).flatmap(lambda p: st.tuples(st.just(p), st.integers(1, p - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_small_pairs, data=st.data())
+def test_cocycle_on_a_chain_atlas_implies_the_monomial_relation(pair, data):
+    # resolve's cocycle verdict reads transition_cocycle_holds alone: on
+    # chart_atlas(chain), the step v_{i+1} = u_i + kappa_i v_i is w_i +
+    # w_{i+2} = kappa_i w_{i+1} term for term, under the same count check,
+    # and u_{i+1} = -v_i holds by construction.  So on a chain with one
+    # point moved by lattice steps or one coefficient changed, the cocycle
+    # holds only where the relation does, with det A_0 = p beside it
+    p, q = pair
+    assume(gcd(p, q) == 1)
+    chain = lattice_chain(p, q)
+    if data.draw(st.booleans(), label="move a point"):
+        i = data.draw(st.integers(0, len(chain.points) - 1), label="point")
+        ds, dt = data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), label="steps")
+        points = list(chain.points)
+        s, t = points[i]
+        points[i] = (s + Fraction(ds, p), t + Fraction(dt, p))
+        chain = dataclasses.replace(chain, points=tuple(points))
+    else:
+        kappa = chain.chain_coeffs
+        i = data.draw(st.integers(0, len(kappa)), label="coefficient")
+        change = data.draw(st.integers(-2, 2), label="change")
+        if i == len(kappa):  # one coefficient too many
+            kappa += (2 + abs(change),)
+        else:
+            kappa = (*kappa[:i], kappa[i] + change, *kappa[i + 1 :])
+        chain = dataclasses.replace(chain, chain_coeffs=kappa)
+    cocycle = transition_cocycle_holds(chart_atlas(chain))
+    if cocycle:
+        assert monomial_relation_holds(chain)
+    (a0, b0), (a1, b1) = chain.vectors[:2]
+    assert cocycle == (monomial_relation_holds(chain) and b0 * a1 - b1 * a0 == p)
+
+
 CONSUMERS = [invariant_monomials, chart_atlas, determinant_identity_holds, monomial_relation_holds]
 
 
