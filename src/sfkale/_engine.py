@@ -39,15 +39,15 @@ Along t = log u, S depends only on f(t) = F(e^t)'s first four
 derivatives, from which scalar takes it, and g = F' I + F'' conj(z)
 z^T only on f'' and f' - f'': its eigenvalues are f''/u along conj(z)
 and f'/u across it.  A source gives the five, (f', f'', f''', f'''',
-f' - f''), and radial runs one kernel over them, for S or for g.  The
-built-ins' source is one closed-form table (builtin_t_derivatives):
+f' - f''), and radial's one kernel takes them at u = |z|^2 for S or g.
+The built-ins' source is one closed-form table (builtin_t_derivatives):
 tau = f' and phi = f'' give f''' = phi phi' and f'''' = phi (phi
 phi')', ' = d/dtau, f' - f'' is written so that nothing cancels, and
 flat is Burns with m = 0.  A custom_radial profile is called at the 9
 (order 4) or 7 t-sites t + k h, h = 4 h0 (profile_along_t), and
-t_derivatives takes each derivative from those values as one
-compensated sum (_sum2); profile_t_derivatives adds f' - f'' as the
-difference of the first two.  These and S's final contraction are
+t_derivatives takes each of the first four from those values as one
+compensated sum (_sum2), and f' - f'' as the difference of the first
+two.  These and S's final contraction are
 kernels, written once: rows_or_columns runs them on a few rows' Python
 floats or on whole columns, with the same IEEE operations, so to the
 same bits.
@@ -446,13 +446,13 @@ def scalar(xp, f):
 
 
 def t_derivatives(xp, values, h0: float, order: int):
-    """The first four t-derivatives of f at a row of values, or at whole columns; a kernel.
+    """(f', f'', f''', f'''', f' - f'') of f at a row of values, or at whole columns; a kernel.
 
     values holds f(t + k h), |k| <= reach.  f(k) - f(-k) carries the odd
     derivatives, f(k) + f(-k) - 2 f(0) the even ones; each is _sum2 of
-    its weighted terms, k = 1 up (math.fsum's bits on every row tried).
-    Columns sum the four as (4, n) slabs; a sum per derivative took
-    25-120% longer.
+    its weighted terms, k = 1 up (math.fsum's bits on every row tried),
+    and f' - f'' is the difference of the first two.  Columns sum the
+    four as (4, n) slabs; a sum per derivative took 25-120% longer.
     """
     rows, weights = _t_table(order, h0)[:2]
     reach = len(values) // 2
@@ -460,47 +460,34 @@ def t_derivatives(xp, values, h0: float, order: int):
     # terms[k - 1][j - 1] is term k of d^j f / dt^j, odd j then even j
     terms = [(a - b, (a + b) - c) * 2 for a, b in zip(values[reach + 1 :], values[reach - 1 :: -1])]
     if xp is math:
-        return [_sum2(list(map(operator.mul, t, w))) for t, w in zip(zip(*terms), rows)]
-    return _sum2(np.multiply(terms, weights))
+        f = [_sum2(list(map(operator.mul, t, w))) for t, w in zip(zip(*terms), rows)]
+    else:
+        f = _sum2(np.multiply(terms, weights))
+    return (*f, f[0] - f[1])
 
 
-def profile_t_derivatives(xp, values, h0: float, order: int):
-    """(f', f'', f''', f'''', f' - f'') of a profile at a row of values, or at whole columns; a kernel.
-
-    The four are t_derivatives', and f' - f'' the difference of the first two.
-    """
-    f1, f2, f3, f4 = t_derivatives(xp, values, h0, order)
-    return f1, f2, f3, f4, f1 - f2
-
-
-def radial(curvature: bool, x, values, derivatives, p1, p2) -> np.ndarray:
+def radial(curvature: bool, x, values, p1, p2) -> np.ndarray:
     """S (curvature) or g at each point (row) of x of a radial potential F(u), by one kernel.
 
-    derivatives(xp, at, p1, p2) gives f(t) = F(e^t)'s (f', f'', f''',
-    f'''', f' - f''): builtin_t_derivatives at u = e^t where values is
-    None, else profile_t_derivatives at each point's row of values
-    (profile_along_t's), and then x is not read for S.  S is scalar's,
-    a built-in's at u = r r from the computed radius r = |x|.  g = F' I
-    + F'' conj(z) z^T is lam + b |z2|^2, lam + b |z1|^2 and -b conj(z1)
-    z2 at u = |z1|^2 + |z2|^2, with lam = f''/u, g's eigenvalue along
-    conj(z) (f'/u across it), and b = (f' - f'')/u^2.  A built-in's rows
-    run as Python floats below _G_ROWS, a profile's below _ROWS.
+    The kernel forms u = |z2|^2 + |z1|^2 and takes f(t) = F(e^t)'s (f',
+    f'', f''', f'''', f' - f''): builtin_t_derivatives(xp, u, family,
+    par) where values is None and (p1, p2) = (family, par), else
+    t_derivatives(xp, row, h0, order) at the point's row of values
+    (profile_along_t's) and (p1, p2) = (h0, order).  S is scalar's.  g
+    = F' I + F'' conj(z) z^T is lam + b |z2|^2, lam + b |z1|^2 and -b
+    conj(z1) z2, with lam = f''/u, g's eigenvalue along conj(z) (f'/u
+    across it), and b = (f' - f'')/u^2.  A built-in's rows run as Python
+    floats below _G_ROWS, a profile's below _ROWS.
     """
-    if not curvature:
-        def kernel(xp, row, *v):
-            x0, x1, x2, x3 = row
-            s1, s2 = x0 * x0 + x1 * x1, x2 * x2 + x3 * x3
-            u = s2 + s1
-            f = derivatives(xp, v[0] if v else u, p1, p2)
-            lam, b = f[1] / u, f[4] / (u * u)
-            return s2 * b + lam, s1 * b + lam, (x0 * -x2 + x1 * -x3) * b, (x0 * -x3 - x1 * -x2) * b
-    elif values is None:
-        def kernel(xp, row):
-            x0, x1, x2, x3 = row
-            r = xp.sqrt(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3)
-            return scalar(xp, derivatives(xp, r * r, p1, p2))
-    else:
-        return rows_or_columns(lambda xp, v: scalar(xp, derivatives(xp, v, p1, p2)), values)
+    def kernel(xp, row, *v):
+        x0, x1, x2, x3 = row
+        s1, s2 = x0 * x0 + x1 * x1, x2 * x2 + x3 * x3
+        u = s2 + s1
+        f = t_derivatives(xp, v[0], p1, p2) if v else builtin_t_derivatives(xp, u, p1, p2)
+        if curvature:
+            return scalar(xp, f)
+        lam, b = f[1] / u, f[4] / (u * u)
+        return s2 * b + lam, s1 * b + lam, (x0 * -x2 + x1 * -x3) * b, (x0 * -x3 - x1 * -x2) * b
     if values is None:
         return rows_or_columns(kernel, x, below=_G_ROWS)
     return rows_or_columns(kernel, x, values)

@@ -222,8 +222,8 @@ def _parse_radii(text: str):
     if len(parts) != 3:
         raise ValueError("radii must be given as R0:R1:steps")
     r0, r1, steps = float(parts[0]), float(parts[1]), int(parts[2])
-    if steps < 2 or r0 <= 0 or r1 <= r0:
-        raise ValueError("radii need 0 < R0 < R1 and at least 2 steps")
+    if steps < 2 or not 0 < r0 < r1 < math.inf:
+        raise ValueError(f"radii need finite 0 < R0 < R1 and at least 2 steps, got {text}")
     return np.geomspace(r0, r1, steps)
 
 

@@ -142,7 +142,7 @@ def _chunk_points(order: int, curvature: bool, along_t: bool = False) -> int:
     """Points per engine pass along t (radial), for S on the 4-D stencil, or for the Hessian."""
     if along_t:
         # one term per t-site
-        return _CHUNK_TERMS // len(_engine._T_WEIGHTS[order][0][0])
+        return _CHUNK_TERMS // (2 * _engine._reach(order) + 1)
     stencil = _engine.STENCILS[order]
     terms = len(stencil.steps) * (len(stencil.bases) if curvature else 1)
     return max(1, _CHUNK_TERMS // terms)
@@ -161,10 +161,9 @@ def _psi(potential: Potential, x, h, order: int, curvature: bool, distinct: bool
 def _radial(potential: Potential, x, h0: float, order: int, curvature: bool) -> np.ndarray:
     """S (curvature) or g at each point (row) of x of a radial potential, with no 4-D stencil."""
     if potential.fn is None:
-        return _engine.radial(curvature, x, None, _engine.builtin_t_derivatives,
-                              potential.family, potential.parameter)
+        return _engine.radial(curvature, x, None, potential.family, potential.parameter)
     values = _engine.profile_along_t(potential.fn, x, h0, order, potential.name)
-    return _engine.radial(curvature, x, values, _engine.profile_t_derivatives, h0, order)
+    return _engine.radial(curvature, x, values, h0, order)
 
 
 def _stencil_metric(potential: Potential, x, h, h0: float, order: int):
@@ -348,10 +347,10 @@ _DIRECTIONS = np.array(
 
 def sample_points(rmin: float, rmax: float, n: int) -> np.ndarray:
     """n points with radii geometrically spaced in [rmin, rmax]."""
-    if not 0 < rmin <= rmax:
-        raise ValueError("need 0 < rmin <= rmax")
-    if n < 1:
-        raise ValueError("need at least one sample")
+    if not 0 < rmin <= rmax < math.inf:
+        raise ValueError(f"need finite 0 < rmin <= rmax, got rmin = {rmin}, rmax = {rmax}")
+    if isinstance(n, bool) or n < 1:
+        raise ValueError(f"need an integer count of at least one sample, got {n!r}")
     radii = np.geomspace(rmin, rmax, n)
     dirs = _DIRECTIONS[np.arange(n) % len(_DIRECTIONS)]
     return radii[:, None] * dirs
@@ -569,16 +568,30 @@ def decay_order(potential: Potential, radii, h0: float = 1e-2, order: int = 4) -
 def weighted_sup_norm(samples, delta: float) -> float:
     """Discrete weighted sup norm: max over samples of |value| (1+r)^-delta.
 
-    A NaN value (a degenerate sample) makes the norm NaN wherever it sits.
+    A NaN value (a degenerate sample) makes the norm NaN wherever it sits,
+    and a weight past the float range reads inf.  A delta, or a radius
+    given as a number, that is not finite raises ValueError.
     """
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
     weights = []
-    for point, value in samples:
+    for i, (point, value) in enumerate(samples):
         if np.ndim(point) == 0:
             r = float(abs(point))
+            if not math.isfinite(r):
+                raise ValueError(f"sample {i} has a non-finite radius {r}")
         else:
             x0, x1, x2, x3 = _coords(point)
             r = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3)
-        weights.append(abs(float(value)) * (1.0 + r) ** (-delta))
+        value = abs(float(value))
+        try:
+            weights.append(value * (1.0 + r) ** (-delta))
+        except OverflowError:
+            # (1 + r)^-delta overflows, though the weight may not: take it from its logarithm
+            try:
+                weights.append(math.exp(math.log(value) - delta * math.log1p(r)) if value else 0.0)
+            except OverflowError:
+                weights.append(math.inf)
     if not weights:
         raise ValueError("weighted_sup_norm needs at least one sample")
     if any(map(math.isnan, weights)):

@@ -476,6 +476,25 @@ def test_plan_radius_whose_square_overflows_exits_1(capsys):
     assert "RuntimeWarning" not in err and "reach" not in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (("verify-metric", "--potential", "flat", "--rmin", "1", "--rmax", "inf", "--samples", "3"),
+     "rmin = 1.0, rmax = inf"),
+    (("verify-metric", "--potential", "flat", "--rmin", "1", "--rmax", "1e400", "--samples", "3"),
+     "rmin = 1.0, rmax = inf"),
+    (("verify-metric", "--potential", "flat", "--rmin", "nan", "--rmax", "2", "--samples", "3"),
+     "rmin = nan, rmax = 2.0"),
+    (("decay", "--potential", "burns", "--radii", "1:inf:8"), "got 1:inf:8"),
+    (("decay", "--potential", "burns", "--radii", "nan:5:8"), "got nan:5:8"),
+])
+def test_radius_bound_that_is_not_finite_exits_1(capsys, argv, named):
+    # refused by name before numpy forms the radii, so with no RuntimeWarning
+    # (one leaked from geomspace and np.diff, before the error)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert named in err and "finite" in err
+    assert "RuntimeWarning" not in err
+
+
 def test_eguchi_hanson_a_whose_a4_overflows_exits_1(capsys):
     code, out, err = run(capsys, "verify-metric", "--potential", "eguchi-hanson", "--a", "1e100",
                          "--rmin", "1", "--rmax", "8", "--samples", "4")

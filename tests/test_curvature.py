@@ -82,9 +82,29 @@ def test_builtin_determinant_identities():
 def _closed_form_hessian(pot, z):
     # a built-in's g at z from its closed-form table, as a Hermitian matrix
     x = np.array([cv._coords(z)])
-    g11, g22, gr, gi = _engine.radial(False, x, None, _engine.builtin_t_derivatives,
-                                      pot.family, pot.parameter)[0]
+    g11, g22, gr, gi = _engine.radial(False, x, None, pot.family, pot.parameter)[0]
     return np.array([[g11, complex(gr, gi)], [complex(gr, -gi), g22]])
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize(
+    "pot", [FL, BU, cv.burns(1.5), EH, cv.eguchi_hanson(1000.0)],
+    ids=["flat", "burns", "burns-1.5", "eguchi-hanson", "eguchi-hanson-1000"],
+)
+def test_builtin_scalar_curvature_takes_the_u_of_its_metric(pot, order):
+    # S and g come from the table's five values at one u = |z2|^2 + |z1|^2,
+    # not S at the square of a square-rooted radius
+    rng = np.random.default_rng(20160518)
+    points = np.exp(rng.uniform(math.log(0.3), math.log(1e4), 64))[:, None] * _directions(rng, 64)
+    for x in points.tolist():
+        x0, x1, x2, x3 = x
+        s1, s2 = x0 * x0 + x1 * x1, x2 * x2 + x3 * x3
+        u = s2 + s1
+        f = _engine.builtin_t_derivatives(math, u, pot.family, pot.parameter)
+        lam, b = f[1] / u, f[4] / (u * u)
+        assert cv.hermitian_hessian(pot, x, order=order)[0, 0].real == s2 * b + lam
+        want = _engine.scalar(math, f)
+        assert cv.scalar_curvature(pot, x, order=order).hex() == want.hex(), x
 
 
 def test_custom_general_matches_custom_radial():
@@ -327,6 +347,24 @@ def test_sample_points_shape_and_directions():
     assert np.allclose(radii, np.geomspace(1, 8, 10))
     # direction pattern repeats with period 4
     assert np.allclose(pts[4] / radii[4], pts[0] / radii[0])
+
+
+@pytest.mark.parametrize("rmin, rmax", [(1.0, math.inf), (1.0, 1e400), (math.nan, 2.0),
+                                        (1.0, math.nan), (math.inf, math.inf)])
+def test_sample_points_refuses_a_bound_that_is_not_finite(rmin, rmax):
+    # rmax = inf raised numpy's RuntimeWarning from geomspace, not ValueError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"need finite 0 < rmin <= rmax, got rmin = {rmin}, "
+                                             f"rmax = {rmax}"):
+            cv.sample_points(rmin, rmax, 3)
+
+
+@pytest.mark.parametrize("n", [True, False, 0, -2])
+def test_sample_points_refuses_a_bool_or_empty_count(n):
+    # bool is an int subclass: True drew one point, as the exact layer refuses it
+    with pytest.raises(ValueError, match=f"integer count of at least one sample, got {n!r}"):
+        cv.sample_points(1.0, 2.0, n)
 
 
 def test_sample_plan_validation():
@@ -713,6 +751,35 @@ def test_weighted_sup_norm_nan_wins_in_any_order():
     samples = [((1.0, 0, 0, 0), math.nan), ((2.0, 0, 0, 0), 1.0), (3.0, 0.5)]
     for order in ([0, 1, 2], [1, 0, 2], [1, 2, 0], [2, 1, 0]):
         assert math.isnan(cv.weighted_sup_norm([samples[i] for i in order], 0.0))
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+def test_weighted_sup_norm_refuses_a_delta_that_is_not_finite(delta):
+    # a NaN delta read nan, and delta = inf weighed every sample 0
+    with pytest.raises(ValueError, match=f"delta must be finite, got {delta}"):
+        cv.weighted_sup_norm([(1.0, 1.0), ((2.0, 0, 0, 0), 0.5)], delta)
+
+
+@pytest.mark.parametrize("radius", [math.inf, -math.inf, math.nan, complex(math.inf, 0.0)])
+def test_weighted_sup_norm_refuses_a_radius_that_is_not_finite_by_index(radius):
+    # an infinite radius weighed its sample 0, as an infinite coordinate is refused
+    with pytest.raises(ValueError, match="sample 1 has a non-finite radius"):
+        cv.weighted_sup_norm([(1.0, 1.0), (radius, 1.0), (2.0, 0.5)], 0.0)
+    with pytest.raises(ValueError, match="non-finite coordinate"):
+        cv.weighted_sup_norm([(1.0, 1.0), ((math.inf, 0, 0, 0), 1.0)], 0.0)
+
+
+def test_weighted_sup_norm_weight_past_the_float_range_reads_inf():
+    # (1 + r)^2 at r = 1e300 overflows, which raised a bare OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cv.weighted_sup_norm([(2.0, 1.0), (1e300, 1.0)], -2.0) == math.inf
+        assert cv.weighted_sup_norm([((1e300, 0, 0, 0), 3.0)], -2.5) == math.inf
+        # where the weight itself is a float, it is kept; a value 0 weighs 0
+        assert cv.weighted_sup_norm([(1e300, 1e-300)], -2.0) == pytest.approx(1e300, rel=1e-12)
+        assert cv.weighted_sup_norm([(1.0, 0.5), (1e300, 0.0)], -2.0) == 2.0
+        # and a NaN value still makes the norm NaN
+        assert math.isnan(cv.weighted_sup_norm([(1.0, 0.5), (1e300, math.nan)], -2.0))
 
 
 def _eh_ray_norm(delta, rmax):
@@ -1366,14 +1433,15 @@ def _bits(s):
     return np.where(np.isnan(s), np.nan, s).tobytes()
 
 
-def _profile_scalar(values, h0, order):
-    # a profile's S from its values along t; its points are not read
-    return _engine.radial(True, None, values, _engine.profile_t_derivatives, h0, order)
+def _profile_scalar(x, values, h0, order):
+    # a profile's S at the points x from its values along t, which alone set it
+    return _engine.radial(True, x, values, h0, order)
 
 
-def _single_rows(values, h0, order):
+def _single_rows(x, values, h0, order):
     # _profile_scalar on one row at a time, so on Python floats
-    return np.concatenate([_profile_scalar(v[None], h0, order) for v in values])
+    return np.concatenate([_profile_scalar(x[i : i + 1], values[i : i + 1], h0, order)
+                           for i in range(len(values))])
 
 
 # the built-in families as custom_radial profiles, whose values along t go
@@ -1398,8 +1466,8 @@ def test_compensated_sum_matches_fsum_bit_for_bit(kind, profile, order, h0):
     with np.errstate(all="ignore"):
         values = _engine.profile_along_t(profile, x, h0, order, kind)
         want = _bits(_fsum_radial_scalar(values, h0, order))
-        assert _bits(_profile_scalar(values, h0, order)) == want
-        assert _bits(_single_rows(values, h0, order)) == want
+        assert _bits(_profile_scalar(x, values, h0, order)) == want
+        assert _bits(_single_rows(x, values, h0, order)) == want
 
 
 # one row of f(t + k h), k = 1..4, per derivative, at order 4 and h0 = 0.01,
@@ -1440,6 +1508,8 @@ def test_t_derivatives_sum_their_terms_from_k_1_up():
         terms = [[w * f for w, f in zip(ws, row)] for ws in weights]
         want.append([_sum2_reference(t) for t in terms])
         assert _sum2_reference(terms[j][::-1]) != want[-1][j]
+        # the fifth value, f' - f'', is the difference of the first two sums
+        want[-1].append(want[-1][0] - want[-1][1])
     values = np.zeros((len(_ORDER_SENSITIVE_ROWS), 2 * reach + 1))
     values[:, reach + 1 :] = _ORDER_SENSITIVE_ROWS
 
@@ -1508,18 +1578,16 @@ def test_rows_and_columns_give_the_same_bits(kernel, order, h0, rows, data):
         family = EH.family if builtin == "eguchi-hanson" else BU.family
         par = 0.0 if builtin == "flat" else data.draw(_edge_float)
         curvature = kernel.endswith("-scalar")
-        case = (lambda x: _engine.radial(curvature, x, None, _engine.builtin_t_derivatives,
-                                         family, par), x)
+        case = (lambda x: _engine.radial(curvature, x, None, family, par), x)
     elif kernel == "profile-metric":
-        case = (lambda x, v: _engine.radial(False, x, v, _engine.profile_t_derivatives, h0, order),
-                x, values)
+        case = (lambda x, v: _engine.radial(False, x, v, h0, order), x, values)
     elif kernel == "t-derivatives":
         def t_derivatives(xp, v):
             return _engine.t_derivatives(xp, v, h0, order)
 
         case = (lambda v: _engine.rows_or_columns(t_derivatives, v), values)
     elif kernel == "radial-scalar":
-        case = (lambda v: _profile_scalar(v, h0, order), values)
+        case = (lambda x, v: _profile_scalar(x, v, h0, order), x, values)
     else:
         # g, f = Hess log det g, det g and whether g is positive definite, at a base
         ok = np.array(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))
@@ -1551,8 +1619,9 @@ def test_a_nonfinite_derivative_reads_degenerate():
     assert math.fsum(terms[2]) == math.inf
     # repeated past the crossover, so that the stack takes whole columns
     values = np.tile(values, (_engine._ROWS, 1))
+    x = np.ones((len(values), 4))
     with np.errstate(all="ignore"):
-        for s in (_profile_scalar(values, h0, order), _single_rows(values, h0, order)):
+        for s in (_profile_scalar(x, values, h0, order), _single_rows(x, values, h0, order)):
             assert np.isnan(s).all(), s
     # max float + 9e291 + 9e291: every partial sum rounds to max float, and
     # only the final add of the errors overflows

@@ -41,7 +41,7 @@ REL_TOL = 1.5e-15
 
 def _closed_form_metric(family, par, x):
     # (g11, g22, Re g12, Im g12) at the point x from the built-in's closed-form table
-    return _engine.radial(False, x[None], None, _engine.builtin_t_derivatives, family, par)[0]
+    return _engine.radial(False, x[None], None, family, par)[0]
 
 
 @functools.cache
