@@ -61,10 +61,11 @@ is (n, B, 4), and the reductions divide each point by its own h^2.
 How many points share a stack is the caller's choice (curvature chunks
 them); each point's values are the same whatever its neighbours.
 
-Degenerate metrics surface as NaN at the points they touch; callers
-turn that into an error or a failed report.  The engine leaves numpy's
-error state alone: the divide, invalid and overflow warnings that mark
-those points are the caller's to silence, once per call.
+Where g fails positive_definite, the one test of its components, S is
+NaN; callers turn that into an error or a failed report, and judge g by
+the same test (a built-in's closed form, positive definite wherever it
+is finite, by finiteness).  numpy's error state is left to the callers,
+who silence the warnings that mark those points once per call.
 """
 
 from __future__ import annotations
@@ -437,8 +438,9 @@ def scalar(xp, f):
     """S of a radial potential from f = (f', f'', f''', f'''') or a source's five; a kernel.
 
     S = -2 (G'/f' + G''/f''), G = log(f' f'') - 2t: NaN where f' or f''
-    is not positive or a derivative is not finite, +0.0 for S = 0.  A
-    row checks a source's f' - f'' too, sparing a slice: it is finite
+    is not positive or a derivative is not finite (positive_definite's
+    rule, on g's eigenvalues f'/u and f''/u), +0.0 for S = 0.  A row
+    checks a source's f' - f'' too, sparing a slice: it is finite
     wherever f' and f'' are finite and positive.
     """
     finite = all(map(math.isfinite, f)) if xp is math else np.isfinite(f[:4]).all(axis=0)
@@ -493,24 +495,20 @@ def radial(curvature: bool, x, values, p1, p2) -> np.ndarray:
     return rows_or_columns(kernel, x, values)
 
 
-def _reduce(values, stencil: Stencil, h):
+def hessian(values, h, order: int) -> np.ndarray:
     """Weighted sum / h^2 of values at the stencil's offsets, mirror pairs added first.
 
-    values runs over the points, then the bases, then the steps (inner
-    stencil) or the steps and the center terms (outer stencil); each
-    point is divided by its own h^2.  (n, B, sites) -> (n, B, 4).
+    values runs over the points, the bases, then psi's steps (inner
+    stencil, to g) or log det g's steps and center terms (outer stencil);
+    each point is divided by its own h^2.  (n, B, sites) -> (n, B, 4).
     """
+    stencil = STENCILS[order]
     k = len(stencil.pair_weights)
     out = (values[..., :k] + values[..., k : 2 * k]) @ stencil.pair_weights
     if values.shape[-1] > 2 * k:
         out += values[..., 2 * k :] @ stencil.center_weights
     out /= h * h
     return out
-
-
-def hessian(psi, h, order: int) -> np.ndarray:
-    """(g11, g22, Re g12, Im g12) per point and base from psi over the steps."""
-    return _reduce(psi, STENCILS[order], h)
 
 
 def scalar_curvature(g, h, order: int) -> np.ndarray:
@@ -520,15 +518,17 @@ def scalar_curvature(g, h, order: int) -> np.ndarray:
     their stencil; the other points keep their values.  The factor 2
     fixes the real scalar curvature normalization.
     """
-    stencil = STENCILS[order]
-    g11, g22, gr, gi = g[..., 0], g[..., 1], g[..., 2], g[..., 3]
-    det = g11 * g22 - gr * gr - gi * gi
-    # det > 0 and g11 > 0 force g22 > 0
-    positive = (det > 0.0) & (g11 > 0.0)
+    det, positive = positive_definite(np, g[..., 0], g[..., 1], g[..., 2], g[..., 3])
     # the outer stencil runs over the sites around the first base
     logdet = np.log(np.where(positive[:, None, 1:], det[:, None, 1:], np.nan))
-    f = _reduce(logdet, stencil, h)[:, 0]
+    f = hessian(logdet, h, order)[:, 0]
     return rows_or_columns(contract, g[:, 0], f, det[:, 0], positive[:, 0])
+
+
+def positive_definite(xp, g11, g22, gr, gi):
+    """(det g, ok) from g's components, ok = 0 < det < inf and g11 > 0 (so g22 > 0; NaN fails); a kernel."""
+    det = g11 * g22 - gr * gr - gi * gi
+    return det, (0.0 < det) & (det < math.inf) & (g11 > 0.0)
 
 
 def contract(xp, g, f, det, ok):

@@ -148,16 +148,6 @@ def _chunk_points(order: int, curvature: bool, along_t: bool = False) -> int:
     return max(1, _CHUNK_TERMS // terms)
 
 
-def _psi(potential: Potential, x, h, order: int, curvature: bool, distinct: bool) -> np.ndarray:
-    """Phi(b + d) - Phi(b) of a custom_general potential for every base b and step d around x.
-
-    Called once per distinct site, or at both ends of every term, as
-    perfbench's census pins for custom_general's own S and Hessian.
-    """
-    lattice = _engine.site_lattice(order, curvature, distinct)
-    return _engine.lattice_psi(potential.fn, x, h, lattice, potential.name)
-
-
 def _radial(potential: Potential, x, h0: float, order: int, curvature: bool) -> np.ndarray:
     """S (curvature) or g at each point (row) of x of a radial potential, with no 4-D stencil."""
     if potential.fn is None:
@@ -169,7 +159,8 @@ def _radial(potential: Potential, x, h0: float, order: int, curvature: bool) -> 
 def _stencil_metric(potential: Potential, x, h, h0: float, order: int):
     """g (n, B, 4) at each base of the 4-D stencils around x: radial as at a point, else by psi."""
     if potential.family is None:
-        return _engine.hessian(_psi(potential, x, h, order, True, distinct=True), h, order)
+        lattice = _engine.site_lattice(order, True)
+        return _engine.hessian(_engine.lattice_psi(potential.fn, x, h, lattice, potential.name), h, order)
     stencil = _engine.STENCILS[order]
     # the bases past the center and its steps repeat the center: g is taken once there
     bases = x[:, None, :] + h * stencil.bases[: len(stencil.steps) + 1]
@@ -180,15 +171,17 @@ def _stencil_metric(potential: Potential, x, h, h0: float, order: int):
 def _general(potential: Potential, x, h0: float, order: int, curvature: bool) -> np.ndarray:
     """S (curvature) or g at each point (row) of x of a custom_general potential, by stencils."""
     h = _engine.step(x, h0)
-    g = _engine.hessian(_psi(potential, x, h, order, curvature, distinct=False), h, order)
+    # both ends of every term, duplicates included, as perfbench's census pins
+    lattice = _engine.site_lattice(order, curvature, distinct=False)
+    g = _engine.hessian(_engine.lattice_psi(potential.fn, x, h, lattice, potential.name), h, order)
     return _engine.scalar_curvature(g, h, order) if curvature else g[:, 0]
 
 
 def _evaluate(potential: Potential, x, h0: float, order: int, curvature: bool) -> np.ndarray:
     """S (curvature) or (g11, g22, Re g12, Im g12) at each point (row) of x, a chunk per pass.
 
-    NaN where the metric degenerates; numpy's float warnings are off
-    for the whole call.
+    S is NaN where the metric degenerates; numpy's float warnings are
+    off for the whole call.
     """
     radial = potential.family is not None
     evaluate, size = (_radial if radial else _general), _chunk_points(order, curvature, radial)
@@ -394,14 +387,13 @@ class CurvatureReport:
 def hermitian_hessian(potential: Potential, z, h0: float = 1e-2, order: int = 4) -> np.ndarray:
     """Metric g_ij at z as a 2x2 complex Hermitian matrix.
 
-    Raises DegenerateMetricError when the sampled matrix is not
-    positive definite.
+    Raises DegenerateMetricError where a custom potential's g fails
+    _engine.positive_definite, or a built-in's closed-form g is not finite.
     """
     _check_stencil(h0, order)
     x = _point(potential, z, h0, order, curvature=False)
-    g11, g22, gr, gi = _evaluate(potential, x, h0, order, curvature=False)[0].tolist()
-    det = g11 * g22 - gr * gr - gi * gi
-    if not (math.isfinite(det) and det > 0.0 and g11 > 0.0 and g22 > 0.0):
+    g11, g22, gr, gi = c = _evaluate(potential, x, h0, order, curvature=False)[0].tolist()
+    if not (all(map(math.isfinite, c)) if potential.fn is None else _engine.positive_definite(math, *c)[1]):
         raise DegenerateMetricError(
             f"metric of {potential.name} not positive definite at {z!r}"
         )
@@ -424,11 +416,15 @@ def scalar_curvature(potential: Potential, z, h0: float = 1e-2, order: int = 4) 
 
 
 def metric_deviations(potential: Potential, points, h0: float = 1e-2, order: int = 4) -> np.ndarray:
-    """Max entrywise |g - I| at each point, refusing by index what hermitian_hessian refuses."""
+    """Max entrywise |g - I| at each point: not finite where hermitian_hessian raises, refused where it refuses."""
     _check_stencil(h0, order)
     x = _points(potential, points, h0, order, curvature=False)
     g = _evaluate(potential, x, h0, order, curvature=False)
-    return np.max(np.abs(g - np.array([1.0, 1.0, 0.0, 0.0])), axis=1)
+    dev = np.max(np.abs(g - np.array([1.0, 1.0, 0.0, 0.0])), axis=1)
+    if potential.fn is not None:
+        with np.errstate(all="ignore"):
+            dev[~_engine.positive_definite(np, *g.T)[1]] = np.nan
+    return dev
 
 
 def verify_scalar_flat(
@@ -530,7 +526,8 @@ def decay_order(potential: Potential, radii, h0: float = 1e-2, order: int = 4) -
     the ray z = (r, 0) only, which stands for every direction when the
     potential is radial: the built-ins and custom_radial are accepted,
     a custom_general potential raises ValueError.  A radius that
-    metric_deviations refuses raises ValueError naming its index.
+    metric_deviations refuses raises ValueError, one whose g is not
+    positive definite DegenerateMetricError: each names the radius.
     """
     _check_stencil(h0, order)
     if potential.family is None:
@@ -550,9 +547,10 @@ def decay_order(potential: Potential, radii, h0: float = 1e-2, order: int = 4) -
     pts = np.zeros((len(rr), 4))
     pts[:, 0] = rr
     dev = metric_deviations(potential, pts, h0=h0, order=order)
-    if not np.isfinite(dev).all():
+    i = int(np.isfinite(dev).argmin())
+    if not math.isfinite(dev[i]):
         raise DegenerateMetricError(
-            f"metric of {potential.name} degenerates along the decay ray"
+            f"metric of {potential.name} degenerates along the decay ray at radius {i} ({rr[i]:.4g})"
         )
     if (dev < NO_SIGNAL_THRESHOLD).all():
         return DecayEstimate(mu=None, residual=None, no_signal=True, radii=rr, deviations=dev)
@@ -569,8 +567,8 @@ def weighted_sup_norm(samples, delta: float) -> float:
     """Discrete weighted sup norm: max over samples of |value| (1+r)^-delta.
 
     A NaN value (a degenerate sample) makes the norm NaN wherever it sits,
-    and a weight past the float range reads inf.  A delta, or a radius
-    given as a number, that is not finite raises ValueError.
+    and a weight past the float range reads inf, though no radius does.  A
+    delta, or a radius given as a number, that is not finite raises ValueError.
     """
     if not math.isfinite(delta):
         raise ValueError(f"delta must be finite, got {delta}")
@@ -583,6 +581,8 @@ def weighted_sup_norm(samples, delta: float) -> float:
         else:
             x0, x1, x2, x3 = _coords(point)
             r = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3)
+            if r == math.inf:  # the squares overflow, though the radius may not
+                r = math.hypot(x0, x1, x2, x3)
         value = abs(float(value))
         try:
             weights.append(value * (1.0 + r) ** (-delta))

@@ -13,6 +13,7 @@ import collections
 import decimal
 import hashlib
 import inspect
+import itertools
 import math
 import random
 import sys
@@ -493,6 +494,16 @@ def test_decay_order_needs_a_radial_potential():
     assert abs(cv.decay_order(radial, np.geomspace(2, 64, 10)).mu - 2.0) < 0.1
 
 
+def test_decay_order_refuses_a_metric_that_is_not_positive_definite_by_radius():
+    # -u is not Kahler anywhere: its deviations were all 2.0, and the fit
+    # read mu = 4e-15 with no error
+    with pytest.raises(DegenerateMetricError, match=r"degenerates along the decay ray at radius 0 \(2\)$"):
+        cv.decay_order(cv.custom_radial(lambda u: -u), np.geomspace(2, 64, 10))
+    # u - u^2/10 is not from |z| = 1.58 on: of the radii 0.5, 0.74, 1.1, 1.64, ... the fourth
+    with pytest.raises(DegenerateMetricError, match=r"at radius 3 \(1\.641\)$"):
+        cv.decay_order(_CROSSING, np.geomspace(0.5, 8, 8))
+
+
 def test_decay_order_input_validation():
     with pytest.raises(ValueError):
         cv.decay_order(FL, np.geomspace(2, 64, 5))
@@ -780,6 +791,19 @@ def test_weighted_sup_norm_weight_past_the_float_range_reads_inf():
         assert cv.weighted_sup_norm([(1.0, 0.5), (1e300, 0.0)], -2.0) == 2.0
         # and a NaN value still makes the norm NaN
         assert math.isnan(cv.weighted_sup_norm([(1.0, 0.5), (1e300, math.nan)], -2.0))
+
+
+def test_weighted_sup_norm_takes_a_coordinate_radius_without_overflow():
+    # the squares of (1e300, 0, 0, 0) overflow, which read r = inf and weighed
+    # the sample inf; as the scalar radius 1e300 it reads 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalar = cv.weighted_sup_norm([(1e300, 1e-300)], -2.0)
+        assert cv.weighted_sup_norm([((1e300, 0, 0, 0), 1e-300)], -2.0) == scalar
+        assert cv.weighted_sup_norm([((0, -6e299, 0, 8e299), 1e-300)], -2.0) == scalar
+        assert scalar == pytest.approx(1e300, rel=1e-12)
+        # a radius that does not overflow keeps sqrt of the sum of squares
+        assert cv.weighted_sup_norm([((1e-3, 2e-3, 0, 3e-3), 1.0)], -2.0) == (1.0 + math.sqrt(1.4e-5)) ** 2
 
 
 def _eh_ray_norm(delta, rmax):
@@ -1633,6 +1657,149 @@ def test_a_nonfinite_derivative_reads_degenerate():
     assert math.isnan(_engine.scalar(math, f))
     with np.errstate(all="ignore"):
         assert np.isnan(_engine.scalar(np, np.array(f)[:, None])).all()
+
+
+# ------------------------------------------------------ positive definiteness
+
+_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e200, -1e200, math.inf, -math.inf, math.nan)
+
+
+def test_positive_definite_kernel_on_special_values():
+    # every component runs through the special values; rows and columns
+    # give the same det bits and verdicts, and the verdict is the former
+    # four-part test of hermitian_hessian, kept here as the reference
+    rows = list(itertools.product(_SPECIAL, repeat=4))
+    with np.errstate(all="ignore"):
+        det, ok = _engine.positive_definite(np, *np.array(rows).T)
+    for i, (g11, g22, gr, gi) in enumerate(rows):
+        d, verdict = _engine.positive_definite(math, g11, g22, gr, gi)
+        reference = g11 * g22 - gr * gr - gi * gi
+        assert np.float64(d).tobytes() == det[i].tobytes() == np.float64(reference).tobytes(), rows[i]
+        want = math.isfinite(reference) and reference > 0.0 and g11 > 0.0 and g22 > 0.0
+        assert verdict is want and bool(ok[i]) is want, rows[i]
+    assert ok.sum() > 0 and (~ok).sum() > 0
+
+
+def _components(g):
+    # (g11, g22, Re g12, Im g12) of a Hermitian matrix, as Python floats
+    return g[0, 0].real.item(), g[1, 1].real.item(), g[0, 1].real.item(), g[0, 1].imag.item()
+
+
+@pytest.mark.parametrize("pot, z", [(cv.eguchi_hanson(1000.0), (0.01, 0.01j)), (EH, (3e-5, 4e-5j))],
+                         ids=["eguchi-hanson-1000", "eguchi-hanson-1"])
+def test_builtin_hessian_is_returned_where_its_components_round_to_a_degenerate_det(pot, z):
+    # g's eigenvalues are u/w and w/u, positive, but at a condition number
+    # near 1e19 its det from rounded components is not positive: the former
+    # component test raised DegenerateMetricError here
+    want = _closed_form_hessian(pot, z)
+    g11, g22, gr, gi = _components(want)
+    assert not g11 * g22 - gr * gr - gi * gi > 0.0
+    assert np.array_equal(cv.hermitian_hessian(pot, z), want)
+    dev = cv.metric_deviations(pot, [z])
+    assert np.isfinite(dev).all()
+
+
+@pytest.mark.parametrize("pot", [EH, cv.eguchi_hanson(10.0), cv.eguchi_hanson(1000.0), cv.burns(1.5),
+                                 cv.burns(1e10)], ids=lambda p: f"{p.name}-{p.parameter:g}")
+def test_builtin_hessian_raises_only_where_its_closed_form_is_not_finite(pot):
+    # radii 1e-6 to 1e4, and two near 1e-76, where Burns' b = m/u^2 and
+    # Eguchi-Hanson's a^4/(w u^2) overflow for m = 1e10 and a = 1000
+    rng = np.random.default_rng(33)
+    radii = np.concatenate([np.exp(rng.uniform(math.log(1e-6), math.log(1e4), 300)), [1e-76, 3e-77]])
+    pts = radii[:, None] * _directions(rng, len(radii))
+    rounded_degenerate = 0
+    for x in pts:
+        want = _closed_form_hessian(pot, x)
+        g11, g22, gr, gi = _components(want)
+        det = g11 * g22 - gr * gr - gi * gi
+        rounded_degenerate += not (det > 0.0)
+        if np.isfinite(want).all():
+            assert np.array_equal(cv.hermitian_hessian(pot, x), want)
+        else:
+            with pytest.raises(DegenerateMetricError):
+                cv.hermitian_hessian(pot, x)
+    if pot.parameter in (1000.0, 1e10):
+        assert rounded_degenerate > 0
+
+
+# f'' = u - 0.4 u^2 changes sign at u = 2.5, |z| = 1.58
+_CROSSING = cv.custom_radial(lambda u: u - 0.1 * u * u)
+_ALL_NEGATIVE = cv.custom_general(lambda z1, z2: -(abs(z1) ** 2 + abs(z2) ** 2))
+
+
+def _crossing_points(n):
+    # radii on both sides of |z| = 1.58, away from it: f'' is 0.23 at 1.5 and -0.28 at 1.66
+    rng = np.random.default_rng(1605)
+    radii = np.where(rng.random(n) < 0.5, rng.uniform(0.8, 1.5, n), rng.uniform(1.66, 2.2, n))
+    return radii, radii[:, None] * _directions(rng, n)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("pot", [_CROSSING, _ALL_NEGATIVE], ids=["radial-crossing", "general-negative"])
+def test_custom_deviations_are_nan_exactly_where_g_fails_the_test(pot, order):
+    # a chunk's columns and a tail of Python-float rows, both
+    n = 2 * cv._chunk_points(order, False, pot.family is not None) + 3
+    radii, pts = _crossing_points(n)
+    dev = cv.metric_deviations(pot, pts, order=order)
+    with np.errstate(all="ignore"):
+        g = cv._evaluate(pot, pts, 1e-2, order, False)
+        ok = _engine.positive_definite(np, *g.T)[1]
+    assert (np.isnan(dev) == ~ok).all()
+    if pot is _CROSSING:
+        assert (ok == (radii < 1.58)).all()
+    else:
+        assert not ok.any()
+    # the rows that pass keep the bits of max |g - I|
+    unmasked = np.max(np.abs(g - np.array([1.0, 1.0, 0.0, 0.0])), axis=1)
+    assert dev[ok].tobytes() == unmasked[ok].tobytes()
+
+
+# sha256 of every built-in deviation, and of the crossing profile's rows
+# inside |z| = 1.58, where its g is positive definite, over
+# _crossing_points(40) at orders 2 and 4, as they were before the
+# deviations took their positive-definiteness rule
+DEVIATIONS_SHA256 = "7be495fcf3ea0099db5e768c636ac829db14245a454956b9ec202f54d94d0bf3"
+
+
+def test_deviations_keep_their_bits():
+    radii, pts = _crossing_points(40)
+    digest = hashlib.sha256()
+    for order in (2, 4):
+        for pot in (FL, EH, cv.eguchi_hanson(1000.0), cv.burns(1.5), cv.burns(1e10), _CROSSING):
+            dev = cv.metric_deviations(pot, pts, order=order)
+            digest.update(dev[radii < 1.58 if pot is _CROSSING else slice(None)].tobytes())
+    assert digest.hexdigest() == DEVIATIONS_SHA256
+
+
+_CONTRACT_KINDS = (
+    EH, cv.eguchi_hanson(1000.0), cv.burns(1e10), FL,
+    cv.custom_radial(lambda u: u + math.log(u)), _CROSSING, cv.custom_radial(lambda u: -u),
+    _KINDS["custom-general"], _ALL_NEGATIVE,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=st.integers(0, len(_CONTRACT_KINDS) - 1),
+    log_r=st.floats(math.log(1e-6), math.log(1e4)),
+    d=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(lambda v: sum(c * c for c in v) > 0.01),
+    order=st.sampled_from([2, 4]),
+)
+def test_deviations_are_not_finite_exactly_where_the_hessian_raises(kind, log_r, d, order):
+    pot = _CONTRACT_KINDS[kind]
+    if pot.fn is not None:
+        # a custom potential's g keeps the stencil rule near the origin
+        log_r = max(log_r, math.log(0.5))
+    x = math.exp(log_r) * np.array(d) / math.sqrt(sum(c * c for c in d))
+    try:
+        cv.hermitian_hessian(pot, x, order=order)
+        raised = False
+    except DegenerateMetricError:
+        raised = True
+    # one point as a Python-float row, and repeated as whole columns
+    for n in (1, 16):
+        dev = cv.metric_deviations(pot, np.tile(x, (n, 1)), order=order)
+        assert (~np.isfinite(dev) == raised).all(), (pot.name, x, dev)
 
 
 # ---------------------------------------------------------------- pullbacks
