@@ -478,10 +478,13 @@ def radial(curvature: bool, x, values, p1, p2) -> np.ndarray:
     (profile_along_t's) and (p1, p2) = (h0, order).  S is scalar's.  g
     = F' I + F'' conj(z) z^T is lam + b |z2|^2, lam + b |z1|^2 and -b
     conj(z1) z2, with lam = f''/u, g's eigenvalue along conj(z) (f'/u
-    across it), and b = (f' - f'')/u^2.  A built-in's rows run as Python
+    across it), and b = (f' - f'')/u^2.  A profile's S reads its values
+    alone: for it the kernel forms no u.  A built-in's rows run as Python
     floats below _G_ROWS, a profile's below _ROWS.
     """
     def kernel(xp, row, *v):
+        if curvature and v:
+            return scalar(xp, t_derivatives(xp, v[0], p1, p2))
         x0, x1, x2, x3 = row
         s1, s2 = x0 * x0 + x1 * x1, x2 * x2 + x3 * x3
         u = s2 + s1

@@ -305,15 +305,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _exit_code(exc: SystemExit) -> int:
-    if exc.code is None:
-        return 0
-    if isinstance(exc.code, int):
-        return exc.code
-    print(exc.code, file=sys.stderr)
-    return 1
-
-
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -333,7 +324,8 @@ def main(argv=None) -> int:
         os.close(devnull)
         return EXIT_BROKEN_PIPE
     except SystemExit as exc:
-        return _exit_code(exc)
+        # argparse exits with an int: 1 from _Parser.error, 0 after --help or --version
+        return exc.code
     except (SfkaleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

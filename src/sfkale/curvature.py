@@ -40,6 +40,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 import sys
 from typing import Callable, Optional
 
@@ -265,7 +266,8 @@ def _refusal(point: str, x, r: float, where: str) -> ValueError:
 
 
 def _point(potential: Potential, z, h0: float, order: int, curvature: bool) -> np.ndarray:
-    """z as a one-row (1, 4) stack for a single-point entry; _domain's refusal names z."""
+    """z as a one-row (1, 4) stack for a single-point entry, h0 and order checked; _domain's refusal names z."""
+    _check_stencil(h0, order)
     x = _coords(z)
     x0, x1, x2, x3 = x
     r = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3)
@@ -277,7 +279,8 @@ def _point(potential: Potential, z, h0: float, order: int, curvature: bool) -> n
 
 def _points(potential: Optional[Potential], points, h0: float, order: int,
             curvature: bool) -> np.ndarray:
-    """points, (n, 2) complex or (n, 4) real, as an (n, 4) stack; a refusal names the index."""
+    """points, (n, 2) complex or (n, 4) real, as an (n, 4) stack, h0 and order checked; refusals name the index."""
+    _check_stencil(h0, order)
     arr = np.asarray(points)
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise ValueError("expected a nonempty 2d array of sample points")
@@ -317,7 +320,6 @@ class SamplePlan:
     order: int = 4
 
     def __post_init__(self):
-        _check_stencil(self.h0, self.order)
         points = _points(None, self.points, self.h0, self.order, curvature=True)
         object.__setattr__(self, "points", points)
 
@@ -342,7 +344,7 @@ def sample_points(rmin: float, rmax: float, n: int) -> np.ndarray:
     """n points with radii geometrically spaced in [rmin, rmax]."""
     if not 0 < rmin <= rmax < math.inf:
         raise ValueError(f"need finite 0 < rmin <= rmax, got rmin = {rmin}, rmax = {rmax}")
-    if isinstance(n, bool) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
         raise ValueError(f"need an integer count of at least one sample, got {n!r}")
     radii = np.geomspace(rmin, rmax, n)
     dirs = _DIRECTIONS[np.arange(n) % len(_DIRECTIONS)]
@@ -390,7 +392,6 @@ def hermitian_hessian(potential: Potential, z, h0: float = 1e-2, order: int = 4)
     Raises DegenerateMetricError where a custom potential's g fails
     _engine.positive_definite, or a built-in's closed-form g is not finite.
     """
-    _check_stencil(h0, order)
     x = _point(potential, z, h0, order, curvature=False)
     g11, g22, gr, gi = c = _evaluate(potential, x, h0, order, curvature=False)[0].tolist()
     if not (all(map(math.isfinite, c)) if potential.fn is None else _engine.positive_definite(math, *c)[1]):
@@ -405,7 +406,6 @@ def hermitian_hessian(potential: Potential, z, h0: float = 1e-2, order: int = 4)
 
 def scalar_curvature(potential: Potential, z, h0: float = 1e-2, order: int = 4) -> float:
     """Scalar curvature S = -2 tr(g^-1 Hess log det g) at z."""
-    _check_stencil(h0, order)
     x = _point(potential, z, h0, order, curvature=True)
     s = float(_evaluate(potential, x, h0, order, curvature=True)[0])
     if math.isnan(s):
@@ -417,7 +417,6 @@ def scalar_curvature(potential: Potential, z, h0: float = 1e-2, order: int = 4) 
 
 def metric_deviations(potential: Potential, points, h0: float = 1e-2, order: int = 4) -> np.ndarray:
     """Max entrywise |g - I| at each point: not finite where hermitian_hessian raises, refused where it refuses."""
-    _check_stencil(h0, order)
     x = _points(potential, points, h0, order, curvature=False)
     g = _evaluate(potential, x, h0, order, curvature=False)
     dev = np.max(np.abs(g - np.array([1.0, 1.0, 0.0, 0.0])), axis=1)
@@ -493,7 +492,6 @@ def scalar_curvature_derivative(
     DegenerateMetricError names the side, +t or -t, whose metric
     degenerates.
     """
-    _check_stencil(h0, order)
     if not (math.isfinite(t) and t > 0.0):
         raise ValueError(f"perturbation scale t must be finite and positive, got {t}")
     if not isinstance(perturbation, Potential):

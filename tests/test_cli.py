@@ -270,6 +270,15 @@ def test_verify_metric_flat_passes(capsys):
     assert len(payload["scalar_values"]) == 8
 
 
+def test_verify_metric_flat_reads_exactly_zero(capsys):
+    # flat's S is +0.0 at every point, so even tol = 1e-300 passes
+    code, payload, _ = run_json(capsys, "verify-metric", "--potential", "flat", "--order", "2",
+                                "--rmin", "0.3", "--rmax", "64", "--samples", "16", "--tol",
+                                "1e-300", "--json")
+    assert code == 0 and payload["passed"]
+    assert payload["scalar_values"] == [0.0] * 16 and payload["max_abs_scalar"] == 0.0
+
+
 def test_verify_metric_impossible_tolerance_fails(capsys):
     code, out, _ = run(
         capsys,
@@ -394,6 +403,29 @@ def test_riemenschneider_text(capsys):
     code, out, _ = run(capsys, "riemenschneider", "--pmax", "10")
     assert code == 0
     assert "all identities hold" in out
+
+
+def test_riemenschneider_holds_on_every_pair_up_to_200(capsys):
+    # coprime (p, q) with 2 <= q <= p - 2
+    pairs = sum(gcd(p, q) == 1 for p in range(2, 201) for q in range(2, p - 1))
+    code, payload, _ = run_json(capsys, "riemenschneider", "--pmax", "200", "--json")
+    assert code == 0
+    assert payload == {"pmax": 200, "pairs_checked": pairs, "failures": 0, "first_failure": None}
+
+
+def test_riemenschneider_names_the_first_failure_and_exits_2(capsys, monkeypatch):
+    from sfkale import moduli
+
+    holds = moduli.riemenschneider_identities_hold
+    monkeypatch.setattr(moduli, "riemenschneider_identities_hold",
+                        lambda exp: holds(exp) and (exp.p, exp.q) != (7, 3))
+    code, out, _ = run(capsys, "riemenschneider", "--pmax", "10")
+    assert code == 2
+    assert out == "pmax        10\npairs       14\nFAIL at {'p': 7, 'q': 3}\n"
+    code, payload, _ = run_json(capsys, "riemenschneider", "--pmax", "10", "--json")
+    assert code == 2
+    assert payload == {"pmax": 10, "pairs_checked": 14, "failures": 1,
+                       "first_failure": {"p": 7, "q": 3}}
 
 
 # -------------------------------------------------------------- error paths

@@ -368,6 +368,14 @@ def test_sample_points_refuses_a_bool_or_empty_count(n):
         cv.sample_points(1.0, 2.0, n)
 
 
+def test_sample_points_refuses_a_count_that_is_not_an_integer():
+    # a float count raised numpy's TypeError, and "3" a failed comparison
+    for n in (2.5, 3.0, "3"):
+        with pytest.raises(ValueError, match=f"integer count of at least one sample, got {n!r}"):
+            cv.sample_points(1.0, 8.0, n)
+    assert cv.sample_points(1.0, 8.0, np.int64(3)).shape == (3, 4)
+
+
 def test_sample_plan_validation():
     pts = cv.sample_points(1, 4, 4)
     for bad in (dict(h0=0.0), dict(h0=0.2), dict(order=3)):
@@ -570,6 +578,33 @@ def test_nonfinite_points_rejected_with_their_index():
             cv.scalar_curvature(EH, z)
         with pytest.raises(ValueError, match="non-finite coordinate"):
             cv.hermitian_hessian(EH, z)
+
+
+@pytest.mark.parametrize("z", [(1.0, 2.0, 3.0), np.array([1, 2, 3, 4], complex)], ids=["three", "complex-four"])
+def test_a_point_of_another_shape_is_refused(z):
+    # neither (z1, z2) nor 4 real coordinates
+    entries = [
+        lambda: cv.scalar_curvature(EH, z),
+        lambda: cv.hermitian_hessian(EH, z),
+        lambda: cv.scalar_curvature_derivative(FL, BU, z),
+        lambda: cv.weighted_sup_norm([(z, 1.0)], 0.0),
+    ]
+    for entry in entries:
+        with pytest.raises(ValueError, match=r"expected a point of C\^2 as \(z1, z2\) or as 4 real coordinates"):
+            entry()
+
+
+@pytest.mark.parametrize("points, message", [
+    ([], "expected a nonempty 2d array of sample points"),
+    ([1, 2, 3, 4], "expected a nonempty 2d array of sample points"),
+    (np.zeros((0, 4)), "expected a nonempty 2d array of sample points"),
+    ([[1, 2, 3]], r"points must have shape \(n, 2\) complex or \(n, 4\) real"),
+], ids=["empty", "one-point-flat", "no-rows", "three-columns"])
+def test_a_stack_of_another_shape_is_refused(points, message):
+    with pytest.raises(ValueError, match=message):
+        cv.SamplePlan(points)
+    with pytest.raises(ValueError, match=message):
+        cv.metric_deviations(EH, points)
 
 
 @pytest.mark.parametrize("pot", [FL, EH, BU, _KINDS["custom-radial"]], ids=lambda p: p.name)
@@ -1226,6 +1261,19 @@ def test_radial_deviations_match_single_hessians_bit_for_bit(kind, order):
         g = cv.hermitian_hessian(pot, x, order=order)
         single.append(max(abs(g[0, 0].real - 1.0), abs(g[1, 1].real - 1.0), abs(g[0, 1].real), abs(g[0, 1].imag)))
     assert dev.tobytes() == np.array(single).tobytes()
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("kind", ["flat", "eguchi-hanson", "burns", "custom-radial"])
+def test_radial_plan_scalar_curvature_matches_single_points_bit_for_bit(kind, order):
+    # as for the deviations: whole columns over the first two chunks,
+    # Python floats over the 3-point tail and at each single point
+    pot = _KINDS[kind]
+    size = cv._chunk_points(order, True, along_t=True)
+    pts = _random_points(20160519, 2 * size + 3)
+    s = cv.verify_scalar_flat(pot, cv.SamplePlan(pts, order=order)).scalar_values
+    single = [cv.scalar_curvature(pot, x, order=order) for x in pts]
+    assert s.tobytes() == np.array(single).tobytes()
 
 
 def _unitary(theta, phi1, phi2, alpha):

@@ -189,6 +189,13 @@ def test_validate_rejects_bools(spec, field):
     assert (info.value.field, info.value.condition) == (field, "a positive integer")
 
 
+@pytest.mark.parametrize("kind", ["bogus", None, 7])
+def test_validate_rejects_a_kind_it_does_not_know_by_name(kind):
+    with pytest.raises(ConditionViolationError) as info:
+        validate_group(GroupSpec(kind=kind))
+    assert (info.value.field, info.value.condition) == ("kind", f"a supported kind, got {kind!r}")
+
+
 @pytest.mark.parametrize(
     "spec, field, condition",
     [
