@@ -47,10 +47,10 @@ flat is Burns with m = 0.  A custom_radial profile is called at the 9
 (order 4) or 7 t-sites t + k h, h = 4 h0 (profile_along_t), and
 t_derivatives takes each of the first four from those values as one
 compensated sum (_sum2), and f' - f'' as the difference of the first
-two.  These and S's final contraction are
-kernels, written once: rows_or_columns runs them on a few rows' Python
-floats or on whole columns, with the same IEEE operations, so to the
-same bits.
+two.  These are kernels, written once: rows_or_columns runs them on a
+few rows' Python floats or on whole columns, with the same IEEE
+operations, so to the same bits.  S's contraction on the 4-D stencil
+takes numpy columns alone.
 
 Every function works on a stack of n points at once.  The scalar
 curvature stencil around a point x has the bases x + h b, b in
@@ -231,13 +231,6 @@ def rows_or_columns(kernel, *arrays, below=_ROWS) -> np.ndarray:
     return np.asarray(kernel(np, *(a.T for a in arrays))).T
 
 
-def where(xp, ok, fn, *args):
-    """fn(*args) where ok, else NaN: on columns, or on a row's floats, where fn runs only if ok."""
-    if xp is math:
-        return fn(*args) if ok else math.nan
-    return np.where(ok, fn(*args), np.nan)
-
-
 def builtin_potential(family, par, x0, x1, x2, x3):
     """Phi of a built-in potential at x; ValueError where |z|^2 is 0, or underflows to 0."""
     u = x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3
@@ -257,31 +250,38 @@ def callable_values(fn, columns, name: str) -> np.ndarray:
 
     The calls go through one map, in row order.  A result that is not a
     real number raises TypeError naming the potential and the site.
-    np.fromiter raises for a complex result but reads None as NaN, so
-    the values are checked for NaN once: fn is called again through
-    float() at the first NaN site, which raises for a non-real result
-    and lets a real NaN through.
+    np.fromiter raises TypeError for a complex result, or where fn
+    raises it, but reads None as NaN, so the values are checked for NaN
+    once.  At the failing site, and at the first NaN site, fn is called
+    once more (_recheck), which tells fn's own TypeError from a result
+    that float() refuses, and lets a real NaN through.
     """
     count = len(columns[0])
     rows = [iter(column) for column in columns]
     try:
         values = np.fromiter(map(fn, *rows), float, count=count)
-    except TypeError as exc:
+    except TypeError:
         # map has taken the failing row from each column, and no row after it
-        raise _not_real(name, columns, count - operator.length_hint(rows[0]) - 1, exc) from exc
+        _recheck(fn, columns, count - operator.length_hint(rows[0]) - 1, name)
+        raise
     nan = np.isnan(values)
     if nan.any():
-        i = int(nan.argmax())
-        try:
-            float(fn(*(column[i] for column in columns)))
-        except TypeError as exc:
-            raise _not_real(name, columns, i, exc) from exc
+        _recheck(fn, columns, int(nan.argmax()), name)
     return values
 
 
-def _not_real(name: str, columns, i: int, exc: TypeError) -> TypeError:
-    args = ", ".join(repr(column[i]) for column in columns)
-    return TypeError(f"{name}: fn({args}) is not a real number ({exc})")
+def _recheck(fn, columns, i: int, name: str) -> None:
+    """float(fn(*site i)), raising TypeError that names the potential and the site where it fails."""
+    args = tuple(column[i] for column in columns)
+    site = f"{name}: fn({', '.join(map(repr, args))})"
+    try:
+        value = fn(*args)
+    except TypeError as exc:
+        raise TypeError(f"{site} raised TypeError: {exc}") from exc
+    try:
+        float(value)
+    except TypeError as exc:
+        raise TypeError(f"{site} is not a real number ({exc})") from exc
 
 
 def lattice_psi(fn, x, h, lattice: SiteLattice, name: str):
@@ -440,11 +440,13 @@ def scalar(xp, f):
     S = -2 (G'/f' + G''/f''), G = log(f' f'') - 2t: NaN where f' or f''
     is not positive or a derivative is not finite (positive_definite's
     rule, on g's eigenvalues f'/u and f''/u), +0.0 for S = 0.  A row
-    checks a source's f' - f'' too, sparing a slice: it is finite
-    wherever f' and f'' are finite and positive.
+    calls _scalar only where S is defined, and checks a source's f' -
+    f'' too, sparing a slice: it is finite wherever f' and f'' are
+    finite and positive.
     """
-    finite = all(map(math.isfinite, f)) if xp is math else np.isfinite(f[:4]).all(axis=0)
-    return where(xp, (f[0] > 0.0) & (f[1] > 0.0) & finite, _scalar, *f)
+    if xp is math:
+        return _scalar(*f) if f[0] > 0.0 and f[1] > 0.0 and all(map(math.isfinite, f)) else math.nan
+    return np.where((f[0] > 0.0) & (f[1] > 0.0) & np.isfinite(f[:4]).all(axis=0), _scalar(*f), np.nan)
 
 
 def t_derivatives(xp, values, h0: float, order: int):
@@ -521,20 +523,16 @@ def scalar_curvature(g, h, order: int) -> np.ndarray:
     their stencil; the other points keep their values.  The factor 2
     fixes the real scalar curvature normalization.
     """
-    det, positive = positive_definite(np, g[..., 0], g[..., 1], g[..., 2], g[..., 3])
+    det, positive = positive_definite(g[..., 0], g[..., 1], g[..., 2], g[..., 3])
     # the outer stencil runs over the sites around the first base
     logdet = np.log(np.where(positive[:, None, 1:], det[:, None, 1:], np.nan))
-    f = hessian(logdet, h, order)[:, 0]
-    return rows_or_columns(contract, g[:, 0], f, det[:, 0], positive[:, 0])
+    f11, f22, fr, fi = hessian(logdet, h, order)[:, 0].T
+    g11, g22, gr, gi = g[:, 0].T
+    s =-2.0 * (g22 * f11 + g11 * f22 - 2.0 * (gr * fr + gi * fi)) / det[:, 0]
+    return np.where(positive[:, 0], s, np.nan)
 
 
-def positive_definite(xp, g11, g22, gr, gi):
-    """(det g, ok) from g's components, ok = 0 < det < inf and g11 > 0 (so g22 > 0; NaN fails); a kernel."""
+def positive_definite(g11, g22, gr, gi):
+    """(det g, ok) from g's components, floats or columns: ok = 0 < det < inf and g11 > 0 (so g22 > 0; NaN fails)."""
     det = g11 * g22 - gr * gr - gi * gi
     return det, (0.0 < det) & (det < math.inf) & (g11 > 0.0)
-
-
-def contract(xp, g, f, det, ok):
-    """S = -2 tr(g^-1 f) from g, f = Hess log det g and det g at a base: NaN unless ok; a kernel."""
-    (g11, g22, gr, gi), (f11, f22, fr, fi) = g, f
-    return where(xp, ok, lambda: -2.0 * (g22 * f11 + g11 * f22 - 2.0 * (gr * fr + gi * fi)) / det)

@@ -218,10 +218,11 @@ def _cmd_verify_metric(args):
 def _parse_radii(text: str):
     import numpy as np
 
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError("radii must be given as R0:R1:steps")
-    r0, r1, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        r0, r1, steps = text.split(":")
+        r0, r1, steps = float(r0), float(r1), int(steps)
+    except ValueError:
+        raise ValueError(f"radii must be given as R0:R1:steps, got {text}") from None
     if steps < 2 or not 0 < r0 < r1 < math.inf:
         raise ValueError(f"radii need finite 0 < R0 < R1 and at least 2 steps, got {text}")
     return np.geomspace(r0, r1, steps)

@@ -22,17 +22,16 @@ metric_deviations, which the decay fits and weighted norms use) walk
 their points in chunks of about _CHUNK_TERMS terms: 4 scalar curvature
 points at order 4, 14 at order 2, 213 or 426 custom_general Hessians,
 and 1137 or 1462 radial points, one term per t-site of a profile.  A
-single-point call is a stack of one row.  The engine's kernels take a
-few rows as Python floats, with the same operations in the same order
-as on a chunk's whole columns, so no value depends on its point's
-chunk.  Every
-entry, plans and deviations included, refuses a point off C^2 minus the
-origin by _domain's rule for what it evaluates, with a ValueError
-naming the point, or its index in a stack, and its radius, as a
-built-in potential does at the origin.  numpy's float warnings
-are off for the whole of each public call, a custom potential's
-included: the points they would flag come back NaN and count as
-degenerate.
+single-point call is a stack of one row.  A radial g or S takes a few
+rows as Python floats, with the same operations in the same order as on
+whole columns, and S on the 4-D stencil takes columns alone, so no
+value depends on its point's chunk.  Every entry, plans and deviations
+included, refuses a point off C^2 minus the origin by _domain's rule
+for what it evaluates, with a ValueError naming the point, or its index
+in a stack, and its radius, as a built-in potential does at the origin.
+numpy's float warnings are off for the whole of each public call, a
+custom potential's included: the points they would flag come back NaN
+and count as degenerate.
 """
 
 from __future__ import annotations
@@ -103,7 +102,7 @@ def eguchi_hanson(a: float = 1.0) -> Potential:
     The potential reads a^4 = (a^2)^2 at every point, so an a whose a^4
     overflows a float (a above about 1.16e77) raises ValueError.
     """
-    if not (math.isfinite(a) and a > 0):
+    if isinstance(a, bool) or not (math.isfinite(a) and a > 0):
         raise ValueError(f"eguchi-hanson parameter a must be finite and positive, got {a}")
     a2 = float(a) * float(a)
     if math.isinf(a2 * a2):
@@ -113,13 +112,15 @@ def eguchi_hanson(a: float = 1.0) -> Potential:
 
 def burns(m: float = 1.0) -> Potential:
     """Scalar-flat potential |z|^2 + m log |z|^2 with mass parameter m > 0."""
-    if not (math.isfinite(m) and m > 0):
+    if isinstance(m, bool) or not (math.isfinite(m) and m > 0):
         raise ValueError(f"burns parameter m must be finite and positive, got {m}")
     return Potential(name="burns", family=_engine.BURNS, parameter=float(m))
 
 
 def custom_radial(fn: Callable[[float], float]) -> Potential:
     """Potential given as a function of u = |z|^2."""
+    if not callable(fn):
+        raise TypeError(f"custom_radial needs a callable fn(u), got {fn!r}")
     return Potential(name="custom-radial", family=_engine.RADIAL, parameter=0.0, fn=fn)
 
 
@@ -128,6 +129,8 @@ def custom_general(fn: Callable[[complex, complex], float]) -> Potential:
 
     fn is stored as it is and called with two Python complex numbers.
     """
+    if not callable(fn):
+        raise TypeError(f"custom_general needs a callable fn(z1, z2), got {fn!r}")
     return Potential(name="custom-general", family=None, parameter=0.0, fn=fn)
 
 
@@ -394,7 +397,7 @@ def hermitian_hessian(potential: Potential, z, h0: float = 1e-2, order: int = 4)
     """
     x = _point(potential, z, h0, order, curvature=False)
     g11, g22, gr, gi = c = _evaluate(potential, x, h0, order, curvature=False)[0].tolist()
-    if not (all(map(math.isfinite, c)) if potential.fn is None else _engine.positive_definite(math, *c)[1]):
+    if not (all(map(math.isfinite, c)) if potential.fn is None else _engine.positive_definite(*c)[1]):
         raise DegenerateMetricError(
             f"metric of {potential.name} not positive definite at {z!r}"
         )
@@ -422,7 +425,7 @@ def metric_deviations(potential: Potential, points, h0: float = 1e-2, order: int
     dev = np.max(np.abs(g - np.array([1.0, 1.0, 0.0, 0.0])), axis=1)
     if potential.fn is not None:
         with np.errstate(all="ignore"):
-            dev[~_engine.positive_definite(np, *g.T)[1]] = np.nan
+            dev[~_engine.positive_definite(*g.T)[1]] = np.nan
     return dev
 
 

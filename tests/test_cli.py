@@ -527,6 +527,13 @@ def test_radius_bound_that_is_not_finite_exits_1(capsys, argv, named):
     assert "RuntimeWarning" not in err
 
 
+@pytest.mark.parametrize("radii", ["2:64:ten", "2:64:10.5", "two:64:10", "2-64-10", "2:64:10:1"])
+def test_malformed_radii_name_their_format_and_exit_1(capsys, radii):
+    code, out, err = run(capsys, "decay", "--potential", "flat", "--radii", radii)
+    assert (code, out) == (1, "")
+    assert err == f"error: radii must be given as R0:R1:steps, got {radii}\n"
+
+
 def test_eguchi_hanson_a_whose_a4_overflows_exits_1(capsys):
     code, out, err = run(capsys, "verify-metric", "--potential", "eguchi-hanson", "--a", "1e100",
                          "--rmin", "1", "--rmax", "8", "--samples", "4")

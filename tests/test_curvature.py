@@ -423,6 +423,24 @@ def test_potential_parameters_must_be_finite_and_positive(bad):
         cv.burns(bad)
 
 
+def test_a_bool_parameter_is_refused():
+    # bool is an int subclass, but True is no length scale: eguchi_hanson(True) read a = 1.0
+    with pytest.raises(ValueError, match="eguchi-hanson parameter a must be finite and positive, got True"):
+        cv.eguchi_hanson(True)
+    with pytest.raises(ValueError, match="burns parameter m must be finite and positive, got True"):
+        cv.burns(True)
+
+
+@pytest.mark.parametrize("constructor, signature", [(cv.custom_radial, "fn(u)"),
+                                                    (cv.custom_general, "fn(z1, z2)")])
+@pytest.mark.parametrize("fn", [3, None, "u * u"])
+def test_custom_constructors_refuse_an_fn_that_is_not_callable(constructor, signature, fn):
+    # refused when built, not at the first evaluation as a value that is not a real number
+    with pytest.raises(TypeError) as info:
+        constructor(fn)
+    assert str(info.value) == f"{constructor.__name__} needs a callable {signature}, got {fn!r}"
+
+
 def test_accepted_inputs_leak_no_numpy_warnings():
     # the custom profile's value overflows.  The engine's NaN must reach
     # the caller as a degenerate point, with no RuntimeWarning on the way.
@@ -1043,6 +1061,33 @@ def test_non_real_value_raises_naming_the_site(entry, kind, result):
         pot(*POINTS[0])
 
 
+@pytest.mark.parametrize("entry", sorted(_ENTRIES))
+@pytest.mark.parametrize("kind", [cv.custom_radial, cv.custom_general], ids=["radial", "general"])
+def test_a_type_error_of_fn_itself_is_chained_naming_the_site(entry, kind):
+    # fn's own TypeError is not a value that is not a real number
+    calls = []
+
+    def fn(*args):
+        calls.append(args)
+        return len(args[0])
+
+    pot = kind(fn)
+    with pytest.raises(TypeError) as info:
+        _ENTRIES[entry](pot, fn)
+    site = ", ".join(map(repr, calls[0]))
+    assert str(info.value) == f"{pot.name}: fn({site}) raised TypeError: {info.value.__cause__}"
+    assert "has no len()" in str(info.value.__cause__)
+    # the failing site is called once more, and no site after it
+    assert calls[1:] == calls[:1]
+
+
+def test_a_comparison_of_complex_numbers_in_fn_is_named_as_its_own_error():
+    with pytest.raises(TypeError, match=r"custom-general: fn\(.*\) raised TypeError: '<' not supported") as info:
+        cv.scalar_curvature(cv.custom_general(lambda z1, z2: z1 < z2), POINTS[0])
+    assert "not a real number" not in str(info.value)
+    assert isinstance(info.value.__cause__, TypeError)
+
+
 def test_first_non_real_site_is_named():
     calls = []
 
@@ -1271,6 +1316,17 @@ def test_radial_plan_scalar_curvature_matches_single_points_bit_for_bit(kind, or
     pot = _KINDS[kind]
     size = cv._chunk_points(order, True, along_t=True)
     pts = _random_points(20160519, 2 * size + 3)
+    s = cv.verify_scalar_flat(pot, cv.SamplePlan(pts, order=order)).scalar_values
+    single = [cv.scalar_curvature(pot, x, order=order) for x in pts]
+    assert s.tobytes() == np.array(single).tobytes()
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_general_plan_scalar_curvature_matches_single_points_bit_for_bit(order):
+    # S on the 4-D stencil: two whole chunks, a 3-point tail and each single
+    # point contract g^-1 with Hess log det g on columns, to the same bits
+    pot = _KINDS["custom-general"]
+    pts = _random_points(20160520, 2 * cv._chunk_points(order, True) + 3)
     s = cv.verify_scalar_flat(pot, cv.SamplePlan(pts, order=order)).scalar_values
     single = [cv.scalar_curvature(pot, x, order=order) for x in pts]
     assert s.tobytes() == np.array(single).tobytes()
@@ -1628,7 +1684,7 @@ def _draw_rows(data, rows, width):
 
 _BUILTINS = ("flat", "burns", "eguchi-hanson")
 _KERNELS = _BUILTINS + tuple(f"{name}-scalar" for name in _BUILTINS) + (
-    "profile-metric", "t-derivatives", "radial-scalar", "contraction")
+    "profile-metric", "t-derivatives", "radial-scalar")
 
 
 @settings(max_examples=200, deadline=None)
@@ -1660,11 +1716,6 @@ def test_rows_and_columns_give_the_same_bits(kernel, order, h0, rows, data):
         case = (lambda v: _engine.rows_or_columns(t_derivatives, v), values)
     elif kernel == "radial-scalar":
         case = (lambda x, v: _profile_scalar(x, v, h0, order), x, values)
-    else:
-        # g, f = Hess log det g, det g and whether g is positive definite, at a base
-        ok = np.array(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))
-        f, det = _draw_rows(data, rows, 4), _draw_rows(data, rows, 1)[:, 0]
-        case = (lambda *a: _engine.rows_or_columns(_engine.contract, *a), x, f, det, ok)
     with np.errstate(all="ignore"):
         stack, single, columns = _three_ways(*case)
         assert _bits(stack) == _bits(single) == _bits(columns)
@@ -1718,9 +1769,9 @@ def test_positive_definite_kernel_on_special_values():
     # four-part test of hermitian_hessian, kept here as the reference
     rows = list(itertools.product(_SPECIAL, repeat=4))
     with np.errstate(all="ignore"):
-        det, ok = _engine.positive_definite(np, *np.array(rows).T)
+        det, ok = _engine.positive_definite(*np.array(rows).T)
     for i, (g11, g22, gr, gi) in enumerate(rows):
-        d, verdict = _engine.positive_definite(math, g11, g22, gr, gi)
+        d, verdict = _engine.positive_definite(g11, g22, gr, gi)
         reference = g11 * g22 - gr * gr - gi * gi
         assert np.float64(d).tobytes() == det[i].tobytes() == np.float64(reference).tobytes(), rows[i]
         want = math.isfinite(reference) and reference > 0.0 and g11 > 0.0 and g22 > 0.0
@@ -1791,7 +1842,7 @@ def test_custom_deviations_are_nan_exactly_where_g_fails_the_test(pot, order):
     dev = cv.metric_deviations(pot, pts, order=order)
     with np.errstate(all="ignore"):
         g = cv._evaluate(pot, pts, 1e-2, order, False)
-        ok = _engine.positive_definite(np, *g.T)[1]
+        ok = _engine.positive_definite(*g.T)[1]
     assert (np.isnan(dev) == ~ok).all()
     if pot is _CROSSING:
         assert (ok == (radii < 1.58)).all()
